@@ -25,6 +25,7 @@ from .data import DataFormatError, descriptive_stats, iqr_clean, load_csv
 from .forecast import (
     ModelConfig,
     TrainConfig,
+    evaluate_forecast,
     run_baseline,
     run_gradient_perturbation,
     run_input_perturbation,
@@ -282,20 +283,16 @@ def cmd_evaluate(args) -> int:
             per_region.setdefault(row["region"], []).append(
                 (float(row["y_true"]), float(row["y_pred"]))
             )
+    if not per_region or len({len(pairs) for pairs in per_region.values()}) > 1:
+        raise ConfigError(f"{pred_file} needs the same nonzero number of rows per region")
+    pairs = np.asarray(list(per_region.values()))  # (regions, slots, [y_true, y_pred])
+    report = evaluate_forecast(pairs[..., 0].T, pairs[..., 1].T, list(per_region))
     out = _out_dir(args)
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["region", "rmse", "mae"])
-        rmses, maes = [], []
-        for region, pairs in per_region.items():
-            arr = np.asarray(pairs)
-            err = arr[:, 0] - arr[:, 1]
-            r = float(np.sqrt(np.mean(err**2)))
-            m = float(np.mean(np.abs(err)))
-            rmses.append(r)
-            maes.append(m)
-            writer.writerow([region, repr(r), repr(m)])
-        writer.writerow(["mean", repr(float(np.mean(rmses))), repr(float(np.mean(maes)))])
+        for row in report.to_rows():
+            writer.writerow([row["region"], repr(row["rmse"]), repr(row["mae"])])
     print(f"wrote {out / 'metrics.csv'}")
     return 0
 

@@ -32,11 +32,19 @@ Step equations, with x_t the input row and ⊗ elementwise:
 ``act`` is tanh or relu; gates are always sigmoid. The loss everywhere is
 per-example MAE over output coordinates, with the subgradient at a zero
 residual defined as 0.
+
+The forward pass keeps a tape per direction: the input in direction order
+(n, T, d), the hidden (and LSTM cell) states stacked as (T+1, n, h), and
+the gate values and pre-activations stacked as (T, n, h). The backward
+pass runs the recurrence over ``dh`` step by step, collects each step's
+gate deltas in (T, n, h) arrays, and then forms each weight gradient in
+one reduction: a (k, T*n) @ (T*n, h) matmul for the batch mean, or a
+batched (n, k, T) @ (n, T, h) matmul for per-example gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -89,8 +97,8 @@ class ModelSpec:
         return self.hidden_size * len(self.directions)
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
+def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.empty_like(a) if out is None else out
     pos = a >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
     ea = np.exp(a[~pos])
@@ -98,10 +106,10 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _act(a: np.ndarray, kind: str) -> np.ndarray:
+def _act(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "tanh":
-        return np.tanh(a)
-    return np.maximum(a, 0.0)
+        return np.tanh(a, out=out)
+    return np.maximum(a, 0.0, out=out)
 
 
 def _act_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
@@ -183,24 +191,56 @@ def gru_step(p: Mapping[str, np.ndarray], x_t, h_prev, activation: str = "tanh")
 
 @dataclass
 class _DirectionCache:
-    # All arrays are (T, n, h); xs is the direction-ordered input (n, T, d).
+    """Forward intermediates of one direction, stacked over time.
+
+    ``xs`` is the direction-ordered input (n, T, d). ``hs`` (and, for the
+    LSTM, ``cs``) is (T+1, n, h): row 0 is the zero initial state and row
+    t+1 the state after step t. Each gate array is (T, n, h), row t written
+    by step t; the fields of the other cell stay None. The forward pass
+    allocates every array once and writes each row in place, and the
+    backward pass reads whole arrays for its per-weight reductions.
+    """
+
     xs: np.ndarray
-    h_prev: list = field(default_factory=list)
+    hs: np.ndarray
     # GRU
-    z: list = field(default_factory=list)
-    r: list = field(default_factory=list)
-    c: list = field(default_factory=list)
-    a_c: list = field(default_factory=list)
+    z: np.ndarray | None = None
+    r: np.ndarray | None = None
+    c: np.ndarray | None = None
+    a_c: np.ndarray | None = None
     # LSTM
-    i: list = field(default_factory=list)
-    f: list = field(default_factory=list)
-    o: list = field(default_factory=list)
-    g: list = field(default_factory=list)
-    a_g: list = field(default_factory=list)
-    c_prev: list = field(default_factory=list)
-    c_t: list = field(default_factory=list)
-    act_c: list = field(default_factory=list)
-    final: np.ndarray | None = None
+    cs: np.ndarray | None = None
+    i: np.ndarray | None = None
+    f: np.ndarray | None = None
+    o: np.ndarray | None = None
+    g: np.ndarray | None = None
+    a_g: np.ndarray | None = None
+    act_c: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
+        n, T, _ = xs.shape
+        gates = ("z", "r", "c", "a_c") if cell == "gru" else ("i", "f", "o", "g", "a_g", "act_c")
+        arrays = {name: np.empty((T, n, hidden)) for name in gates}
+        if cell == "lstm":
+            arrays["cs"] = np.zeros((T + 1, n, hidden))
+        return cls(xs, np.zeros((T + 1, n, hidden)), **arrays)
+
+    @property
+    def h_prev(self) -> np.ndarray:
+        return self.hs[:-1]
+
+    @property
+    def final(self) -> np.ndarray:
+        return self.hs[-1]
+
+    @property
+    def c_prev(self) -> np.ndarray:
+        return self.cs[:-1]
+
+    @property
+    def c_t(self) -> np.ndarray:
+        return self.cs[1:]
 
 
 @dataclass
@@ -219,47 +259,29 @@ class ForwardTape:
 
 
 def _run_direction(spec: ModelSpec, dp: Params, xs: np.ndarray) -> _DirectionCache:
-    n, T, _ = xs.shape
-    h = np.zeros((n, spec.hidden_size))
-    cache = _DirectionCache(xs=xs)
+    cache = _DirectionCache.allocate(spec.cell, xs, spec.hidden_size)
+    act = spec.activation
+    hs = cache.hs
     if spec.cell == "gru":
-        for t in range(T):
-            x_t = xs[:, t, :]
-            a_z = x_t @ dp["W_z"] + h @ dp["U_z"] + dp["b_z"]
-            a_r = x_t @ dp["W_r"] + h @ dp["U_r"] + dp["b_r"]
-            z = _sigmoid(a_z)
-            r = _sigmoid(a_r)
-            a_c = x_t @ dp["W_c"] + (r * h) @ dp["U_c"] + dp["b_c"]
-            c = _act(a_c, spec.activation)
-            cache.h_prev.append(h)
-            cache.z.append(z)
-            cache.r.append(r)
-            cache.c.append(c)
-            cache.a_c.append(a_c)
-            h = (1.0 - z) * h + z * c
+        for t in range(xs.shape[1]):
+            x_t, h = xs[:, t, :], hs[t]
+            z = _sigmoid(x_t @ dp["W_z"] + h @ dp["U_z"] + dp["b_z"], out=cache.z[t])
+            r = _sigmoid(x_t @ dp["W_r"] + h @ dp["U_r"] + dp["b_r"], out=cache.r[t])
+            a_c = np.add(x_t @ dp["W_c"] + (r * h) @ dp["U_c"], dp["b_c"], out=cache.a_c[t])
+            c = _act(a_c, act, out=cache.c[t])
+            np.add((1.0 - z) * h, z * c, out=hs[t + 1])
     else:
-        c_state = np.zeros((n, spec.hidden_size))
-        for t in range(T):
-            x_t = xs[:, t, :]
-            i = _sigmoid(x_t @ dp["W_xi"] + h @ dp["W_hi"] + dp["b_i"])
-            f = _sigmoid(x_t @ dp["W_xf"] + h @ dp["W_hf"] + dp["b_f"])
-            o = _sigmoid(x_t @ dp["W_xo"] + h @ dp["W_ho"] + dp["b_o"])
-            a_g = x_t @ dp["W_xg"] + h @ dp["W_hg"] + dp["b_g"]
-            g = _act(a_g, spec.activation)
-            c_t = f * c_state + i * g
-            act_c = _act(c_t, spec.activation)
-            cache.h_prev.append(h)
-            cache.c_prev.append(c_state)
-            cache.i.append(i)
-            cache.f.append(f)
-            cache.o.append(o)
-            cache.g.append(g)
-            cache.a_g.append(a_g)
-            cache.c_t.append(c_t)
-            cache.act_c.append(act_c)
-            h = o * act_c
-            c_state = c_t
-    cache.final = h
+        cs = cache.cs
+        for t in range(xs.shape[1]):
+            x_t, h = xs[:, t, :], hs[t]
+            i = _sigmoid(x_t @ dp["W_xi"] + h @ dp["W_hi"] + dp["b_i"], out=cache.i[t])
+            f = _sigmoid(x_t @ dp["W_xf"] + h @ dp["W_hf"] + dp["b_f"], out=cache.f[t])
+            o = _sigmoid(x_t @ dp["W_xo"] + h @ dp["W_ho"] + dp["b_o"], out=cache.o[t])
+            a_g = np.add(x_t @ dp["W_xg"] + h @ dp["W_hg"], dp["b_g"], out=cache.a_g[t])
+            g = _act(a_g, act, out=cache.g[t])
+            c_t = np.add(f * cs[t], i * g, out=cs[t + 1])
+            act_c = _act(c_t, act, out=cache.act_c[t])
+            np.multiply(o, act_c, out=hs[t + 1])
     return cache
 
 
@@ -300,10 +322,17 @@ def forward(spec: ModelSpec, params: Mapping[str, np.ndarray], window: np.ndarra
     return pred[0], tape
 
 
-def _outer(x: np.ndarray, d: np.ndarray, per_example: bool) -> np.ndarray:
+def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool) -> np.ndarray:
+    """Sum over steps t of ``a[t].T @ da[t]``, for a (T, n, k) and da (T, n, h).
+
+    Returns the (k, h) sum over steps and batch rows, one matmul over T*n
+    rows; with ``per_example`` the (n, k, h) per-row sums, one batched
+    (n, k, T) @ (n, T, h) matmul.
+    """
     if per_example:
-        return np.einsum("ni,nj->nij", x, d)
-    return x.T @ d
+        return np.matmul(a.transpose(1, 2, 0), da.transpose(1, 0, 2))
+    T, n, k = a.shape
+    return a.reshape(T * n, k).T @ da.reshape(T * n, -1)
 
 
 def _backprop_direction(
@@ -313,80 +342,50 @@ def _backprop_direction(
     dh_final: np.ndarray,
     per_example: bool,
 ) -> Params:
-    n, T, _ = cache.xs.shape
     act = spec.activation
-
-    def zeros(name: str) -> np.ndarray:
-        shape = dp[name].shape
-        return np.zeros((n,) + shape) if per_example else np.zeros(shape)
-
+    xs = cache.xs.transpose(1, 0, 2)
+    h_prev = cache.h_prev
+    dh = dh_final
     if spec.cell == "gru":
-        grads = {k: zeros(k) for k in GRU_INPUT + GRU_RECUR + GRU_BIAS}
-        dh = dh_final
-        for t in reversed(range(T)):
-            x_t = cache.xs[:, t, :]
-            z, r, c, a_c, h_prev = (
-                cache.z[t], cache.r[t], cache.c[t], cache.a_c[t], cache.h_prev[t],
-            )
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dh_prev = dh * (1.0 - z)
-            da_c = dc * _act_grad(a_c, c, act)
-            d_rh = da_c @ dp["U_c"].T
-            dr = d_rh * h_prev
-            dh_prev = dh_prev + d_rh * r
-            da_z = dz * z * (1.0 - z)
-            da_r = dr * r * (1.0 - r)
-            dh_prev = dh_prev + da_z @ dp["U_z"].T + da_r @ dp["U_r"].T
-            grads["W_z"] += _outer(x_t, da_z, per_example)
-            grads["W_r"] += _outer(x_t, da_r, per_example)
-            grads["W_c"] += _outer(x_t, da_c, per_example)
-            grads["U_z"] += _outer(h_prev, da_z, per_example)
-            grads["U_r"] += _outer(h_prev, da_r, per_example)
-            grads["U_c"] += _outer(r * h_prev, da_c, per_example)
-            grads["b_z"] += da_z if per_example else da_z.sum(axis=0)
-            grads["b_r"] += da_r if per_example else da_r.sum(axis=0)
-            grads["b_c"] += da_c if per_example else da_c.sum(axis=0)
-            dh = dh_prev
+        da_z, da_r, da_c = np.empty((3,) + cache.z.shape)
+        for t in reversed(range(xs.shape[0])):
+            z, r, c = cache.z[t], cache.r[t], cache.c[t]
+            np.multiply(dh * z, _act_grad(cache.a_c[t], c, act), out=da_c[t])
+            d_rh = da_c[t] @ dp["U_c"].T
+            np.multiply(dh * (c - h_prev[t]) * z, 1.0 - z, out=da_z[t])
+            np.multiply(d_rh * h_prev[t] * r, 1.0 - r, out=da_r[t])
+            dh = dh * (1.0 - z) + d_rh * r + da_z[t] @ dp["U_z"].T + da_r[t] @ dp["U_r"].T
+        weights = {
+            "W_z": (xs, da_z), "W_r": (xs, da_r), "W_c": (xs, da_c),
+            "U_z": (h_prev, da_z), "U_r": (h_prev, da_r), "U_c": (cache.r * h_prev, da_c),
+        }
+        biases = {"b_z": da_z, "b_r": da_r, "b_c": da_c}
     else:
-        grads = {k: zeros(k) for k in LSTM_INPUT + LSTM_RECUR + LSTM_BIAS}
-        dh = dh_final
+        da_i, da_f, da_o, da_g = np.empty((4,) + cache.i.shape)
         dc = np.zeros_like(dh_final)
-        for t in reversed(range(T)):
-            x_t = cache.xs[:, t, :]
-            i, f, o, g = cache.i[t], cache.f[t], cache.o[t], cache.g[t]
-            a_g, c_prev, c_t, act_c = (
-                cache.a_g[t], cache.c_prev[t], cache.c_t[t], cache.act_c[t],
-            )
-            h_prev = cache.h_prev[t]
-            do = dh * act_c
-            dc_t = dc + dh * o * _act_grad(c_t, act_c, act)
-            df = dc_t * c_prev
-            di = dc_t * g
-            dg = dc_t * i
-            da_o = do * o * (1.0 - o)
-            da_f = df * f * (1.0 - f)
-            da_i = di * i * (1.0 - i)
-            da_g = dg * _act_grad(a_g, g, act)
+        for t in reversed(range(xs.shape[0])):
+            i, f, o, g, act_c = cache.i[t], cache.f[t], cache.o[t], cache.g[t], cache.act_c[t]
+            dc_t = dc + dh * o * _act_grad(cache.c_t[t], act_c, act)
+            np.multiply(dh * act_c * o, 1.0 - o, out=da_o[t])
+            np.multiply(dc_t * cache.c_prev[t] * f, 1.0 - f, out=da_f[t])
+            np.multiply(dc_t * g * i, 1.0 - i, out=da_i[t])
+            np.multiply(dc_t * i, _act_grad(cache.a_g[t], g, act), out=da_g[t])
             dc = dc_t * f
             dh = (
-                da_i @ dp["W_hi"].T
-                + da_f @ dp["W_hf"].T
-                + da_o @ dp["W_ho"].T
-                + da_g @ dp["W_hg"].T
+                da_i[t] @ dp["W_hi"].T
+                + da_f[t] @ dp["W_hf"].T
+                + da_o[t] @ dp["W_ho"].T
+                + da_g[t] @ dp["W_hg"].T
             )
-            grads["W_xi"] += _outer(x_t, da_i, per_example)
-            grads["W_xf"] += _outer(x_t, da_f, per_example)
-            grads["W_xo"] += _outer(x_t, da_o, per_example)
-            grads["W_xg"] += _outer(x_t, da_g, per_example)
-            grads["W_hi"] += _outer(h_prev, da_i, per_example)
-            grads["W_hf"] += _outer(h_prev, da_f, per_example)
-            grads["W_ho"] += _outer(h_prev, da_o, per_example)
-            grads["W_hg"] += _outer(h_prev, da_g, per_example)
-            grads["b_i"] += da_i if per_example else da_i.sum(axis=0)
-            grads["b_f"] += da_f if per_example else da_f.sum(axis=0)
-            grads["b_o"] += da_o if per_example else da_o.sum(axis=0)
-            grads["b_g"] += da_g if per_example else da_g.sum(axis=0)
+        weights = {
+            "W_xi": (xs, da_i), "W_xf": (xs, da_f), "W_xo": (xs, da_o), "W_xg": (xs, da_g),
+            "W_hi": (h_prev, da_i), "W_hf": (h_prev, da_f),
+            "W_ho": (h_prev, da_o), "W_hg": (h_prev, da_g),
+        }
+        biases = {"b_i": da_i, "b_f": da_f, "b_o": da_o, "b_g": da_g}
+    grads = {name: _sum_outer(a, da, per_example) for name, (a, da) in weights.items()}
+    for name, da in biases.items():
+        grads[name] = da.sum(axis=0) if per_example else da.sum(axis=(0, 1))
     return grads
 
 
@@ -420,7 +419,7 @@ def backward_batch(
 
     dpred = np.sign(pred - targets) / out
     grads: Params = {}
-    grads["out_W"] = _outer(tape.h_cat, dpred, per_example)
+    grads["out_W"] = _sum_outer(tape.h_cat[None], dpred[None], per_example)
     grads["out_b"] = dpred if per_example else dpred.sum(axis=0)
     dh_cat = dpred @ params["out_W"].T
     for k, direction in enumerate(spec.directions):

@@ -90,30 +90,36 @@ def dp_aggregate(
 
     Returns ``(1/m) * (sum_i clip(g_i) + N(0, (noise_multiplier*clip)^2 I))``
     with ``m = len(per_microbatch)``. The noise is added entrywise to the
-    sum, once per call; with ``noise_multiplier == 0`` no randomness is
-    consumed.
+    sum, once per call, drawn in key order as one flat standard-normal
+    vector; with ``noise_multiplier == 0`` no randomness is consumed.
     """
     if not per_microbatch:
         raise ValueError("per_microbatch must be nonempty")
-    keys = list(per_microbatch[0].keys())
+    if clip <= 0:
+        raise ValueError("clip must be positive")
+    first = per_microbatch[0]
+    keys = list(first.keys())
     for g in per_microbatch[1:]:
-        if list(g.keys()) != keys or any(
-            g[k].shape != per_microbatch[0][k].shape for k in keys
-        ):
+        if list(g.keys()) != keys or any(g[k].shape != first[k].shape for k in keys):
             raise ValueError("inconsistent gradient shapes across microbatches")
-    first = clip_to_norm(per_microbatch[0], clip)
-    total: Params = {k: np.array(first[k], dtype=np.float64) for k in keys}
-    for g in per_microbatch[1:]:
-        clipped = clip_to_norm(g, clip)
-        for k in keys:
-            total[k] = total[k] + clipped[k]
+    m = len(per_microbatch)
+    norms = np.array([global_norm(g) for g in per_microbatch])
+    # clip_to_norm's rule: scale by clip/norm unless norm <= clip, so a zero
+    # gradient is left alone (no 0/0) and a NaN norm still poisons the sum.
+    scales = np.divide(clip, norms, out=np.ones(m), where=~(norms <= clip))
+    bounds = np.cumsum([0] + [first[k].size for k in keys]).tolist()
+    total = np.empty(bounds[-1])
+    out: Params = {}
+    for k, lo, hi in zip(keys, bounds, bounds[1:]):
+        acc = out[k] = total[lo:hi].reshape(first[k].shape)
+        np.multiply(first[k], scales[0], out=acc)
+        for g, s in zip(per_microbatch[1:], scales[1:]):
+            acc += g[k] * s
     if noise_multiplier > 0:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
-        scale = noise_multiplier * clip
-        for k in keys:
-            total[k] = total[k] + scale * gen.standard_normal(size=total[k].shape)
-    m = len(per_microbatch)
-    return {k: v / m for k, v in total.items()}
+        total += (noise_multiplier * clip) * gen.standard_normal(total.size)
+    total /= m
+    return out
 
 
 @dataclass
@@ -229,21 +235,14 @@ def train(
 
 
 def _dp_batch_gradient(spec, params, xb, yb, cfg: DpSgdConfig, gen):
+    # One forward and one per-example backward over the whole batch; a
+    # microbatch gradient is the mean of its examples' gradients.
     m = cfg.num_microbatches
     size = cfg.batch_size // m
-    if size == 1:
-        preds, tape = forward_batch(spec, params, xb)
-        stacked = backward_batch(spec, params, tape, yb, reduce="stack")
-        micro = [{k: v[i] for k, v in stacked.items()} for i in range(m)]
-        batch_mae = float(np.mean(np.abs(preds - yb)))
-    else:
-        micro = []
-        maes = []
-        for i in range(m):
-            sl = slice(i * size, (i + 1) * size)
-            preds, tape = forward_batch(spec, params, xb[sl])
-            micro.append(backward_batch(spec, params, tape, yb[sl], reduce="mean"))
-            maes.append(float(np.mean(np.abs(preds - yb[sl]))))
-        batch_mae = float(np.mean(maes))
+    preds, tape = forward_batch(spec, params, xb)
+    grads = backward_batch(spec, params, tape, yb, reduce="stack")
+    if size > 1:
+        grads = {k: v.reshape((m, size) + v.shape[1:]).mean(axis=1) for k, v in grads.items()}
+    micro = [{k: v[i] for k, v in grads.items()} for i in range(m)]
     grad = dp_aggregate(micro, cfg.l2_norm_clip, cfg.noise_multiplier, gen)
-    return grad, batch_mae
+    return grad, float(np.mean(np.abs(preds - yb)))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dpforecast import utility_loss
+from dpforecast import evaluate_forecast, utility_loss
 from dpforecast.cli import main
 
 from conftest import build_series, write_series_csv
@@ -242,6 +242,34 @@ class TestEvaluateAndReport:
         np_summary = json.loads((np_dir / "summary.json").read_text())
         expected = utility_loss(dp_summary["mean_rmse"], np_summary["mean_rmse"])
         assert float(rows["mean_rmse"][2]) == pytest.approx(expected, rel=1e-12)
+
+    def test_evaluate_writes_library_metrics_in_file_order(self, tmp_path, dataset):
+        run_dir = self._run(tmp_path, dataset, "baseline", "base")
+        rows = list(csv.DictReader(open(run_dir / "predictions.csv")))
+        regions = list(dict.fromkeys(r["region"] for r in rows))
+        y_true, y_pred = (
+            np.array([[float(r[col]) for r in rows if r["region"] == g] for g in regions]).T
+            for col in ("y_true", "y_pred")
+        )
+        report = evaluate_forecast(y_true, y_pred, regions)
+        out = tmp_path / "eval"
+        assert main(["--out", str(out), "evaluate", "--run", str(run_dir)]) == 0
+        written = list(csv.reader(open(out / "metrics.csv")))
+        assert written[0] == ["region", "rmse", "mae"]
+        assert [r[0] for r in written[1:]] == regions + ["mean"]
+        for row, expected in zip(written[1:], report.to_rows()):
+            assert row[1:] == [repr(expected["rmse"]), repr(expected["mae"])]
+
+    def test_evaluate_ragged_predictions_is_usage_error(self, tmp_path):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "predictions.csv").write_text(
+            "datetime,region,y_true,y_pred\n"
+            "2020-08-24 00:00:00,R1,1.0,2.0\n"
+            "2020-08-24 00:00:00,R2,1.0,2.0\n"
+            "2020-08-24 00:30:00,R1,1.0,2.0\n"
+        )
+        assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
 
     def test_evaluate_missing_run_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "evaluate",

@@ -270,6 +270,24 @@ class TestBackward:
                 stacked[name].mean(axis=0), mean_g[name], atol=1e-12
             )
 
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_stack_row_equals_single_window_backward(self, cell):
+        spec = ModelSpec(cell, True, 4, 3, 2, "relu")
+        params = init_params(spec, RngStream(21))
+        gen = RngStream(22).generator()
+        X = gen.standard_normal((5, 6, 3))
+        y = gen.standard_normal((5, 2))
+        _, tape = forward_batch(spec, params, X)
+        stacked = backward_batch(spec, params, tape, y, reduce="stack")
+        assert set(stacked) == set(params)
+        for i in range(X.shape[0]):
+            _, tape_i = forward(spec, params, X[i])
+            single = backward(spec, params, tape_i, y[i])
+            for name, g in single.items():
+                assert stacked[name][i].shape == g.shape
+                err = np.linalg.norm(stacked[name][i] - g)
+                assert err <= 1e-12 * max(np.linalg.norm(g), 1e-300), (name, i)
+
     def test_stale_tape_rejected(self):
         spec = ModelSpec("gru", False, 2, 1, 1, "tanh")
         params = init_params(spec, RngStream(0))

@@ -15,14 +15,16 @@ from dpforecast import (
     RngStream,
     TrainingDiverged,
     adam_step,
+    backward_batch,
     clip_to_norm,
     dp_aggregate,
+    forward_batch,
     global_norm,
     init_params,
     make_windows,
     train,
 )
-from dpforecast.optim import init_adam_state
+from dpforecast.optim import _dp_batch_gradient, init_adam_state
 
 from conftest import SLOT, START
 
@@ -96,6 +98,88 @@ class TestDpAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dp_aggregate([], clip=1.0, noise_multiplier=0.0, rng=RngStream(0))
+
+
+    def test_nonpositive_clip_rejected(self):
+        for clip in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                dp_aggregate([grad_set([1.0])], clip=clip, noise_multiplier=0.0,
+                             rng=RngStream(0))
+
+    def test_key_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            dp_aggregate(
+                [{"a": np.ones(2)}, {"b": np.ones(2)}],
+                clip=1.0, noise_multiplier=0.0, rng=RngStream(0),
+            )
+
+    def test_zero_gradients_give_noise_only(self):
+        # No 0/0 from the clip scale; the noise is the per-key draws, in key
+        # order, of an identically seeded generator.
+        micro = [grad_set(np.zeros(3), np.zeros((2, 4))) for _ in range(3)]
+        with np.errstate(all="raise"):
+            quiet = dp_aggregate(micro, clip=1.5, noise_multiplier=0.0, rng=RngStream(4))
+            noisy = dp_aggregate(micro, clip=1.5, noise_multiplier=2.0, rng=RngStream(4))
+        gen = RngStream(4).generator()
+        for k in ("t0", "t1"):
+            assert np.array_equal(quiet[k], np.zeros_like(quiet[k]))
+            shape = micro[0][k].shape
+            expected = (np.zeros(shape) + 3.0 * gen.standard_normal(size=shape)) / 3
+            assert np.array_equal(noisy[k], expected)
+
+    def test_nan_gradient_stays_nan(self):
+        out = dp_aggregate(
+            [grad_set([np.nan, 1.0]), grad_set([0.5, 0.5])],
+            clip=1.0, noise_multiplier=0.0, rng=RngStream(0),
+        )
+        assert np.isnan(out["t0"]).all()
+
+
+def reference_dp_gradient(spec, params, xb, yb, cfg, gen):
+    """Microbatch by microbatch: mean backward, clip_to_norm, sum, per-key noise, / m."""
+    m = cfg.num_microbatches
+    size = cfg.batch_size // m
+    total, maes, norms = None, [], []
+    for i in range(m):
+        sl = slice(i * size, (i + 1) * size)
+        preds, tape = forward_batch(spec, params, xb[sl])
+        g = backward_batch(spec, params, tape, yb[sl], reduce="mean")
+        norms.append(global_norm(g))
+        clipped = clip_to_norm(g, cfg.l2_norm_clip)
+        total = clipped if total is None else {k: total[k] + clipped[k] for k in total}
+        maes.append(np.mean(np.abs(preds - yb[sl])))
+    if cfg.noise_multiplier > 0:
+        scale = cfg.noise_multiplier * cfg.l2_norm_clip
+        total = {k: v + scale * gen.standard_normal(size=v.shape) for k, v in total.items()}
+    return {k: v / m for k, v in total.items()}, float(np.mean(maes)), norms
+
+
+class TestDpBatchGradient:
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    @pytest.mark.parametrize("noise", [0.0, 3.0])
+    def test_matches_microbatch_reference(self, cell, bidirectional, activation, size,
+                                          clip, noise):
+        spec = ModelSpec(cell, bidirectional, 4, 3, 2, activation)
+        params = init_params(spec, RngStream(11))
+        data = random_windows(n=4, lag=5, d=3, out=2, seed=12)
+        cfg = DpSgdConfig(
+            l2_norm_clip=clip, noise_multiplier=noise, num_microbatches=4 // size,
+            batch_size=4, epochs=1, learning_rate=0.01,
+        )
+        got, got_mae = _dp_batch_gradient(
+            spec, params, data.inputs, data.targets, cfg, RngStream(13).generator())
+        ref, ref_mae, norms = reference_dp_gradient(
+            spec, params, data.inputs, data.targets, cfg, RngStream(13).generator())
+        assert all((n > clip) == (clip < 1) for n in norms)  # the small clip binds
+        assert list(got) == list(ref)
+        for k in ref:
+            err = np.linalg.norm(got[k] - ref[k])
+            assert err <= 1e-12 * max(np.linalg.norm(ref[k]), 1e-300), k
+        assert got_mae == pytest.approx(ref_mae, rel=1e-12)
 
 
 class TestAdamStep:
