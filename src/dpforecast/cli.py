@@ -14,6 +14,8 @@ import csv
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,20 +28,22 @@ from .forecast import (
     ModelConfig,
     TrainConfig,
     evaluate_forecast,
+    prepare,
     run_baseline,
     run_gradient_perturbation,
     run_input_perturbation,
     run_nonprivate,
     utility_loss,
 )
-from .nn import save_params
-from .optim import DpSgdConfig, TrainingDiverged
+from .nn import ModelSpec, save_params
+from .optim import DpSgdConfig, NonPrivateConfig, TrainingDiverged
 from .privacy import (
     BudgetError,
     BudgetLedger,
     MechanismValidityError,
     PrivacyParams,
     compute_epsilon,
+    gaussian_sigma,
     sanitize_series,
 )
 from .tune import SearchSpace, run_search, write_trials_csv
@@ -47,7 +51,16 @@ from .tune import SearchSpace, run_search, write_trials_csv
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-_CONFIG_ERRORS = (ConfigError, DataFormatError, MechanismValidityError, BudgetError, ValueError)
+_CONFIG_ERRORS = (ConfigError, DataFormatError, MechanismValidityError, BudgetError)
+
+
+@contextmanager
+def _usage(source: str):
+    """Report a ValueError from checking user input as a usage error; elsewhere it is a bug."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def _sha256(path: Path) -> str:
@@ -99,22 +112,56 @@ def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
 
 
 def _model_config(cfg: ExperimentConfig) -> ModelConfig:
-    section = cfg.section("model")
-    return ModelConfig(
-        cell=section.get("cell", "gru"),
-        bidirectional=section.get("bidirectional", True),
-        hidden_size=section.get("hidden_size", 175),
-        activation=section.get("activation", "relu"),
-    )
+    model = ModelConfig(**cfg.section("model"))
+    with _usage("[model]"):
+        ModelSpec(**asdict(model))
+    return model
 
 
-def _train_config(cfg: ExperimentConfig) -> TrainConfig:
-    section = cfg.section("train")
-    return TrainConfig(
-        batch_size=section.get("batch_size", 5),
-        learning_rate=section.get("learning_rate", 2.89e-4),
-        epochs=section.get("epochs", 100),
+def _train_config(cfg: ExperimentConfig, n_windows: int) -> TrainConfig:
+    train = TrainConfig(**cfg.section("train"))
+    with _usage("[train]"):
+        NonPrivateConfig(**asdict(train))
+    if train.batch_size > n_windows:
+        raise ConfigError(f"[train] batch_size exceeds the {n_windows} training windows")
+    return train
+
+
+def _dp_config(cfg: ExperimentConfig, train: TrainConfig, **trial) -> DpSgdConfig:
+    """``[dp]`` over ``train``; a tune trial overrides the clip it searches."""
+    dp = cfg.section("dp")
+    fields = {
+        "l2_norm_clip": dp.get("l2_norm_clip", 1.0),
+        "noise_multiplier": dp.get("noise_multiplier", 35.0),
+        "num_microbatches": dp.get("num_microbatches", 5),
+    } | asdict(train) | trial
+    with _usage("[dp]"):
+        return DpSgdConfig(**fields)
+
+
+def _privacy_params(cfg: ExperimentConfig) -> PrivacyParams:
+    params = PrivacyParams(
+        epsilon=cfg.require("privacy", "epsilon"),
+        delta=cfg.require("privacy", "delta"),
+        l2_sensitivity=cfg.get("privacy", "sensitivity", 1.0),
     )
+    with _usage("[privacy]"):
+        gaussian_sigma(params.l2_sensitivity, params.epsilon, params.delta)
+    return params
+
+
+def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int]:
+    """``[run]`` lag and days, checked against ``series``, and the training window count."""
+    run = cfg.section("run")
+    args = {
+        "lag": run.get("lag", 6),
+        "train_days": run.get("train_days", 65),
+        "test_days": run.get("test_days", 7),
+    }
+    with _usage("[run]"):
+        # Unscaled: only the split and the windowing can reject the values.
+        windows = prepare(series, **args, scale=False).train_windows
+    return args | {"scale": run.get("scale", True)}, windows.n_samples
 
 
 def cmd_stats(args) -> int:
@@ -154,11 +201,7 @@ def cmd_clean(args) -> int:
 def cmd_sanitize(args) -> int:
     cfg = _load_config(args)
     series, path = _dataset_series(cfg, clean=True)
-    params = PrivacyParams(
-        epsilon=cfg.require("privacy", "epsilon"),
-        delta=cfg.require("privacy", "delta"),
-        l2_sensitivity=cfg.get("privacy", "sensitivity", 1.0),
-    )
+    params = _privacy_params(cfg)
     seed = args.seed if args.seed is not None else 0
     sanitized = sanitize_series(series, params, RngStream(seed))
     out = _out_dir(args)
@@ -168,19 +211,10 @@ def cmd_sanitize(args) -> int:
     )
     ledger.write_csv(out / "ledger.csv")
     record = sanitized.privacy
+    eps_total, delta_total = ledger.total()
     with open(out / "privacy.json", "w") as fh:
-        json.dump(
-            {
-                "mechanism": record.mechanism,
-                "epsilon": record.epsilon,
-                "delta": record.delta,
-                "l2_sensitivity": record.l2_sensitivity,
-                "sigma": record.sigma,
-                "total_epsilon": ledger.total()[0],
-                "total_delta": ledger.total()[1],
-            },
-            fh, indent=2, sort_keys=True,
-        )
+        json.dump(asdict(record) | {"total_epsilon": eps_total, "total_delta": delta_total},
+                  fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(out, [path], cfg.echo(), [seed])
     print(f"wrote {out / 'sanitized.csv'} (sigma={record.sigma:.6g})")
@@ -203,7 +237,8 @@ def cmd_accountant(args) -> int:
     if steps == 0:
         print("warning: zero steps; epsilon reflects the conversion term only",
               file=sys.stderr)
-    eps, order = compute_epsilon(q, args.noise_multiplier, steps, args.delta)
+    with _usage("accountant"):
+        eps, order = compute_epsilon(q, args.noise_multiplier, steps, args.delta)
     print(f"eps={eps:.6f} at order={order} (delta={args.delta:g})")
     return 0
 
@@ -211,44 +246,24 @@ def cmd_accountant(args) -> int:
 def _run_pipeline(cfg: ExperimentConfig, args):
     kind = cfg.get("run", "kind", "nonprivate")
     series, path = _dataset_series(cfg, clean=True)
-    lag = cfg.get("run", "lag", 6)
-    train_days = cfg.get("run", "train_days", 65)
-    test_days = cfg.get("run", "test_days", 7)
-    scale = cfg.get("run", "scale", True)
+    split_args, n_windows = _split_args(cfg, series)
     jobs = args.jobs if args.jobs else cfg.get("run", "jobs", 1)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
-        artifact = run_baseline(series, lag, train_days, test_days)
-    elif kind == "nonprivate":
-        artifact = run_nonprivate(
-            series, _model_config(cfg), _train_config(cfg), seeds,
-            lag, train_days, test_days, scale, jobs,
-        )
+        split_args.pop("scale")
+        return run_baseline(series, **split_args), path, seeds
+    model = _model_config(cfg)
+    train = _train_config(cfg, n_windows)
+    if kind == "nonprivate":
+        artifact = run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
     elif kind == "gradient":
-        train_cfg = _train_config(cfg)
-        dp = cfg.section("dp")
-        dp_cfg = DpSgdConfig(
-            l2_norm_clip=dp.get("l2_norm_clip", 1.0),
-            noise_multiplier=dp.get("noise_multiplier", 35.0),
-            num_microbatches=dp.get("num_microbatches", 5),
-            batch_size=train_cfg.batch_size,
-            epochs=train_cfg.epochs,
-            learning_rate=train_cfg.learning_rate,
-        )
         delta = cfg.require("privacy", "delta")
         artifact = run_gradient_perturbation(
-            series, _model_config(cfg), dp_cfg, delta, seeds,
-            lag, train_days, test_days, scale, jobs,
+            series, model, _dp_config(cfg, train), delta, seeds, jobs=jobs, **split_args
         )
     elif kind == "input":
-        params = PrivacyParams(
-            epsilon=cfg.require("privacy", "epsilon"),
-            delta=cfg.require("privacy", "delta"),
-            l2_sensitivity=cfg.get("privacy", "sensitivity", 1.0),
-        )
         artifact = run_input_perturbation(
-            series, _model_config(cfg), _train_config(cfg), params, seeds,
-            lag, train_days, test_days, scale, jobs,
+            series, model, train, _privacy_params(cfg), seeds, jobs=jobs, **split_args
         )
     else:
         raise ConfigError(f"unknown run kind {kind!r}")
@@ -278,7 +293,7 @@ def cmd_evaluate(args) -> int:
     if not pred_file.exists():
         raise ConfigError(f"no predictions.csv under {run_dir}")
     per_region: dict[str, list[tuple[float, float]]] = {}
-    with open(pred_file, newline="") as fh:
+    with open(pred_file, newline="") as fh, _usage(str(pred_file)):
         for row in csv.DictReader(fh):
             per_region.setdefault(row["region"], []).append(
                 (float(row["y_true"]), float(row["y_pred"]))
@@ -312,7 +327,8 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["metric", "dp_value", "np_value", "utility_loss_pct"])
         for metric in ("mean_rmse", "mean_mae"):
-            loss = utility_loss(dp[metric], ref[metric])
+            with _usage(str(args.reference)):
+                loss = utility_loss(dp[metric], ref[metric])
             writer.writerow([metric, repr(dp[metric]), repr(ref[metric]), repr(loss)])
     print(f"wrote {out / 'report.csv'}")
     return 0
@@ -324,50 +340,33 @@ def cmd_tune(args) -> int:
     kind = cfg.get("run", "kind", "nonprivate")
     budget = cfg.get("tune", "budget", 100)
     strategy = cfg.get("tune", "strategy", "random")
+    if budget < 1 or strategy not in ("random", "tpe-lite"):
+        raise ConfigError("[tune] needs budget >= 1 and strategy random or tpe-lite")
+    if len(series.region_labels) < 2:
+        raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
     trial_epochs = cfg.get("tune", "epochs", cfg.get("train", "epochs", 100))
-    lag = cfg.get("run", "lag", 6)
-    train_days = cfg.get("run", "train_days", 65)
-    test_days = cfg.get("run", "test_days", 7)
-    scale = cfg.get("run", "scale", True)
+    split_args, _ = _split_args(cfg, series)
     model = _model_config(cfg)
     delta = cfg.get("privacy", "delta", 1e-7)
-
     if kind == "gradient":
-        dp = cfg.section("dp")
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),
-            noise_multiplier=dp.get("noise_multiplier", 35.0),
+            noise_multiplier=cfg.get("dp", "noise_multiplier", 35.0),
         )
-
-        def pipeline(config, seed):
-            dp_cfg = DpSgdConfig(
-                l2_norm_clip=config["l2_norm_clip"],
-                noise_multiplier=config["noise_multiplier"],
-                num_microbatches=dp.get("num_microbatches", 5),
-                batch_size=config["batch_size"],
-                epochs=trial_epochs,
-                learning_rate=config["learning_rate"],
-            )
-            model_cfg = ModelConfig(model.cell, model.bidirectional,
-                                    config["h1"], model.activation)
-            artifact = run_gradient_perturbation(
-                series, model_cfg, dp_cfg, delta, [seed],
-                lag, train_days, test_days, scale,
-            )
-            return artifact.metrics, artifact.privacy["epsilon"]
     else:
         space = SearchSpace()
 
-        def pipeline(config, seed):
-            model_cfg = ModelConfig(model.cell, model.bidirectional,
-                                    config["h1"], model.activation)
-            train_cfg = TrainConfig(config["batch_size"], config["learning_rate"],
-                                    trial_epochs)
-            artifact = run_nonprivate(
-                series, model_cfg, train_cfg, [seed],
-                lag, train_days, test_days, scale,
-            )
+    def pipeline(config, seed):
+        model_cfg = replace(model, hidden_size=config["h1"])
+        train_cfg = TrainConfig(config["batch_size"], config["learning_rate"], trial_epochs)
+        if kind != "gradient":
+            artifact = run_nonprivate(series, model_cfg, train_cfg, [seed], **split_args)
             return artifact.metrics, None
+        dp_cfg = _dp_config(cfg, train_cfg, l2_norm_clip=config["l2_norm_clip"])
+        artifact = run_gradient_perturbation(
+            series, model_cfg, dp_cfg, delta, [seed], **split_args
+        )
+        return artifact.metrics, artifact.privacy["epsilon"]
 
     seed = args.seed if args.seed is not None else 0
     result = run_search(space, pipeline, budget, strategy, RngStream(seed))

@@ -222,20 +222,11 @@ def cyclical_features(ts) -> np.ndarray:
     Phase zero is midnight for the day pair and Monday 00:00 for the week
     pair, so ``cyclical_features(ts) == cyclical_features(ts + 7 days)``.
     """
-    if isinstance(ts, np.datetime64):
-        ts = ts.astype("datetime64[s]").tolist()
-    minutes_day = ts.hour * 60 + ts.minute + ts.second / 60.0
-    minutes_week = ts.weekday() * MINUTES_PER_DAY + minutes_day
-    day_phase = 2.0 * math.pi * minutes_day / MINUTES_PER_DAY
-    week_phase = 2.0 * math.pi * minutes_week / MINUTES_PER_WEEK
-    return np.array(
-        [math.sin(day_phase), math.cos(day_phase),
-         math.sin(week_phase), math.cos(week_phase)]
-    )
+    return cyclical_matrix(np.array([ts], dtype="datetime64[s]"))[0]
 
 
 def cyclical_matrix(timestamps: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`cyclical_features` over a timestamp array."""
+    """One :func:`cyclical_features` row per timestamp."""
     secs = np.asarray(timestamps, dtype="datetime64[s]").astype(np.int64)
     minutes_day = (secs % 86400) / 60.0
     days = secs // 86400

@@ -8,11 +8,16 @@ Four run kinds share one evaluation harness:
   with an RDP accountant attached to the run;
 * ``input``      — the whole series is sanitized once with the Gaussian
   mechanism, training sees only the noisy data, and evaluation compares
-  predictions against the raw test targets.
+  predictions against the raw test targets. Its two halves are public:
+  :func:`input_release` is the one touch of the raw data and
+  :func:`fit_release` trains on what it returns.
+
+The three trained runs differ only in where the noise enters: they share
+one seed loop, one choice of the best seed (lowest mean RMSE, ties to the
+lower seed) and one artifact assembly.
 
 Metrics are per-region RMSE and MAE over the test slots, reported in the
 original count scale, plus their means and the across-region RMSE spread.
-Model selection across seeds keeps the best mean RMSE.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +40,7 @@ from .data import (
     split,
 )
 from .estimator import RecurrentForecaster
-from .optim import DpSgdConfig, NonPrivateConfig, TrainLog
+from .optim import DpSgdConfig, TrainLog
 from .privacy import (
     BudgetError,
     BudgetLedger,
@@ -43,7 +48,6 @@ from .privacy import (
     PrivacyParams,
     compute_epsilon,
     delta_budget_check,
-    gaussian_sigma,
     sanitize_series,
 )
 
@@ -72,21 +76,11 @@ class MetricsReport:
         return rows
 
 
-def rmse(y_true: np.ndarray, y_pred: np.ndarray, formula: str = "conventional") -> np.ndarray:
-    """Per-region root-mean-square error over test slots.
-
-    ``formula="conventional"`` is sqrt of the mean squared error;
-    ``"literal"`` divides the root of the summed squares by n instead and
-    exists only for auditing alternative conventions.
-    """
+def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    """Per-region root-mean-square error over test slots."""
     y_true, y_pred = _check_pair(y_true, y_pred)
     sq = np.sum((y_true - y_pred) ** 2, axis=0)
-    n = y_true.shape[0]
-    if formula == "conventional":
-        return np.sqrt(sq / n)
-    if formula == "literal":
-        return np.sqrt(sq) / n
-    raise ValueError(f"unknown RMSE formula {formula!r}")
+    return np.sqrt(sq / y_true.shape[0])
 
 
 def mae(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
@@ -109,9 +103,8 @@ def evaluate_forecast(
     y_true: np.ndarray,
     y_pred: np.ndarray,
     region_labels: Sequence[str],
-    rmse_formula: str = "conventional",
 ) -> MetricsReport:
-    region_rmse = rmse(y_true, y_pred, formula=rmse_formula)
+    region_rmse = rmse(y_true, y_pred)
     region_mae = mae(y_true, y_pred)
     return MetricsReport(
         region_labels=tuple(region_labels),
@@ -291,20 +284,7 @@ def prepare(
 
 def _fit_one_seed(args) -> SeedResult:
     prepared, model_cfg, opt, seed = args
-    dp = isinstance(opt, DpSgdConfig)
-    est = RecurrentForecaster(
-        cell=model_cfg.cell,
-        bidirectional=model_cfg.bidirectional,
-        hidden_size=model_cfg.hidden_size,
-        activation=model_cfg.activation,
-        learning_rate=opt.learning_rate,
-        batch_size=opt.batch_size,
-        epochs=opt.epochs,
-        l2_norm_clip=opt.l2_norm_clip if dp else None,
-        noise_multiplier=opt.noise_multiplier if dp else None,
-        num_microbatches=opt.num_microbatches if dp else None,
-        seed=seed,
-    )
+    est = RecurrentForecaster(**asdict(model_cfg), **asdict(opt), seed=seed)
     est.fit(prepared.train_windows.inputs, prepared.train_windows.targets)
     scaled_preds = est.predict(prepared.test_inputs)
     preds = prepared.scaler.inverse_transform_targets(scaled_preds)
@@ -312,18 +292,54 @@ def _fit_one_seed(args) -> SeedResult:
     return SeedResult(seed, metrics, preds, est.params_, est.train_log_)
 
 
-def _run_seeds(prepared, model_cfg, opt, seeds, jobs=1) -> list[SeedResult]:
+def _fit_best_seed(
+    run_kind: str,
+    prepared: Prepared,
+    model_cfg: ModelConfig,
+    opt: TrainConfig | DpSgdConfig,
+    seeds: Sequence[int],
+    jobs: int,
+    echo: dict,
+) -> RunArtifact:
+    """Train one model per seed and assemble the artifact of the best one.
+
+    The best seed has the lowest ``(mean_rmse, seed)``. Seeds run in a
+    process pool when ``jobs > 1``; a seed's result depends only on its own
+    arguments, so the artifact is the same either way. ``echo`` is the
+    run-specific part of ``config``.
+    """
     tasks = [(prepared, model_cfg, opt, seed) for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fit_one_seed, tasks))
     else:
         results = [_fit_one_seed(t) for t in tasks]
-    return results
+    best = min(results, key=lambda r: (r.metrics.mean_rmse, r.seed))
+    return RunArtifact(
+        run_kind=run_kind,
+        region_labels=prepared.region_labels,
+        metrics=best.metrics,
+        predictions=best.predictions,
+        y_true=prepared.raw_test_targets,
+        target_timestamps=prepared.target_timestamps,
+        seeds=tuple(seeds),
+        best_seed=best.seed,
+        per_seed=results,
+        config={"model": asdict(model_cfg)} | echo,
+        scaler_state=prepared.scaler.to_dict(),
+        params=best.params,
+        train_log=best.train_log,
+    )
 
 
-def _best(results: list[SeedResult]) -> SeedResult:
-    return min(results, key=lambda r: (r.metrics.mean_rmse, r.seed))
+def _privacy_block(mechanism: str, epsilon: float, delta: float, n_basis: int) -> dict:
+    """The privacy keys of both private runs; the ledger charges every training slot."""
+    ledger = BudgetLedger.uniform(epsilon, delta, count=n_basis, n_population=n_basis)
+    eps_total, delta_total = ledger.total()
+    return {
+        "mechanism": mechanism, "epsilon": epsilon, "delta": delta,
+        "epsilon_total": eps_total, "delta_total": delta_total, "n_basis": n_basis,
+    }
 
 
 def run_baseline(
@@ -361,29 +377,11 @@ def run_nonprivate(
     jobs: int = 1,
 ) -> RunArtifact:
     """Plain-Adam pipeline; the best of the seeded runs (by mean RMSE) wins."""
-    prepared = prepare(series, lag, train_days, test_days, scale)
-    opt = NonPrivateConfig(train_cfg.batch_size, train_cfg.epochs, train_cfg.learning_rate)
-    results = _run_seeds(prepared, model_cfg, opt, seeds, jobs)
-    best = _best(results)
-    return RunArtifact(
-        run_kind="nonprivate",
-        region_labels=series.region_labels,
-        metrics=best.metrics,
-        predictions=best.predictions,
-        y_true=prepared.raw_test_targets,
-        target_timestamps=prepared.target_timestamps,
-        seeds=tuple(seeds),
-        best_seed=best.seed,
-        per_seed=results,
-        config={
-            "model": vars(model_cfg) | {},
-            "train": vars(train_cfg) | {},
-            "lag": lag, "train_days": train_days, "test_days": test_days,
-            "scale": scale,
-        },
-        scaler_state=prepared.scaler.to_dict(),
-        params=best.params,
-        train_log=best.train_log,
+    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    prepared = prepare(series, **split_args)
+    return _fit_best_seed(
+        "nonprivate", prepared, model_cfg, train_cfg, seeds, jobs,
+        {"train": asdict(train_cfg)} | split_args,
     )
 
 
@@ -411,62 +409,31 @@ def run_gradient_perturbation(
             "gradient perturbation requires noise_multiplier > 0; "
             "a zero-noise run has no finite privacy guarantee"
         )
-    prepared = prepare(series, lag, train_days, test_days, scale)
+    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    prepared = prepare(series, **split_args)
     n_basis = prepared.n_train_slots
-    if not delta_budget_check(delta, n_basis):
+    # Checked before training: the accountant would reject delta <= 0 only
+    # after every seed had been trained.
+    if not (delta > 0 and delta_budget_check(delta, n_basis)):
         raise BudgetError(
             f"delta={delta} fails the budget check over {n_basis} samples; "
-            f"need delta < {1.0 / (n_basis * n_basis):.3e}"
+            f"need 0 < delta < {1.0 / (n_basis * n_basis):.3e}"
         )
-    results = _run_seeds(prepared, model_cfg, dp_cfg, seeds, jobs)
-    best = _best(results)
+    artifact = _fit_best_seed(
+        "gradient", prepared, model_cfg, dp_cfg, seeds, jobs,
+        {"dp": asdict(dp_cfg), "delta": delta} | split_args,
+    )
     q = dp_cfg.batch_size / n_basis
-    steps = best.train_log.step_count
+    steps = artifact.train_log.step_count
     epsilon, order = compute_epsilon(q, dp_cfg.noise_multiplier, steps, delta)
-    ledger = BudgetLedger.uniform(epsilon, delta, count=n_basis, n_population=n_basis)
-    eps_total, delta_total = ledger.total()
-    privacy = {
-        "mechanism": "dp-sgd",
-        "epsilon": epsilon,
-        "delta": delta,
-        "epsilon_total": eps_total,
-        "delta_total": delta_total,
+    artifact.privacy = _privacy_block("dp-sgd", epsilon, delta, n_basis) | {
         "q": q,
         "noise_multiplier": dp_cfg.noise_multiplier,
         "l2_norm_clip": dp_cfg.l2_norm_clip,
         "steps": steps,
         "best_order": order,
-        "n_basis": n_basis,
     }
-    return RunArtifact(
-        run_kind="gradient",
-        region_labels=series.region_labels,
-        metrics=best.metrics,
-        predictions=best.predictions,
-        y_true=prepared.raw_test_targets,
-        target_timestamps=prepared.target_timestamps,
-        seeds=tuple(seeds),
-        best_seed=best.seed,
-        per_seed=results,
-        config={
-            "model": vars(model_cfg) | {},
-            "dp": {
-                "l2_norm_clip": dp_cfg.l2_norm_clip,
-                "noise_multiplier": dp_cfg.noise_multiplier,
-                "num_microbatches": dp_cfg.num_microbatches,
-                "batch_size": dp_cfg.batch_size,
-                "epochs": dp_cfg.epochs,
-                "learning_rate": dp_cfg.learning_rate,
-            },
-            "delta": delta,
-            "lag": lag, "train_days": train_days, "test_days": test_days,
-            "scale": scale,
-        },
-        privacy=privacy,
-        scaler_state=prepared.scaler.to_dict(),
-        params=best.params,
-        train_log=best.train_log,
-    )
+    return artifact
 
 
 @dataclass
@@ -519,9 +486,6 @@ def run_input_perturbation(
     training windows; metrics compare predictions with the raw test
     targets. The privacy ledger composes one release per training slot.
     """
-    sigma = gaussian_sigma(
-        privacy_params.l2_sensitivity, privacy_params.epsilon, privacy_params.delta
-    )
     release = input_release(
         series, privacy_params, RngStream(seeds[0]).child(_SANITIZE_STREAM),
         train_days, test_days,
@@ -530,28 +494,18 @@ def run_input_perturbation(
         release, model_cfg, train_cfg, seeds,
         lag=lag, train_days=train_days, test_days=test_days, scale=scale, jobs=jobs,
     )
-    ledger = BudgetLedger.uniform(
-        privacy_params.epsilon, privacy_params.delta,
-        count=release.n_train_slots, n_population=release.n_train_slots,
-    )
-    eps_total, delta_total = ledger.total()
-    artifact.privacy = {
-        "mechanism": "gaussian-input",
+    n_basis = release.n_train_slots
+    artifact.privacy = _privacy_block(
+        "gaussian-input", privacy_params.epsilon, privacy_params.delta, n_basis
+    ) | {
+        "l2_sensitivity": privacy_params.l2_sensitivity,
+        "sigma": release.sanitized.privacy.sigma,
+        "n_releases": n_basis,
+    }
+    artifact.config["privacy"] = {
         "epsilon": privacy_params.epsilon,
         "delta": privacy_params.delta,
-        "l2_sensitivity": privacy_params.l2_sensitivity,
-        "sigma": sigma,
-        "epsilon_total": eps_total,
-        "delta_total": delta_total,
-        "n_releases": release.n_train_slots,
-        "n_basis": release.n_train_slots,
-    }
-    artifact.config |= {
-        "privacy": {
-            "epsilon": privacy_params.epsilon,
-            "delta": privacy_params.delta,
-            "sensitivity": privacy_params.l2_sensitivity,
-        }
+        "sensitivity": privacy_params.l2_sensitivity,
     }
     return artifact
 
@@ -568,28 +522,10 @@ def fit_release(
     jobs: int = 1,
 ) -> RunArtifact:
     """Train and score on an :class:`InputRelease`; never sees raw data."""
-    prepared = prepare(release.sanitized, lag, train_days, test_days, scale)
+    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    prepared = prepare(release.sanitized, **split_args)
     prepared.raw_test_targets = release.raw_test_counts
-    opt = NonPrivateConfig(train_cfg.batch_size, train_cfg.epochs, train_cfg.learning_rate)
-    results = _run_seeds(prepared, model_cfg, opt, seeds, jobs)
-    best = _best(results)
-    return RunArtifact(
-        run_kind="input",
-        region_labels=release.sanitized.region_labels,
-        metrics=best.metrics,
-        predictions=best.predictions,
-        y_true=release.raw_test_counts,
-        target_timestamps=prepared.target_timestamps,
-        seeds=tuple(seeds),
-        best_seed=best.seed,
-        per_seed=results,
-        config={
-            "model": vars(model_cfg) | {},
-            "train": vars(train_cfg) | {},
-            "lag": lag, "train_days": train_days, "test_days": test_days,
-            "scale": scale,
-        },
-        scaler_state=prepared.scaler.to_dict(),
-        params=best.params,
-        train_log=best.train_log,
+    return _fit_best_seed(
+        "input", prepared, model_cfg, train_cfg, seeds, jobs,
+        {"train": asdict(train_cfg)} | split_args,
     )

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import RngStream, l2_norm
+from .core import RngStream
 from .nn import ModelSpec, Params, backward_batch, forward_batch
 
 

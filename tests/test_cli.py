@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dpforecast import evaluate_forecast, utility_loss
+from dpforecast import evaluate_forecast, optim, utility_loss
 from dpforecast.cli import main
 
 from conftest import build_series, write_series_csv
@@ -46,6 +46,25 @@ batch_size = 32
 learning_rate = 0.005
 epochs = 2
 """
+
+SPLIT_KEYS = {"lag": None, "train_days": None, "test_days": None, "scale": None}
+MODEL_KEYS = {"model": ["activation", "bidirectional", "cell", "hidden_size"]}
+TRAIN_KEYS = {"train": ["batch_size", "epochs", "learning_rate"]}
+
+
+def gradient_config(dataset):
+    return BASE_CONFIG.format(data=dataset, kind="gradient").replace(
+        "batch_size = 32", "batch_size = 4"
+    ) + (
+        "\n[dp]\nl2_norm_clip = 1.0\nnoise_multiplier = 2.0\nnum_microbatches = 4\n"
+        "\n[privacy]\ndelta = 1e-7\n"
+    )
+
+
+def config_keys(out):
+    """Keys of summary.json's config; a nested section maps to its sorted keys."""
+    config = json.loads((out / "summary.json").read_text())["config"]
+    return {k: sorted(v) if isinstance(v, dict) else None for k, v in config.items()}
 
 
 class TestStats:
@@ -171,6 +190,7 @@ class TestTrainCommand:
         assert (out_a / "predictions.csv").read_bytes() == \
             (out_b / "predictions.csv").read_bytes()
         assert (out_a / "params.npz").exists() and (out_a / "trainlog.csv").exists()
+        assert config_keys(out_a) == SPLIT_KEYS | MODEL_KEYS | TRAIN_KEYS
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, dataset, capsys):
         cfg = write_config(
@@ -188,20 +208,45 @@ class TestTrainCommand:
         assert main(["--config", str(cfg), "--out", str(out), "train"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["privacy"]["mechanism"] == "gaussian-input"
+        assert config_keys(out) == SPLIT_KEYS | MODEL_KEYS | TRAIN_KEYS | {
+            "privacy": ["delta", "epsilon", "sensitivity"]
+        }
 
     def test_gradient_perturbation_run(self, tmp_path, dataset):
-        body = BASE_CONFIG.format(data=dataset, kind="gradient").replace(
-            "batch_size = 32", "batch_size = 4"
-        ) + (
-            "\n[dp]\nl2_norm_clip = 1.0\nnoise_multiplier = 2.0\nnum_microbatches = 4\n"
-            "\n[privacy]\ndelta = 1e-7\n"
-        )
-        cfg = write_config(tmp_path, body)
+        cfg = write_config(tmp_path, gradient_config(dataset))
         out = tmp_path / "gp"
         assert main(["--config", str(cfg), "--out", str(out), "train"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["privacy"]["mechanism"] == "dp-sgd"
         assert summary["privacy"]["steps"] == summary["train_steps"]
+        assert config_keys(out) == SPLIT_KEYS | MODEL_KEYS | {
+            "dp": ["batch_size", "epochs", "l2_norm_clip", "learning_rate",
+                   "noise_multiplier", "num_microbatches"],
+            "delta": None,
+        }
+
+    @pytest.mark.parametrize("old, new, command, section", [
+        ("cell = gru", "cell = rnn", "train", "[model]"),
+        ("num_microbatches = 4", "num_microbatches = 3", "train", "[dp]"),
+        ("train_days = 13", "train_days = 40", "train", "[run]"),
+        ("batch_size = 4", "batch_size = 1000", "train", "[train]"),
+        ("epochs = 2\n", "epochs = 2\n\n[tune]\nstrategy = grid\n", "tune", "[tune]"),
+    ])
+    def test_bad_config_value_is_usage_error(
+        self, tmp_path, dataset, capsys, old, new, command, section
+    ):
+        cfg = write_config(tmp_path, gradient_config(dataset).replace(old, new))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        assert section in capsys.readouterr().err
+
+    def test_value_error_inside_training_propagates(self, tmp_path, dataset, monkeypatch):
+        def broken_adam_step(*args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(optim, "adam_step", broken_adam_step)
+        cfg = write_config(tmp_path, BASE_CONFIG.format(data=dataset, kind="nonprivate"))
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"])
 
 
 class TestEvaluateAndReport:
@@ -289,3 +334,26 @@ class TestTuneCommand:
         assert len(lines) == 3
         best = json.loads((out / "best.json").read_text())
         assert best["config"]["h1"] % 25 == 0
+
+    def test_one_region_is_usage_error(self, tmp_path, capsys):
+        data = write_series_csv(
+            build_series(n_days=16, n_regions=1, seed=6), tmp_path / "one.csv"
+        )
+        body = BASE_CONFIG.format(data=data, kind="nonprivate") + (
+            "\n[tune]\nbudget = 1\nepochs = 1\n"
+        )
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        assert "two or more regions" in capsys.readouterr().err
+
+    def test_gradient_search_reports_epsilon(self, tmp_path, dataset):
+        body = gradient_config(dataset).replace(
+            "num_microbatches = 4", "num_microbatches = 5"  # divides every searched batch
+        ) + "\n[tune]\nbudget = 1\nepochs = 1\n"
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "tune"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "1",
+                     "tune"]) == 0
+        rows = list(csv.DictReader(open(out / "trials.csv")))
+        assert len(rows) == 1
+        assert float(rows[0]["epsilon"]) > 0

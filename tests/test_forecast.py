@@ -1,7 +1,5 @@
 """Metrics, persistence baseline, estimator surface, and the run pipelines."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,13 +50,6 @@ class TestMetrics:
         yhat = np.array([[3.0], [4.0]])
         assert rmse(y, yhat)[0] == pytest.approx(3.5355339059327378, rel=1e-12)
         assert mae(y, yhat)[0] == pytest.approx(3.5, rel=1e-12)
-
-    def test_literal_formula_variant(self):
-        y = np.array([[0.0], [0.0]])
-        yhat = np.array([[3.0], [4.0]])
-        assert rmse(y, yhat, formula="literal")[0] == pytest.approx(
-            math.sqrt(25.0) / 2.0, rel=1e-12
-        )
 
     def test_summary_recomputable_from_regions(self):
         gen = np.random.default_rng(0)
@@ -173,6 +164,22 @@ class TestRunNonprivate:
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
+    def test_process_pool_matches_serial(self, sine_series):
+        cfg = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=2)
+        serial = run_nonprivate(sine_series, MODEL, cfg, [3, 4], train_days=13, test_days=2)
+        pooled = run_nonprivate(
+            sine_series, MODEL, cfg, [3, 4], train_days=13, test_days=2, jobs=2
+        )
+        assert pooled.best_seed == serial.best_seed
+        np.testing.assert_array_equal(pooled.predictions, serial.predictions)
+        for a, b in zip(pooled.per_seed, serial.per_seed):
+            assert a.seed == b.seed
+            np.testing.assert_array_equal(a.metrics.rmse, b.metrics.rmse)
+            np.testing.assert_array_equal(a.metrics.mae, b.metrics.mae)
+        assert pooled.params.keys() == serial.params.keys()
+        for name in serial.params:
+            assert pooled.params[name].tobytes() == serial.params[name].tobytes()
+
     def test_keeps_best_seed_by_mean_rmse(self, sine_series):
         cfg = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=3)
         run = run_nonprivate(sine_series, MODEL, cfg, [0, 1, 2], train_days=13, test_days=2)
@@ -219,6 +226,17 @@ class TestRunGradientPerturbation:
         with pytest.raises(BudgetError, match=f"{1.0 / n_train**2:.3e}"):
             run_gradient_perturbation(
                 sine_series, MODEL, dp_cfg, delta=1e-4, seeds=[0],
+                train_days=13, test_days=2,
+            )
+
+    def test_zero_delta_refused_by_the_budget_check(self, sine_series):
+        dp_cfg = DpSgdConfig(
+            l2_norm_clip=1.0, noise_multiplier=2.0, num_microbatches=4,
+            batch_size=4, epochs=1, learning_rate=1e-3,
+        )
+        with pytest.raises(BudgetError, match="need 0 < delta"):
+            run_gradient_perturbation(
+                sine_series, MODEL, dp_cfg, delta=0.0, seeds=[0],
                 train_days=13, test_days=2,
             )
 
