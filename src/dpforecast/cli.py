@@ -222,6 +222,9 @@ def cmd_sanitize(args) -> int:
 
 
 def cmd_accountant(args) -> int:
+    for flag, value in (("--n", args.n), ("--batch", args.batch)):
+        if value is not None and value < 1:
+            raise ConfigError(f"accountant: {flag} must be >= 1, got {value}")
     if args.q is not None:
         q = args.q
     elif args.n is not None and args.batch is not None:

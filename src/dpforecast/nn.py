@@ -1,7 +1,7 @@
 """Recurrent cells (LSTM, GRU), bidirectional networks, and exact BPTT.
 
-Parameters live in a flat ``dict[str, np.ndarray]`` keyed by direction
-prefix plus tensor name. One direction of a GRU holds
+Parameters are a ``dict[str, np.ndarray]`` keyed by direction prefix plus
+tensor name. One direction of a GRU holds
 
     W_z, W_r, W_c : (d, h)   input weights (update, reset, candidate)
     U_z, U_r, U_c : (h, h)   recurrent weights
@@ -17,15 +17,27 @@ Keys are prefixed ``fw_`` (always) and ``bw_`` (bidirectional only); the
 dense output layer is ``out_W`` (H, output) and ``out_b`` (output,) with
 H = hidden or 2*hidden under bidirectional concatenation.
 
-Step equations, with x_t the input row and ⊗ elementwise:
+The packed layout. ``init_params`` and ``pack_params`` return every named
+tensor as a view into one contiguous float64 vector. Each direction's gates
+are fused: the vector holds, per direction in order, ``W`` (d, G*h), ``U``
+(h, G*h) and ``b`` (G*h,), each row-major, then ``out_W`` and ``out_b``,
+with G = 3 for the GRU and G = 4 for the LSTM. A gate's tensor is a column
+block of its fused tensor in the gate order above: ``W_z`` is ``W[:, :h]``,
+``W_r`` is ``W[:, h:2h]``, ``W_xg`` is ``W[:, 3h:]``. The optimizer updates
+the vector in place, and the mean backward pass writes its gradient into a
+fresh vector of the same layout. The forward pass reads the fused tensors;
+any other mapping of named tensors (``load_params`` output, a hand-built
+dict) is first copied into a fresh packed vector.
 
-    GRU:   z = sigmoid(x W_z + h U_z + b_z)
-           r = sigmoid(x W_r + h U_r + b_r)
-           c = act(x W_c + (r ⊗ h) U_c + b_c)
+Step equations, with x_t the input row, a = x_t W + b the fused input
+projection of that step and ⊗ elementwise:
+
+    GRU:   [z | r] = sigmoid(a[:, :2h] + h U[:, :2h])
+           c = act(a[:, 2h:] + (r ⊗ h) U[:, 2h:])
            h' = (1 - z) ⊗ h + z ⊗ c
 
-    LSTM:  i, f, o = sigmoid(x W_x* + h W_h* + b_*)
-           g = act(x W_xg + h W_hg + b_g)
+    LSTM:  [i | f | o] = sigmoid((a + h U)[:, :3h])
+           g = act((a + h U)[:, 3h:])
            c' = f ⊗ c + i ⊗ g
            h' = o ⊗ act(c')
 
@@ -33,18 +45,25 @@ Step equations, with x_t the input row and ⊗ elementwise:
 per-example MAE over output coordinates, with the subgradient at a zero
 residual defined as 0.
 
-The forward pass keeps a tape per direction: the input in direction order
-(n, T, d), the hidden (and LSTM cell) states stacked as (T+1, n, h), and
-the gate values and pre-activations stacked as (T, n, h). The backward
-pass runs the recurrence over ``dh`` step by step, collects each step's
-gate deltas in (T, n, h) arrays, and then forms each weight gradient in
-one reduction: a (k, T*n) @ (T*n, h) matmul for the batch mean, or a
-batched (n, k, T) @ (n, T, h) matmul for per-example gradients.
+The forward pass computes ``a`` for all T steps in one matmul and keeps a
+tape per direction: the input in time-major direction order (T, n, d), the
+hidden (and LSTM cell) states stacked as (T+1, n, h), the fused gate values
+stacked as (T, n, G*h), written in place over the projection, and the
+candidate's pre-activation as (T, n, h). The backward pass runs the
+recurrence over ``dh`` step by step, with the LSTM's gate deltas (the
+GRU's update and reset deltas) going through one fused matmul per step,
+collects the fused gate deltas in a (T, n, G*h) array, and then forms each
+gate tensor's gradient in one reduction: a
+(k, T*n) @ (T*n, h) matmul for the batch mean, written straight into the
+packed gradient vector, or a batched (n, k, T) @ (n, T, h) matmul for
+per-example gradients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -53,12 +72,16 @@ from .core import RngStream
 
 Params = dict[str, np.ndarray]
 
-GRU_INPUT = ("W_z", "W_r", "W_c")
-GRU_RECUR = ("U_z", "U_r", "U_c")
-GRU_BIAS = ("b_z", "b_r", "b_c")
-LSTM_INPUT = ("W_xi", "W_xf", "W_xo", "W_xg")
-LSTM_RECUR = ("W_hi", "W_hf", "W_ho", "W_hg")
-LSTM_BIAS = ("b_i", "b_f", "b_o", "b_g")
+# Per-gate tensor names of one direction, in gate order: the input weights,
+# the recurrent weights and the biases. Each row is one fused tensor.
+GATE_NAMES = {
+    "gru": (("W_z", "W_r", "W_c"), ("U_z", "U_r", "U_c"), ("b_z", "b_r", "b_c")),
+    "lstm": (
+        ("W_xi", "W_xf", "W_xo", "W_xg"),
+        ("W_hi", "W_hf", "W_ho", "W_hg"),
+        ("b_i", "b_f", "b_o", "b_g"),
+    ),
+}
 
 
 class StaleTapeError(RuntimeError):
@@ -98,11 +121,11 @@ class ModelSpec:
 
 
 def _sigmoid(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = np.empty_like(a) if out is None else out
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
+    # 0.5 * (1 + tanh(a / 2)): no overflow for any a, and no boolean masks.
+    out = np.multiply(a, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -120,40 +143,169 @@ def _act_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     return (pre > 0).astype(np.float64)
 
 
-def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Deterministically ordered name -> shape map for ``spec``."""
+@lru_cache(maxsize=64)
+def _fused_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Fused tensor name -> shape, in the order of the packed vector."""
     d, h = spec.input_size, spec.hidden_size
-    if spec.cell == "gru":
-        groups = [(GRU_INPUT, (d, h)), (GRU_RECUR, (h, h)), (GRU_BIAS, (h,))]
-    else:
-        groups = [(LSTM_INPUT, (d, h)), (LSTM_RECUR, (h, h)), (LSTM_BIAS, (h,))]
+    width = len(GATE_NAMES[spec.cell][0]) * h
     shapes: dict[str, tuple[int, ...]] = {}
     for direction in spec.directions:
-        for names, shape in groups:
-            for name in names:
-                shapes[f"{direction}_{name}"] = shape
+        shapes[f"{direction}_W"] = (d, width)
+        shapes[f"{direction}_U"] = (h, width)
+        shapes[f"{direction}_b"] = (width,)
     shapes["out_W"] = (spec.dense_input, spec.output_size)
     shapes["out_b"] = (spec.output_size,)
     return shapes
 
 
+def _views(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> Params:
+    """Consecutive row-major blocks of the 1-d ``flat``, one per shape, in order."""
+    views: Params = {}
+    lo = 0
+    for name, shape in shapes.items():
+        hi = lo + math.prod(shape)
+        views[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    return views
+
+
+def _blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The width-``k`` column blocks of ``a``, one per gate."""
+    return tuple(a[..., j:j + k] for j in range(0, a.shape[-1], k))
+
+
+def _named_views(spec: ModelSpec, fused: Mapping[str, np.ndarray]) -> Params:
+    """The per-gate column blocks of ``fused``, in ``param_shapes`` order."""
+    named: Params = {}
+    for direction in spec.directions:
+        for group, names in zip("WUb", GATE_NAMES[spec.cell]):
+            blocks = _blocks(fused[f"{direction}_{group}"], spec.hidden_size)
+            named.update((f"{direction}_{name}", v) for name, v in zip(names, blocks))
+    named["out_W"], named["out_b"] = fused["out_W"], fused["out_b"]
+    return named
+
+
+def param_count(spec: ModelSpec) -> int:
+    """Length of the packed parameter vector."""
+    return sum(math.prod(shape) for shape in _fused_shapes(spec).values())
+
+
+def placement(tensors: Mapping[str, np.ndarray], flat: np.ndarray, keys) -> dict:
+    """Byte offset in ``flat``, shape and strides of ``tensors[k]`` for each key."""
+    base = flat.__array_interface__["data"][0]
+    return {k: (tensors[k].__array_interface__["data"][0] - base, tensors[k].shape,
+                tensors[k].strides) for k in keys}
+
+
+@lru_cache(maxsize=64)
+def _slots(spec: ModelSpec) -> dict[str, tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """``placement`` of each named view in a packed vector."""
+    flat = np.empty(param_count(spec))
+    named = _named_views(spec, _views(flat, _fused_shapes(spec)))
+    return placement(named, flat, named)
+
+
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Deterministically ordered name -> shape map for ``spec``."""
+    return {name: shape for name, (_, shape, _) in _slots(spec).items()}
+
+
+def _packed_vector(spec: ModelSpec, params: Mapping[str, np.ndarray]) -> np.ndarray | None:
+    """The vector behind ``params`` if they are its views in the packed layout."""
+    slots = _slots(spec)
+    try:
+        flat = flat_vector({name: params[name] for name in slots})
+    except ValueError:
+        return None
+    return flat if placement(params, flat, slots) == slots else None
+
+
+def pack_params(spec: ModelSpec, tensors: Mapping[str, np.ndarray] | None = None) -> Params:
+    """Named views into a fresh packed vector holding copies of ``tensors``.
+
+    With ``tensors=None`` the vector is zero. The caller's arrays are never
+    shared with the result.
+    """
+    named = _named_views(spec, _views(np.zeros(param_count(spec)), _fused_shapes(spec)))
+    if tensors is not None:
+        for name, view in named.items():
+            value = np.asarray(tensors[name], dtype=np.float64)
+            if value.shape != view.shape:
+                raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
+            view[...] = value
+    return named
+
+
+def flat_vector(tensors: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The one contiguous float64 vector that the tensors are views of.
+
+    A lone 1-d array is its own vector. Raises ValueError unless every
+    tensor is a view of the same vector and their sizes add up to its size.
+    """
+    values = list(tensors.values())
+    first = values[0] if values else None
+    flat = first if getattr(first, "base", None) is None else first.base
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+            and flat.flags.c_contiguous
+            and all(v is flat or getattr(v, "base", None) is flat for v in values)
+            and sum(v.size for v in values) == flat.size):
+        raise ValueError("tensors are not views into one flat float64 vector; "
+                         "pack them with pack_params")
+    return flat
+
+
 def init_params(spec: ModelSpec, rng: RngStream) -> Params:
-    """Glorot-uniform weights (per-gate fans), zero biases."""
+    """Glorot-uniform weights (per-gate fans), zero biases, packed."""
     gen = rng.generator()
-    params: Params = {}
-    for name, shape in param_shapes(spec).items():
-        if len(shape) == 1:
-            params[name] = np.zeros(shape)
-        else:
-            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            params[name] = gen.uniform(-bound, bound, size=shape)
+    params = pack_params(spec)
+    for value in params.values():
+        if value.ndim == 2:
+            bound = np.sqrt(6.0 / (value.shape[0] + value.shape[1]))
+            value[...] = gen.uniform(-bound, bound, size=value.shape)
     return params
 
 
-def direction_view(params: Mapping[str, np.ndarray], direction: str) -> Params:
-    """Un-prefixed view of one direction's cell parameters."""
-    prefix = direction + "_"
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+def _fused_params(spec: ModelSpec, params: Mapping[str, np.ndarray]) -> Params:
+    """Fused views of ``params``' packed vector, packing a copy if they have none."""
+    flat = _packed_vector(spec, params)
+    if flat is None:
+        flat = pack_params(spec, params)["out_W"].base
+    return _views(flat, _fused_shapes(spec))
+
+
+def _gru_cell(a, h, U, act: str, a_c, out=None):
+    """One GRU step, in place on the input projection ``a = x W + b`` (..., 3h).
+
+    Adds the recurrent terms and applies the gates, so that ``a`` ends as
+    [z | r | c]; writes the candidate's pre-activation into ``a_c`` and
+    returns the new hidden state (into ``out`` when given).
+    """
+    k = h.shape[-1]
+    zr = a[..., :2 * k]
+    zr += h @ U[:, :2 * k]
+    _sigmoid(zr, out=zr)
+    z, r = zr[..., :k], zr[..., k:]
+    np.add(a[..., 2 * k:], (r * h) @ U[:, 2 * k:], out=a_c)
+    c = _act(a_c, act, out=a[..., 2 * k:])
+    return np.add((1.0 - z) * h, z * c, out=out)
+
+
+def _lstm_cell(a, h, c, U, act: str, a_g, h_out=None, c_out=None):
+    """One LSTM step, in place on the input projection ``a = x W + b`` (..., 4h).
+
+    Adds ``h U`` and applies the gates, so that ``a`` ends as
+    [i | f | o | g]; writes g's pre-activation into ``a_g`` and returns
+    ``(h', c')`` (into ``h_out``/``c_out`` when given).
+    """
+    k = h.shape[-1]
+    a += h @ U
+    ifo = _sigmoid(a[..., :3 * k], out=a[..., :3 * k])
+    np.copyto(a_g, a[..., 3 * k:])
+    g = _act(a_g, act, out=a[..., 3 * k:])
+    i, f, o = ifo[..., :k], ifo[..., k:2 * k], ifo[..., 2 * k:]
+    c_new = np.add(f * c, i * g, out=c_out)
+    h_new = np.multiply(o, _act(c_new, act), out=h_out)
+    return h_new, c_new
 
 
 def _check_vec(x, dim: int, name: str):
@@ -163,92 +315,81 @@ def _check_vec(x, dim: int, name: str):
     return x
 
 
+def _fuse(p: Mapping[str, np.ndarray], cell: str) -> tuple[np.ndarray, ...]:
+    """One direction's (W, U, b), fused from its per-gate tensors."""
+    return tuple(np.concatenate([np.asarray(p[n], dtype=np.float64) for n in names], axis=-1)
+                 for names in GATE_NAMES[cell])
+
+
 def lstm_step(p: Mapping[str, np.ndarray], x_t, h_prev, c_prev, activation: str = "tanh"):
     """One LSTM step; returns (h_t, c_t). Accepts (d,)/(h,) or batched rows."""
-    d, h = p["W_xi"].shape
-    x_t = _check_vec(x_t, d, "x_t")
-    h_prev = _check_vec(h_prev, h, "h_prev")
-    c_prev = _check_vec(c_prev, h, "c_prev")
-    i = _sigmoid(x_t @ p["W_xi"] + h_prev @ p["W_hi"] + p["b_i"])
-    f = _sigmoid(x_t @ p["W_xf"] + h_prev @ p["W_hf"] + p["b_f"])
-    o = _sigmoid(x_t @ p["W_xo"] + h_prev @ p["W_ho"] + p["b_o"])
-    g = _act(x_t @ p["W_xg"] + h_prev @ p["W_hg"] + p["b_g"], activation)
-    c_t = f * c_prev + i * g
-    h_t = o * _act(c_t, activation)
-    return h_t, c_t
+    W, U, b = _fuse(p, "lstm")
+    a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
+    h_prev, c_prev = (_check_vec(v, U.shape[0], name)
+                      for name, v in (("h_prev", h_prev), ("c_prev", c_prev)))
+    return _lstm_cell(a, h_prev, c_prev, U, activation, np.empty_like(a[..., :U.shape[0]]))
 
 
 def gru_step(p: Mapping[str, np.ndarray], x_t, h_prev, activation: str = "tanh"):
     """One GRU step; returns h_t. Accepts (d,)/(h,) or batched rows."""
-    d, h = p["W_z"].shape
-    x_t = _check_vec(x_t, d, "x_t")
-    h_prev = _check_vec(h_prev, h, "h_prev")
-    z = _sigmoid(x_t @ p["W_z"] + h_prev @ p["U_z"] + p["b_z"])
-    r = _sigmoid(x_t @ p["W_r"] + h_prev @ p["U_r"] + p["b_r"])
-    c = _act(x_t @ p["W_c"] + (r * h_prev) @ p["U_c"] + p["b_c"], activation)
-    return (1.0 - z) * h_prev + z * c
+    W, U, b = _fuse(p, "gru")
+    a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
+    h_prev = _check_vec(h_prev, U.shape[0], "h_prev")
+    return _gru_cell(a, h_prev, U, activation, np.empty_like(a[..., :U.shape[0]]))
 
 
 @dataclass
 class _DirectionCache:
     """Forward intermediates of one direction, stacked over time.
 
-    ``xs`` is the direction-ordered input (n, T, d). ``hs`` (and, for the
-    LSTM, ``cs``) is (T+1, n, h): row 0 is the zero initial state and row
-    t+1 the state after step t. Each gate array is (T, n, h), row t written
-    by step t; the fields of the other cell stay None. The forward pass
-    allocates every array once and writes each row in place, and the
-    backward pass reads whole arrays for its per-weight reductions.
+    ``xs`` is the time-major, direction-ordered input (T, n, d). ``hs``
+    (and, for the LSTM, ``cs``) is (T+1, n, h): row 0 is the zero initial
+    state and row t+1 the state after step t. ``gates`` is (T, n, G*h): the
+    input projection of every step, which step t turns into its gate values
+    in gate order. ``cand`` (T, n, h) holds the candidate's pre-activation
+    (a_c, a_g).
     """
 
     xs: np.ndarray
     hs: np.ndarray
-    # GRU
-    z: np.ndarray | None = None
-    r: np.ndarray | None = None
-    c: np.ndarray | None = None
-    a_c: np.ndarray | None = None
-    # LSTM
+    gates: np.ndarray
+    cand: np.ndarray
     cs: np.ndarray | None = None
-    i: np.ndarray | None = None
-    f: np.ndarray | None = None
-    o: np.ndarray | None = None
-    g: np.ndarray | None = None
-    a_g: np.ndarray | None = None
-    act_c: np.ndarray | None = None
 
     @classmethod
     def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
-        n, T, _ = xs.shape
-        gates = ("z", "r", "c", "a_c") if cell == "gru" else ("i", "f", "o", "g", "a_g", "act_c")
-        arrays = {name: np.empty((T, n, hidden)) for name in gates}
-        if cell == "lstm":
-            arrays["cs"] = np.zeros((T + 1, n, hidden))
-        return cls(xs, np.zeros((T + 1, n, hidden)), **arrays)
+        T, n, _ = xs.shape
+        width = len(GATE_NAMES[cell][0]) * hidden
+        cs = np.zeros((T + 1, n, hidden)) if cell == "lstm" else None
+        return cls(xs, np.zeros((T + 1, n, hidden)), np.empty((T, n, width)),
+                   np.empty((T, n, hidden)), cs)
 
-    @property
-    def h_prev(self) -> np.ndarray:
-        return self.hs[:-1]
+    def _block(self, arr: np.ndarray, j: int) -> np.ndarray:
+        h = self.hs.shape[-1]
+        return arr[..., j * h:(j + 1) * h]
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.hs[-1]
-
-    @property
-    def c_prev(self) -> np.ndarray:
-        return self.cs[:-1]
-
-    @property
-    def c_t(self) -> np.ndarray:
-        return self.cs[1:]
+    h_prev = property(lambda self: self.hs[:-1])
+    final = property(lambda self: self.hs[-1])
+    c_prev = property(lambda self: self.cs[:-1])
+    c_t = property(lambda self: self.cs[1:])
+    # The GRU's gates are [z | r | c].
+    z = property(lambda self: self._block(self.gates, 0))
+    r = property(lambda self: self._block(self.gates, 1))
+    a_c = a_g = property(lambda self: self.cand)
 
 
 @dataclass
 class ForwardTape:
-    """Intermediates retained by forward() for exact backpropagation."""
+    """Intermediates retained by forward() for exact backpropagation.
+
+    ``weights`` holds the fused tensors the pass read. For a packed
+    parameter set they are views, so update the parameters in place only
+    after the backward pass.
+    """
 
     spec: ModelSpec
     params: Mapping[str, np.ndarray]
+    weights: Params
     caches: dict[str, _DirectionCache]
     h_cat: np.ndarray
     prediction: np.ndarray
@@ -258,30 +399,20 @@ class ForwardTape:
         return {d: c.final for d, c in self.caches.items()}
 
 
-def _run_direction(spec: ModelSpec, dp: Params, xs: np.ndarray) -> _DirectionCache:
+def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
+    T, n, d = xs.shape
     cache = _DirectionCache.allocate(spec.cell, xs, spec.hidden_size)
-    act = spec.activation
-    hs = cache.hs
-    if spec.cell == "gru":
-        for t in range(xs.shape[1]):
-            x_t, h = xs[:, t, :], hs[t]
-            z = _sigmoid(x_t @ dp["W_z"] + h @ dp["U_z"] + dp["b_z"], out=cache.z[t])
-            r = _sigmoid(x_t @ dp["W_r"] + h @ dp["U_r"] + dp["b_r"], out=cache.r[t])
-            a_c = np.add(x_t @ dp["W_c"] + (r * h) @ dp["U_c"], dp["b_c"], out=cache.a_c[t])
-            c = _act(a_c, act, out=cache.c[t])
-            np.add((1.0 - z) * h, z * c, out=hs[t + 1])
-    else:
-        cs = cache.cs
-        for t in range(xs.shape[1]):
-            x_t, h = xs[:, t, :], hs[t]
-            i = _sigmoid(x_t @ dp["W_xi"] + h @ dp["W_hi"] + dp["b_i"], out=cache.i[t])
-            f = _sigmoid(x_t @ dp["W_xf"] + h @ dp["W_hf"] + dp["b_f"], out=cache.f[t])
-            o = _sigmoid(x_t @ dp["W_xo"] + h @ dp["W_ho"] + dp["b_o"], out=cache.o[t])
-            a_g = np.add(x_t @ dp["W_xg"] + h @ dp["W_hg"], dp["b_g"], out=cache.a_g[t])
-            g = _act(a_g, act, out=cache.g[t])
-            c_t = np.add(f * cs[t], i * g, out=cs[t + 1])
-            act_c = _act(c_t, act, out=cache.act_c[t])
-            np.multiply(o, act_c, out=hs[t + 1])
+    # The input projection of every step in one matmul; each step then turns
+    # its rows into gate values in place.
+    gates, hs, act = cache.gates, cache.hs, spec.activation
+    np.matmul(xs.reshape(T * n, d), W, out=gates.reshape(T * n, -1))
+    gates += b
+    for t in range(T):
+        if spec.cell == "gru":
+            _gru_cell(gates[t], hs[t], U, act, cache.cand[t], out=hs[t + 1])
+        else:
+            _lstm_cell(gates[t], hs[t], cache.cs[t], U, act, cache.cand[t],
+                       h_out=hs[t + 1], c_out=cache.cs[t + 1])
     return cache
 
 
@@ -301,16 +432,17 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
         raise ValueError(
             f"window feature size {windows.shape[2]} != spec input_size {spec.input_size}"
         )
+    weights = _fused_params(spec, params)
+    time_major = windows.transpose(1, 0, 2)
     caches: dict[str, _DirectionCache] = {}
-    finals = []
     for direction in spec.directions:
-        xs = windows if direction == "fw" else windows[:, ::-1, :]
-        cache = _run_direction(spec, direction_view(params, direction), xs)
-        caches[direction] = cache
-        finals.append(cache.final)
+        xs = np.ascontiguousarray(time_major if direction == "fw" else time_major[::-1])
+        caches[direction] = _run_direction(
+            spec, *(weights[f"{direction}_{k}"] for k in "WUb"), xs)
+    finals = [cache.final for cache in caches.values()]
     h_cat = np.concatenate(finals, axis=1) if len(finals) > 1 else finals[0]
-    prediction = h_cat @ params["out_W"] + params["out_b"]
-    return prediction, ForwardTape(spec, params, caches, h_cat, prediction)
+    prediction = h_cat @ weights["out_W"] + weights["out_b"]
+    return prediction, ForwardTape(spec, params, weights, caches, h_cat, prediction)
 
 
 def forward(spec: ModelSpec, params: Mapping[str, np.ndarray], window: np.ndarray):
@@ -322,71 +454,79 @@ def forward(spec: ModelSpec, params: Mapping[str, np.ndarray], window: np.ndarra
     return pred[0], tape
 
 
-def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool) -> np.ndarray:
-    """Sum over steps t of ``a[t].T @ da[t]``, for a (T, n, k) and da (T, n, h).
+def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the sum over steps t of ``a[t].T @ da[t]``.
 
-    Returns the (k, h) sum over steps and batch rows, one matmul over T*n
-    rows; with ``per_example`` the (n, k, h) per-row sums, one batched
-    (n, k, T) @ (n, T, h) matmul.
+    ``a`` is (T, n, k) and ``da`` (T, n, m). Without ``per_example`` the
+    (k, m) sum over steps and batch rows is one matmul over T*n rows; with
+    it the (n, k, m) per-row sums are one batched (n, k, T) @ (n, T, m)
+    matmul.
     """
     if per_example:
-        return np.matmul(a.transpose(1, 2, 0), da.transpose(1, 0, 2))
+        return np.matmul(a.transpose(1, 2, 0), da.transpose(1, 0, 2), out=out)
     T, n, k = a.shape
-    return a.reshape(T * n, k).T @ da.reshape(T * n, -1)
+    return np.matmul(a.reshape(T * n, k).T, da.reshape(T * n, -1), out=out)
 
 
 def _backprop_direction(
     spec: ModelSpec,
-    dp: Params,
-    cache: _DirectionCache,
-    dh_final: np.ndarray,
+    direction: str,
+    tape: ForwardTape,
+    dh: np.ndarray,
     per_example: bool,
-) -> Params:
-    act = spec.activation
-    xs = cache.xs.transpose(1, 0, 2)
-    h_prev = cache.h_prev
-    dh = dh_final
+    grads: Params,
+    outs: Mapping[str, np.ndarray],
+) -> None:
+    """Add one direction's gradients to ``grads``, written into ``outs``."""
+    act, k = spec.activation, spec.hidden_size
+    U, cache = tape.weights[f"{direction}_U"], tape.caches[direction]
+    h_prev, cand, gates = cache.h_prev, cache.cand, cache.gates
+    G = gates.shape[-1] // k
+    # Start each gate delta as its sigmoid's derivative, and take the other
+    # factors that do not depend on dh, for all steps at once.
+    da = np.empty_like(gates)
+    sig = gates[..., :(G - 1) * k]
+    np.multiply(sig, 1.0 - sig, out=da[..., :(G - 1) * k])
+    d_cand = _act_grad(cand, gates[..., (G - 1) * k:], act)
     if spec.cell == "gru":
-        da_z, da_r, da_c = np.empty((3,) + cache.z.shape)
-        for t in reversed(range(xs.shape[0])):
-            z, r, c = cache.z[t], cache.r[t], cache.c[t]
-            np.multiply(dh * z, _act_grad(cache.a_c[t], c, act), out=da_c[t])
-            d_rh = da_c[t] @ dp["U_c"].T
-            np.multiply(dh * (c - h_prev[t]) * z, 1.0 - z, out=da_z[t])
-            np.multiply(d_rh * h_prev[t] * r, 1.0 - r, out=da_r[t])
-            dh = dh * (1.0 - z) + d_rh * r + da_z[t] @ dp["U_z"].T + da_r[t] @ dp["U_r"].T
-        weights = {
-            "W_z": (xs, da_z), "W_r": (xs, da_r), "W_c": (xs, da_c),
-            "U_z": (h_prev, da_z), "U_r": (h_prev, da_r), "U_c": (cache.r * h_prev, da_c),
-        }
-        biases = {"b_z": da_z, "b_r": da_r, "b_c": da_c}
+        U_zr, U_c = U[:, :2 * k], U[:, 2 * k:]
+        c_minus_h = gates[..., 2 * k:] - h_prev
+        for t in reversed(range(da.shape[0])):
+            z, r, _ = _blocks(gates[t], k)
+            da_z, da_r, da_c = _blocks(da[t], k)
+            dh_z = dh * z
+            np.multiply(dh_z, d_cand[t], out=da_c)
+            d_rh = da_c @ U_c.T
+            da_z *= dh * c_minus_h[t]
+            da_r *= d_rh * h_prev[t]
+            dh = dh - dh_z + d_rh * r + da[t, :, :2 * k] @ U_zr.T
+        recurrent_inputs = (h_prev, h_prev, cache.r * h_prev)
     else:
-        da_i, da_f, da_o, da_g = np.empty((4,) + cache.i.shape)
-        dc = np.zeros_like(dh_final)
-        for t in reversed(range(xs.shape[0])):
-            i, f, o, g, act_c = cache.i[t], cache.f[t], cache.o[t], cache.g[t], cache.act_c[t]
-            dc_t = dc + dh * o * _act_grad(cache.c_t[t], act_c, act)
-            np.multiply(dh * act_c * o, 1.0 - o, out=da_o[t])
-            np.multiply(dc_t * cache.c_prev[t] * f, 1.0 - f, out=da_f[t])
-            np.multiply(dc_t * g * i, 1.0 - i, out=da_i[t])
-            np.multiply(dc_t * i, _act_grad(cache.a_g[t], g, act), out=da_g[t])
+        dc = np.zeros_like(dh)
+        act_c = _act(cache.c_t, act)
+        d_act_c = _act_grad(cache.c_t, act_c, act)
+        for t in reversed(range(da.shape[0])):
+            i, f, o, g = _blocks(gates[t], k)
+            da_i, da_f, da_o, da_g = _blocks(da[t], k)
+            dc_t = dc + dh * o * d_act_c[t]
+            da_i *= dc_t * g
+            da_f *= dc_t * cache.c_prev[t]
+            da_o *= dh * act_c[t]
+            np.multiply(dc_t * i, d_cand[t], out=da_g)
             dc = dc_t * f
-            dh = (
-                da_i[t] @ dp["W_hi"].T
-                + da_f[t] @ dp["W_hf"].T
-                + da_o[t] @ dp["W_ho"].T
-                + da_g[t] @ dp["W_hg"].T
-            )
-        weights = {
-            "W_xi": (xs, da_i), "W_xf": (xs, da_f), "W_xo": (xs, da_o), "W_xg": (xs, da_g),
-            "W_hi": (h_prev, da_i), "W_hf": (h_prev, da_f),
-            "W_ho": (h_prev, da_o), "W_hg": (h_prev, da_g),
-        }
-        biases = {"b_i": da_i, "b_f": da_f, "b_o": da_o, "b_g": da_g}
-    grads = {name: _sum_outer(a, da, per_example) for name, (a, da) in weights.items()}
-    for name, da in biases.items():
-        grads[name] = da.sum(axis=0) if per_example else da.sum(axis=(0, 1))
-    return grads
+            dh = da[t] @ U.T
+        recurrent_inputs = (h_prev,) * 4
+    # One reduction per gate tensor: with T*n = 30 rows (T = 6 per example)
+    # OpenBLAS forms h-wide products faster than one fused G*h-wide product.
+    deltas = _blocks(da, k)
+    names_W, names_U, names_b = (
+        [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
+    for name, delta in zip(names_W, deltas):
+        grads[name] = _sum_outer(cache.xs, delta, per_example, outs[name])
+    for name, a, delta in zip(names_U, recurrent_inputs, deltas):
+        grads[name] = _sum_outer(a, delta, per_example, outs[name])
+    for name, delta in zip(names_b, deltas):
+        grads[name] = delta.sum(axis=0 if per_example else (0, 1), out=outs[name])
 
 
 def backward_batch(
@@ -399,9 +539,11 @@ def backward_batch(
 ) -> Params:
     """Gradients of per-example MAE w.r.t. every parameter tensor.
 
-    ``reduce="mean"`` returns the average gradient over the batch;
-    ``reduce="stack"`` returns per-example gradients with a leading batch
-    axis on every tensor.
+    ``reduce="mean"`` returns the average gradient over the batch as views
+    into one fresh vector in the packed layout; ``reduce="stack"`` returns
+    per-example gradients, one array with a leading batch axis per tensor.
+    Keys run ``out_W, out_b``, then the ``fw_`` and ``bw_`` tensors in
+    ``param_shapes`` order.
     """
     if loss != "mae":
         raise ValueError(f"unsupported loss {loss!r}")
@@ -417,21 +559,24 @@ def backward_batch(
     per_example = reduce == "stack"
     h = spec.hidden_size
 
-    dpred = np.sign(pred - targets) / out
-    grads: Params = {}
-    grads["out_W"] = _sum_outer(tape.h_cat[None], dpred[None], per_example)
-    grads["out_b"] = dpred if per_example else dpred.sum(axis=0)
-    dh_cat = dpred @ params["out_W"].T
+    if per_example:
+        # Each tensor's per-example gradients are one contiguous block of
+        # one buffer: one allocation per call, and BLAS writes dense rows.
+        shapes = {k: (n,) + shape for k, shape in param_shapes(spec).items()}
+        outs = _views(np.empty(n * param_count(spec)), shapes)
+        dpred = np.sign(pred - targets) / out
+        outs["out_b"][...] = dpred
+    else:
+        outs = _named_views(spec, _views(np.empty(param_count(spec)), _fused_shapes(spec)))
+        # The mean's 1/n rides on dpred, which every gradient is linear in.
+        dpred = np.sign(pred - targets) / (out * n)
+        dpred.sum(axis=0, out=outs["out_b"])
+    grads = {"out_W": _sum_outer(tape.h_cat[None], dpred[None], per_example, outs["out_W"]),
+             "out_b": outs["out_b"]}
+    dh_cat = dpred @ tape.weights["out_W"].T
     for k, direction in enumerate(spec.directions):
-        dh_final = dh_cat[:, k * h:(k + 1) * h]
-        dgrads = _backprop_direction(
-            spec, direction_view(params, direction), tape.caches[direction],
-            dh_final, per_example,
-        )
-        for name, g in dgrads.items():
-            grads[f"{direction}_{name}"] = g
-    if not per_example:
-        grads = {k: v / n for k, v in grads.items()}
+        _backprop_direction(spec, direction, tape, dh_cat[:, k * h:(k + 1) * h],
+                            per_example, grads, outs)
     return grads
 
 

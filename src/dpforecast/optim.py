@@ -18,7 +18,9 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .core import RngStream
-from .nn import ModelSpec, Params, backward_batch, forward_batch
+from .nn import (
+    ModelSpec, Params, backward_batch, flat_vector, forward_batch, pack_params, placement,
+)
 
 
 class TrainingDiverged(RuntimeError):
@@ -122,23 +124,62 @@ def dp_aggregate(
     return out
 
 
+# Elements per pass of ``adam_step``: chunks of the parameter, moment,
+# gradient and work vectors stay in a core's L2 cache through the update.
+# On a 2 MB L2, 32768 beat 16384 and 65536, and whole vectors by a fifth.
+_ADAM_CHUNK = 32768
+
+
 @dataclass
 class AdamState:
-    """First/second moment accumulators with a strictly increasing step count."""
+    """Flat first/second moment vectors with a strictly increasing step count.
 
-    m: Params
-    v: Params
+    ``m`` and ``v`` are laid out like the flat parameter vector they belong
+    to. The private fields are ``adam_step``'s work space: a chunk-long work
+    vector, a vector for gradients laid out otherwise (allocated on first
+    use), and the placement of the last parameter set.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps_hat: float = 1e-7
+    _work: np.ndarray = field(init=False, repr=False, compare=False)
+    _gathered: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _where: tuple = field(default=((), {}), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
+
+    def _placement(self, params: Mapping[str, np.ndarray], p: np.ndarray) -> dict:
+        """``nn.placement`` of ``params`` in ``p``, kept while the same views recur."""
+        views, where = self._where
+        if len(views) != len(params) or any(
+                params.get(k) is not view for k, view in zip(where, views)):
+            where = placement(params, p, params)
+            self._where = (tuple(params.values()), where)
+        return where
+
+    def _gradient_vector(self, g: Mapping[str, np.ndarray], where: dict) -> np.ndarray:
+        """``g`` as one vector laid out by ``where``: its own, or a copy."""
+        try:
+            flat = flat_vector(g)
+        except ValueError:
+            flat = None
+        if flat is not None and flat.size == self.m.size and placement(g, flat, where) == where:
+            return flat
+        if self._gathered is None:
+            self._gathered = np.empty_like(self.m)
+        for k, (offset, shape, strides) in where.items():
+            np.ndarray(shape, np.float64, self._gathered, offset, strides)[...] = g[k]
+        return self._gathered
 
 
 def init_adam_state(params: Mapping[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    size = flat_vector(params).size
+    return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -147,22 +188,48 @@ def adam_step(
     state: AdamState,
     learning_rate: float,
 ) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update; purely functional."""
+    """One bias-corrected Adam update, in place.
+
+    ``params`` must be views into one flat vector (``init_params`` and
+    ``train`` give such sets; a lone 1-d array is its own vector). That
+    vector and the state's ``m``, ``v`` and step count are updated in place,
+    and the same ``(params, state)`` objects are returned. ``g`` is any
+    mapping with the keys and shapes of ``params``; a gradient laid out like
+    ``params`` in a vector of its own, as ``backward_batch`` returns it, is
+    read in place, and any other is first copied into that layout.
+
+    With bias corrections bc1 = 1 - beta1**t and bc2 = 1 - beta2**t, the
+    update ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps_hat)`` is computed
+    as ``lr * sqrt(bc2) / bc1 * m / (sqrt(v) + eps_hat * sqrt(bc2))``:
+    twelve in-place vector operations per chunk, through one work vector.
+    """
+    p = flat_vector(params)
+    if p.size != state.m.size:
+        raise ValueError(f"state holds {state.m.size} moments for {p.size} parameters")
+    grad = state._gradient_vector(g, state._placement(params, p))
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
-    new_m, new_v, new_p = {}, {}, {}
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
-    for k, p in params.items():
-        gk = g[k]
-        mk = b1 * state.m[k] + (1.0 - b1) * gk
-        vk = b2 * state.v[k] + (1.0 - b2) * gk * gk
-        m_hat = mk / bc1
-        v_hat = vk / bc2
-        new_m[k] = mk
-        new_v[k] = vk
-        new_p[k] = p - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps_hat)
-    return new_p, AdamState(new_m, new_v, t, b1, b2, state.eps_hat)
+    bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+    eps = state.eps_hat * math.sqrt(bc2)
+    rate = learning_rate * math.sqrt(bc2) / bc1
+    for lo in range(0, p.size, _ADAM_CHUNK):
+        chunk = slice(lo, lo + _ADAM_CHUNK)
+        pc, m, v, gc = p[chunk], state.m[chunk], state.v[chunk], grad[chunk]
+        w = state._work[:pc.size]
+        np.multiply(gc, 1.0 - b1, out=w)
+        m *= b1
+        m += w
+        w *= w
+        w *= (1.0 - b2) / (1.0 - b1) ** 2
+        v *= b2
+        v += w
+        np.sqrt(v, out=w)
+        w += eps
+        np.divide(m, w, out=w)
+        w *= rate
+        pc -= w
+    state.step = t
+    return params, state
 
 
 @dataclass
@@ -196,7 +263,9 @@ def train(
     shape (n, output). Each epoch draws a fresh uniform permutation from
     ``rng`` and drops the incomplete trailing batch, so exactly
     ``epochs * floor(n / batch_size)`` optimizer steps run. A non-private
-    config bypasses clipping and noise entirely.
+    config bypasses clipping and noise entirely. ``params0`` is copied into
+    a fresh packed vector, which the steps then update in place; the
+    caller's arrays are never changed.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     targets = np.asarray(dataset.targets, dtype=np.float64)
@@ -205,11 +274,10 @@ def train(
         raise ValueError("dataset is empty")
     if cfg.batch_size > n:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    dp = isinstance(cfg, DpSgdConfig)
     b = cfg.batch_size
     n_batches = n // b
     gen = rng.generator()
-    params: Params = dict(params0)
+    params = pack_params(spec, params0)
     state = init_adam_state(params)
     log = TrainLog()
 
@@ -218,20 +286,26 @@ def train(
         epoch_losses = []
         for j in range(n_batches):
             idx = perm[j * b:(j + 1) * b]
-            xb, yb = inputs[idx], targets[idx]
-            if dp:
-                grad, batch_mae = _dp_batch_gradient(spec, params, xb, yb, cfg, gen)
-            else:
-                preds, tape = forward_batch(spec, params, xb)
-                batch_mae = float(np.mean(np.abs(preds - yb)))
-                grad = backward_batch(spec, params, tape, yb, reduce="mean")
+            grad, batch_mae = _batch_gradient(spec, params, inputs[idx], targets[idx], cfg, gen)
             if not math.isfinite(batch_mae):
                 raise TrainingDiverged(epoch)
             params, state = adam_step(params, grad, state, cfg.learning_rate)
+            # Free the gradient before the next step allocates, so that the
+            # next step's arrays reuse its memory while it is still in cache.
+            del grad
             log.step_count += 1
             epoch_losses.append(batch_mae)
         log.epoch_mae.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
     return params, log
+
+
+def _batch_gradient(spec, params, xb, yb, cfg, gen):
+    """The step's gradient and batch MAE; the forward tape is freed on return."""
+    if isinstance(cfg, DpSgdConfig):
+        return _dp_batch_gradient(spec, params, xb, yb, cfg, gen)
+    preds, tape = forward_batch(spec, params, xb)
+    grad = backward_batch(spec, params, tape, yb, reduce="mean")
+    return grad, float(np.mean(np.abs(preds - yb)))
 
 
 def _dp_batch_gradient(spec, params, xb, yb, cfg: DpSgdConfig, gen):

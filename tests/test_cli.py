@@ -147,6 +147,17 @@ class TestAccountant:
     def test_missing_rate_arguments_is_usage_error(self):
         assert main(["accountant", "--noise-multiplier", "35", "--delta", "1e-7"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--n", "--batch"])
+    def test_non_positive_size_is_usage_error(self, flag, capsys):
+        sizes = {"--n": "3120", "--batch": "5", flag: "0"}
+        argv = ["accountant", "--noise-multiplier", "35", "--epochs", "100", "--delta", "1e-7"]
+        for name, value in sizes.items():
+            argv += [name, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be >= 1, got 0" in err
+        assert "Traceback" not in err
+
 
 class TestSanitize:
     def test_valid_epsilon_writes_release(self, tmp_path, dataset):

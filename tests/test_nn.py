@@ -20,7 +20,7 @@ from dpforecast import (
     lstm_step,
     save_params,
 )
-from dpforecast.nn import param_shapes
+from dpforecast.nn import GATE_NAMES, flat_vector, pack_params, param_shapes, placement
 
 
 def zero_params(spec):
@@ -63,6 +63,111 @@ class TestInitParams:
             assert np.array_equal(a[name], b[name])
             if name.endswith(("b_z", "b_r", "b_c", "out_b")):
                 assert np.all(a[name] == 0.0)
+
+
+def same_view(a, b):
+    return a.__array_interface__ == b.__array_interface__
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_named_tensors_are_gate_blocks_of_one_vector(self, cell):
+        spec = ModelSpec(cell, True, 4, 3, 2, "relu")
+        d, h, G = 3, 4, len(GATE_NAMES[cell][0])
+        params = init_params(spec, RngStream(0))
+        flat = flat_vector(params)
+        assert flat.size == sum(v.size for v in params.values())
+        assert all(np.shares_memory(v, flat) for v in params.values())
+        lo = 0
+        for direction in ("fw", "bw"):
+            fused = []
+            for shape in ((d, G * h), (h, G * h), (G * h,)):
+                fused.append(flat[lo:lo + math.prod(shape)].reshape(shape))
+                lo += math.prod(shape)
+            for block, names in zip(fused, GATE_NAMES[cell]):
+                for j, name in enumerate(names):
+                    assert same_view(params[f"{direction}_{name}"], block[..., j * h:(j + 1) * h])
+        assert same_view(params["out_W"], flat[lo:lo + 16].reshape(8, 2))
+        assert same_view(params["out_b"], flat[lo + 16:])
+        fused[0][0, 0] = 7.0  # bw W: the write shows through the bw_W_z / bw_W_xi view
+        assert params[f"bw_{GATE_NAMES[cell][0][0]}"][0, 0] == 7.0
+
+    def test_mean_gradient_is_laid_out_like_params(self):
+        spec = ModelSpec("gru", True, 4, 3, 2, "relu")
+        params = init_params(spec, RngStream(0))
+        gen = np.random.default_rng(1)
+        _, tape = forward_batch(spec, params, gen.standard_normal((5, 4, 3)))
+        grads = backward_batch(spec, params, tape, gen.standard_normal((5, 2)))
+        names = list(param_shapes(spec))
+        assert list(grads) == names[-2:] + names[:-2]
+        assert (placement(grads, flat_vector(grads), names)
+                == placement(params, flat_vector(params), names))
+
+    def test_init_draws_per_gate_tensors_in_key_order(self):
+        spec = ModelSpec("lstm", True, 5, 3, 2)
+        gen = RngStream(3).generator()
+        expected = {}
+        for name, shape in param_shapes(spec).items():
+            if len(shape) == 1:
+                expected[name] = np.zeros(shape)
+            else:
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                expected[name] = gen.uniform(-bound, bound, size=shape)
+        params = init_params(spec, RngStream(3))
+        assert list(params) == list(expected)
+        for name, value in expected.items():
+            assert params[name].tobytes() == value.tobytes(), name
+
+    def test_pack_copies_and_checks_shapes(self):
+        spec = ModelSpec("gru", False, 2, 1, 1)
+        loose = {k: np.full(s, 0.5) for k, s in param_shapes(spec).items()}
+        packed = pack_params(spec, loose)
+        for name, value in loose.items():
+            assert np.array_equal(packed[name], value)
+            assert not np.shares_memory(packed[name], value)
+        loose["fw_U_r"] = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="fw_U_r"):
+            pack_params(spec, loose)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_fused_forward_matches_per_gate_reference(self, cell):
+        # The cell equations written gate by gate, with the exp sigmoid.
+        spec = ModelSpec(cell, True, 5, 3, 2, "relu")
+        params = init_params(spec, RngStream(11))
+        X = RngStream(12).generator().standard_normal((4, 6, 3))
+
+        def sig(a):
+            return 1.0 / (1.0 + np.exp(-a))
+
+        def run(p, xs):
+            h = c = np.zeros((xs.shape[0], 5))
+            for t in range(xs.shape[1]):
+                x = xs[:, t]
+                if cell == "gru":
+                    z = sig(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+                    r = sig(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+                    cand = np.maximum(x @ p["W_c"] + (r * h) @ p["U_c"] + p["b_c"], 0.0)
+                    h = (1.0 - z) * h + z * cand
+                else:
+                    i, f, o = (sig(x @ p[f"W_x{g}"] + h @ p[f"W_h{g}"] + p[f"b_{g}"])
+                               for g in "ifo")
+                    g = np.maximum(x @ p["W_xg"] + h @ p["W_hg"] + p["b_g"], 0.0)
+                    c = f * c + i * g
+                    h = o * np.maximum(c, 0.0)
+            return h
+
+        finals = [run({k[3:]: v for k, v in params.items() if k.startswith(d)}, xs)
+                  for d, xs in (("fw_", X), ("bw_", X[:, ::-1]))]
+        expected = np.concatenate(finals, axis=1) @ params["out_W"] + params["out_b"]
+        got, _ = forward_batch(spec, params, X)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    def test_loose_and_packed_params_give_the_same_forward(self):
+        spec = ModelSpec("lstm", True, 4, 3, 2, "tanh")
+        params = init_params(spec, RngStream(5))
+        loose = {k: v.copy() for k, v in params.items()}
+        window = RngStream(6).generator().standard_normal((4, 3))
+        assert np.array_equal(forward(spec, params, window)[0], forward(spec, loose, window)[0])
 
 
 class TestLstmStep:
@@ -302,9 +407,25 @@ class TestSerialization:
         spec = ModelSpec("lstm", True, 5, 3, 2, "relu")
         params = init_params(spec, RngStream(33))
         path = tmp_path / "params.npz"
+        flat_vector(params)  # a packed set: every tensor is a view of one vector
         save_params(path, params)
         loaded = load_params(path)
         assert set(loaded) == set(params)
         for name in params:
             assert np.array_equal(loaded[name], params[name])
             assert loaded[name].dtype == params[name].dtype
+            assert loaded[name].shape == params[name].shape
+
+    def test_per_tensor_archive_still_loads(self, tmp_path):
+        # Archives written before the packed layout hold one contiguous array
+        # per tensor; they load and forward exactly as the packed set does.
+        spec = ModelSpec("gru", True, 5, 3, 2, "relu")
+        params = init_params(spec, RngStream(34))
+        path = tmp_path / "params.npz"
+        np.savez(path, **{k: np.ascontiguousarray(v) for k, v in params.items()})
+        loaded = load_params(path)
+        assert list(loaded) == list(params)
+        window = RngStream(35).generator().standard_normal((6, 3))
+        expected, _ = forward(spec, params, window)
+        got, _ = forward(spec, loaded, window)
+        assert got.tobytes() == expected.tobytes()

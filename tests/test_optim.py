@@ -24,6 +24,7 @@ from dpforecast import (
     make_windows,
     train,
 )
+from dpforecast.nn import flat_vector, pack_params, placement
 from dpforecast.optim import _dp_batch_gradient, init_adam_state
 
 from conftest import SLOT, START
@@ -183,11 +184,16 @@ class TestDpBatchGradient:
 
 
 class TestAdamStep:
+    # adam_step updates the parameter vector and the state in place, so each
+    # test compares against copies taken before the step.
+
     def test_zero_gradient_keeps_params(self):
         params = {"w": np.array([1.0, -2.0])}
+        saved = params["w"].copy()
         state = init_adam_state(params)
         new_params, new_state = adam_step(params, {"w": np.zeros(2)}, state, 0.1)
-        assert np.array_equal(new_params["w"], params["w"])
+        assert new_params is params and new_state is state
+        assert np.array_equal(new_params["w"], saved)
         assert new_state.step == 1
 
     def test_single_step_hand_value(self):
@@ -198,13 +204,17 @@ class TestAdamStep:
         assert new_params["w"][0] == pytest.approx(-0.099999990000001, abs=1e-15)
 
     def test_deterministic(self):
-        params = {"w": np.array([0.3, 0.7])}
+        # Two independent copies of one starting state take the same steps.
         g = {"w": np.array([0.1, -0.2])}
-        state = init_adam_state(params)
-        a, sa = adam_step(params, g, state, 0.01)
-        b, sb = adam_step(params, g, state, 0.01)
-        assert np.array_equal(a["w"], b["w"])
-        assert sa.step == sb.step == 1
+        runs = []
+        for _ in range(2):
+            params = {"w": np.array([0.3, 0.7])}
+            state = init_adam_state(params)
+            for _ in range(3):
+                params, state = adam_step(params, g, state, 0.01)
+            runs.append((params["w"].tobytes(), state.m.tobytes(), state.v.tobytes(), state.step))
+        assert runs[0] == runs[1]
+        assert runs[0][3] == 3
 
     def test_step_counter_strictly_increases(self):
         params = {"w": np.array([0.0])}
@@ -212,6 +222,52 @@ class TestAdamStep:
         for expected in (1, 2, 3):
             params, state = adam_step(params, {"w": np.array([0.5])}, state, 0.01)
             assert state.step == expected
+
+    @pytest.mark.parametrize("layout", ["packed", "loose", "reordered"])
+    def test_matches_per_tensor_formula(self, layout):
+        # The per-tensor Adam of the dict-of-arrays optimizer, five steps on a
+        # BiGRU, against the in-place flat update. Gradients come laid out
+        # like the parameters (as backward_batch returns them), as loose
+        # arrays, or as views of one vector in another layout (as
+        # dp_aggregate returns them).
+        spec = ModelSpec("gru", True, 6, 3, 2, "relu")
+        params = init_params(spec, RngStream(4))
+        ref_p = {k: v.copy() for k, v in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        state = init_adam_state(params)
+        gen = np.random.default_rng(8)
+        lr, b1, b2, eps = 0.01, state.beta1, state.beta2, state.eps_hat
+        for t in range(1, 6):
+            g = {k: gen.standard_normal(v.shape) * 10.0 ** gen.integers(-4, 1)
+                 for k, v in params.items()}
+            for k in ref_p:
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g[k]
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g[k] * g[k]
+                m_hat = ref_m[k] / (1.0 - b1**t)
+                v_hat = ref_v[k] / (1.0 - b2**t)
+                ref_p[k] = ref_p[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            if layout == "packed":
+                g = pack_params(spec, g)
+            elif layout == "reordered":
+                buffer = np.concatenate([v.ravel() for v in reversed(g.values())])
+                ends = np.cumsum([v.size for v in reversed(g.values())])
+                g = {k: buffer[end - v.size:end].reshape(v.shape)
+                     for (k, v), end in zip(reversed(g.items()), ends)}
+            adam_step(params, g, state, lr)
+        where = placement(params, flat_vector(params), params)
+        for k, p in params.items():
+            assert np.max(np.abs(p - ref_p[k])) <= 1e-15, k
+            offset, shape, strides = where[k]
+            m, v = (np.ndarray(shape, np.float64, moments, offset, strides)
+                    for moments in (state.m, state.v))
+            np.testing.assert_allclose(m, ref_m[k], rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(v, ref_v[k], rtol=1e-14, atol=1e-300)
+
+    def test_rejects_unpacked_params(self):
+        params = {"a": np.zeros(2), "b": np.zeros(3)}
+        with pytest.raises(ValueError, match="one flat"):
+            init_adam_state(params)
 
 
 def toy_windows(n=60, seed=3, lag=3):
@@ -239,6 +295,21 @@ class TestTrain:
         for name in p0:
             assert np.array_equal(params[name], p0[name])
         assert log.step_count == 0
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_params0_untouched_and_same_seed_same_bytes(self, private):
+        ds = random_windows()
+        spec = ModelSpec("gru", True, 3, 3, 2, "relu")
+        p0 = init_params(spec, RngStream(0))
+        saved = {k: v.copy() for k, v in p0.items()}
+        cfg = (DpSgdConfig(1.0, 0.5, 4, 8, 2, 0.01) if private
+               else NonPrivateConfig(8, 2, 0.01))
+        runs = [train(spec, p0, ds, cfg, RngStream(1))[0] for _ in range(2)]
+        for name in p0:
+            assert p0[name].tobytes() == saved[name].tobytes(), name
+            assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
+        assert not np.array_equal(runs[0]["fw_U_z"], p0["fw_U_z"])
+        assert not np.shares_memory(flat_vector(runs[0]), flat_vector(p0))
 
     def test_training_mae_strictly_decreases_on_toy_series(self):
         w = toy_windows()
