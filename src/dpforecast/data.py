@@ -15,10 +15,11 @@ counts plus four cyclical time features) with the next slot's counts.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -31,6 +32,8 @@ logger = logging.getLogger(__name__)
 SLOT_SECONDS = 1800
 SLOTS_PER_DAY = 48
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
 CYCLICAL_NAMES = ("day_sin", "day_cos", "week_sin", "week_cos")
 
 MINUTES_PER_DAY = 1440.0
@@ -87,73 +90,93 @@ class MobilitySeries:
 
 
 def load_csv(path) -> MobilitySeries:
-    """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps."""
-    rows: list[tuple[np.datetime64, list[float]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps.
+
+    The file must be UTF-8 text. Each row is checked as it is read (field
+    count, timestamp, integer and nonnegative counts), so a row-level error
+    names the first offending line. The timestamps are then checked as one
+    column, in this order: duplicates, order, the span's and then each
+    row's alignment to the 30-minute grid; each check names its first
+    offender.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    if not header or header[0].strip() != "datetime" or len(header) < 2:
+        raise DataFormatError(
+            f"{path}: header must be 'datetime' followed by region columns"
+        )
+    labels = tuple(h.strip() for h in header[1:])
+    stamps: list[int] = []  # seconds since the epoch
+    values: list[list[int]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(labels) + 1:
+            raise DataFormatError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "datetime" or len(header) < 2:
+            ts = datetime.strptime(row[0].strip(), TIME_FORMAT)
+        except ValueError:
             raise DataFormatError(
-                f"{path}: header must be 'datetime' followed by region columns"
-            )
-        labels = tuple(h.strip() for h in header[1:])
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(labels) + 1:
-                raise DataFormatError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
-            try:
-                ts = datetime.strptime(row[0].strip(), TIME_FORMAT)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: bad timestamp {row[0]!r}"
-                ) from None
-            try:
-                values = [int(v.strip()) for v in row[1:]]
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
-            if any(v < 0 for v in values):
-                raise DataFormatError(f"{path}:{lineno}: negative count")
-            rows.append((np.datetime64(ts, "s"), [float(v) for v in values]))
-    if not rows:
+                f"{path}:{lineno}: bad timestamp {row[0]!r}"
+            ) from None
+        try:
+            values.append([int(v.strip()) for v in row[1:]])
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
+        if min(values[-1]) < 0:
+            raise DataFormatError(f"{path}:{lineno}: negative count")
+        stamps.append((ts - _EPOCH) // _SECOND)
+    if not stamps:
         raise DataFormatError(f"{path}: no data rows")
 
-    stamps = [r[0] for r in rows]
-    for prev, cur in zip(stamps, stamps[1:]):
-        if cur == prev:
-            raise DataFormatError(f"{path}: duplicated timestamp {prev}")
-        if cur < prev:
-            raise DataFormatError(f"{path}: timestamps out of order at {cur}")
-
-    first, last = stamps[0], stamps[-1]
-    span = int((last - first).astype("timedelta64[s]").astype(np.int64))
-    if span % SLOT_SECONDS != 0:
+    times = np.array(stamps, dtype="datetime64[s]")
+    steps = np.diff(times).astype(np.int64)
+    bad = np.flatnonzero(steps <= 0)
+    if bad.size:
+        i = bad[0]
+        if steps[i] == 0:
+            raise DataFormatError(f"{path}: duplicated timestamp {times[i]}")
+        raise DataFormatError(f"{path}: timestamps out of order at {times[i + 1]}")
+    offsets = (times - times[0]).astype(np.int64)
+    if offsets[-1] % SLOT_SECONDS != 0:
         raise DataFormatError(f"{path}: timestamps not aligned to the 30-minute grid")
-    n = span // SLOT_SECONDS + 1
-    grid = first + np.arange(n) * np.timedelta64(SLOT_SECONDS, "s")
+    off_grid = np.flatnonzero(offsets % SLOT_SECONDS)
+    if off_grid.size:
+        raise DataFormatError(f"{path}: timestamp {times[off_grid[0]]} off the 30-minute grid")
+    n = offsets[-1] // SLOT_SECONDS + 1
+    grid = times[0] + np.arange(n) * np.timedelta64(SLOT_SECONDS, "s")
     counts = np.full((n, len(labels)), np.nan)
-    for ts, values in rows:
-        offset = int((ts - first).astype("timedelta64[s]").astype(np.int64))
-        if offset % SLOT_SECONDS != 0:
-            raise DataFormatError(f"{path}: timestamp {ts} off the 30-minute grid")
-        counts[offset // SLOT_SECONDS] = values
+    counts[offsets // SLOT_SECONDS] = values
     return MobilitySeries(grid, counts, labels)
 
 
-def _slot_of_day(timestamps: np.ndarray) -> np.ndarray:
-    secs = timestamps.astype("datetime64[s]").astype(np.int64)
-    return (secs % 86400) // SLOT_SECONDS
+def _linear_quantile(ordered: np.ndarray, n_present: np.ndarray, q: float) -> np.ndarray:
+    """``np.percentile``'s linear method along axis 1 of NaN-last sorted groups.
 
-
-def _iso_week_keys(timestamps: np.ndarray) -> list[tuple[int, int]]:
-    keys = []
-    for ts in timestamps.astype("datetime64[s]").tolist():
-        iso = ts.isocalendar()
-        keys.append((iso[0], iso[1]))
-    return keys
+    ``n_present`` counts each group's non-NaN values. numpy's lerp is
+    written out, so a group of two or more values gets the bits
+    ``np.percentile`` gives it, up to the sign of a zero, which no
+    comparison sees.
+    """
+    pos = (n_present - 1) * q
+    below = np.floor(pos)
+    t = pos - below
+    i = np.clip(below.astype(np.intp), 0, ordered.shape[1] - 2)[:, None, :]
+    a = np.take_along_axis(ordered, i, axis=1)[:, 0]
+    b = np.take_along_axis(ordered, i + 1, axis=1)[:, 0]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
 def iqr_clean(series: MobilitySeries) -> MobilitySeries:
@@ -163,57 +186,72 @@ def iqr_clean(series: MobilitySeries) -> MobilitySeries:
     group, quartiles come from linear interpolation on the sorted present
     values; entries outside [Q1 - 1.5*IQR, Q3 + 1.5*IQR] and missing slots
     are replaced by the mean of the group's in-fence values. Groups with
-    fewer than two in-fence values fall back to the region's weekly mean.
+    fewer than two in-fence values fall back to the region's weekly mean
+    (its overall mean if that week has no values) and log a warning.
+
+    An ISO week is keyed by its Monday, ``days - (days + 3) % 7`` in days
+    since the epoch: two slots share an ISO (year, week) exactly when they
+    share that Monday, across an ISO-year boundary too. Each group is one
+    row of a NaN-padded (weeks * 48 slots, 7 weekdays, regions) array, so a
+    single sort along the weekday axis, where NaN sorts last, orders every
+    group at once. The quartiles are ``np.percentile``'s, and the in-fence
+    mean is a sum in time order divided by the count, which for at most
+    seven values has the bits of ``np.mean``. Only the fallback groups are
+    handled one by one.
     """
     counts = np.array(series.counts, dtype=np.float64)
-    slots = _slot_of_day(series.timestamps)
-    weeks = _iso_week_keys(series.timestamps)
+    if series.n_slots == 0:
+        return MobilitySeries(series.timestamps, counts, series.region_labels, series.privacy)
+    secs = series.timestamps.astype(np.int64)
+    days = secs // 86400
+    weekday = (days + 3) % 7  # the epoch, 1970-01-01, was a Thursday
+    monday = days - weekday
+    week = (monday - monday[0]) // 7
+    group = week * SLOTS_PER_DAY + (secs % 86400) // SLOT_SECONDS
+    n_groups = (int(week[-1]) + 1) * SLOTS_PER_DAY
 
-    week_index: dict[tuple[int, int], list[int]] = {}
-    for idx, wk in enumerate(weeks):
-        week_index.setdefault(wk, []).append(idx)
+    dense = np.full((n_groups, 7, series.n_regions), np.nan)
+    dense[group, weekday] = counts
+    n_present = np.count_nonzero(~np.isnan(dense), axis=1)
+    ordered = np.sort(dense, axis=1)
+    q1 = _linear_quantile(ordered, n_present, 0.25)
+    q3 = _linear_quantile(ordered, n_present, 0.75)
+    iqr = q3 - q1
+    lo = (q1 - 1.5 * iqr)[:, None, :]
+    hi = (q3 + 1.5 * iqr)[:, None, :]
+    # A group of fewer than two values has NaN fences: nothing in it is an
+    # outlier and nothing is inside.
+    inside = (dense >= lo) & (dense <= hi)
+    needs = np.isnan(dense) | (dense < lo) | (dense > hi)
 
-    for region in range(series.n_regions):
+    kept = np.where(inside, dense, 0.0)
+    total = np.zeros((n_groups, series.n_regions))
+    for day in range(7):
+        total += kept[:, day]
+    n_inside = np.count_nonzero(inside, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        replacement = total / n_inside
+
+    # Fallback groups warn by region, then by their first slot in the series.
+    members, first_row = np.unique(group, return_index=True)
+    sparse = zip(*np.nonzero(n_inside[members].T < 2))
+    for region, m in sorted(sparse, key=lambda rm: (rm[0], first_row[rm[1]])):
+        g, row = members[m], first_row[m]
         col = counts[:, region]
-        weekly_mean: dict[tuple[int, int], float] = {}
-        for wk, idxs in week_index.items():
-            vals = col[idxs]
-            present = vals[~np.isnan(vals)]
-            weekly_mean[wk] = float(present.mean()) if present.size else math.nan
-        region_mean = float(np.nanmean(col)) if not np.all(np.isnan(col)) else 0.0
-
-        groups: dict[tuple[tuple[int, int], int], list[int]] = {}
-        for idx, (wk, slot) in enumerate(zip(weeks, slots)):
-            groups.setdefault((wk, int(slot)), []).append(idx)
-
-        for (wk, slot), idxs in groups.items():
-            vals = col[np.asarray(idxs)]
-            present_mask = ~np.isnan(vals)
-            present = vals[present_mask]
-            replacement = None
-            outlier_mask = np.zeros(len(idxs), dtype=bool)
-            if present.size >= 2:
-                q1, q3 = np.percentile(present, [25.0, 75.0])
-                iqr = q3 - q1
-                lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-                in_fence = present[(present >= lo) & (present <= hi)]
-                outlier_mask = present_mask & ((vals < lo) | (vals > hi))
-                if in_fence.size >= 2:
-                    replacement = float(in_fence.mean())
-            if replacement is None:
-                replacement = weekly_mean[wk]
-                if math.isnan(replacement):
-                    replacement = region_mean
-                logger.warning(
-                    "group week=%s slot=%d region=%s has <2 usable values; "
-                    "falling back to weekly mean", wk, slot,
-                    series.region_labels[region],
-                )
-            needs = outlier_mask | ~present_mask
-            if needs.any():
-                col[np.asarray(idxs)[needs]] = replacement
-        counts[:, region] = col
-    return MobilitySeries(series.timestamps, counts, series.region_labels, series.privacy)
+        in_week = col[week == week[row]]
+        in_week = in_week[~np.isnan(in_week)]
+        value = float(in_week.mean()) if in_week.size else math.nan
+        if math.isnan(value):
+            value = float(np.nanmean(col)) if not np.all(np.isnan(col)) else 0.0
+        replacement[g, region] = value
+        iso = series.timestamps[row].tolist().isocalendar()
+        logger.warning(
+            "group week=%s slot=%d region=%s has <2 usable values; "
+            "falling back to weekly mean", (iso[0], iso[1]), g % SLOTS_PER_DAY,
+            series.region_labels[region],
+        )
+    cleaned = np.where(needs[group, weekday], replacement[group], counts)
+    return MobilitySeries(series.timestamps, cleaned, series.region_labels, series.privacy)
 
 
 def cyclical_features(ts) -> np.ndarray:

@@ -97,6 +97,16 @@ class TestStats:
         cfg = write_config(tmp_path, f"[dataset]\npath = {data}\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "stats"]) == 2
 
+    @pytest.mark.parametrize("command", ["stats", "clean", "train"])
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys, command):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"datetime,R\xe9\n2020-08-24 00:00:00,7\n")
+        cfg = write_config(tmp_path, BASE_CONFIG.format(data=data, kind="baseline"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
 
 class TestClean:
     def test_fills_gaps_and_round_trips(self, tmp_path):

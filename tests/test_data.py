@@ -19,7 +19,7 @@ from dpforecast import (
     make_windows,
     split,
 )
-from dpforecast.data import cyclical_matrix
+from dpforecast.data import _linear_quantile, cyclical_matrix
 
 from conftest import SLOT, START, build_series, write_series_csv
 
@@ -104,6 +104,161 @@ class TestLoadCsv:
         path.write_bytes(b"datetime,R1\r\n2020-08-24 00:00:00,7\r\n")
         assert load_csv(path).counts[0, 0] == 7
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"datetime,R\xe9\n2020-08-24 00:00:00,7\n")
+        with pytest.raises(DataFormatError, match="latin1.csv: not UTF-8"):
+            load_csv(path)
+
+    def test_first_row_error_wins(self, tmp_path):
+        # line 3 has a negative count, line 5 a bad timestamp
+        path = tmp_path / "two_errors.csv"
+        path.write_text(
+            "datetime,R1\n"
+            "2020-08-24 00:00:00,1\n"
+            "2020-08-24 00:30:00,-1\n"
+            "2020-08-24 01:00:00,1\n"
+            "not a time,1\n"
+        )
+        with pytest.raises(DataFormatError, match=r"two_errors\.csv:3: negative count$"):
+            load_csv(path)
+
+    def test_off_grid_message(self, tmp_path):
+        path = tmp_path / "offgrid.csv"
+        path.write_text(
+            "datetime,R1\n"
+            "2020-08-24 00:00:00,1\n"
+            "2020-08-24 00:15:00,1\n"
+            "2020-08-24 00:20:00,1\n"
+            "2020-08-24 01:00:00,1\n"
+        )
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == (
+            f"{path}: timestamp 2020-08-24T00:15:00 off the 30-minute grid"
+        )
+
+    def test_misaligned_span_message(self, tmp_path):
+        path = tmp_path / "span.csv"
+        path.write_text(
+            "datetime,R1\n"
+            "2020-08-24 00:00:00,1\n"
+            "2020-08-24 00:45:00,1\n"
+        )
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: timestamps not aligned to the 30-minute grid"
+
+    def test_duplicate_reported_before_later_disorder(self, tmp_path):
+        path = tmp_path / "dup_ooo.csv"
+        path.write_text(
+            "datetime,R1\n"
+            "2020-08-24 00:00:00,1\n"
+            "2020-08-24 00:30:00,1\n"
+            "2020-08-24 00:30:00,1\n"
+            "2020-08-24 00:00:00,1\n"
+        )
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: duplicated timestamp 2020-08-24T00:30:00"
+
+    def test_strptime_forms_still_load(self, tmp_path):
+        # strptime accepts unpadded fields; the parser must keep doing so
+        path = tmp_path / "unpadded.csv"
+        path.write_text("datetime,R1\n2020-8-24 0:30:00,3\n2020-08-24 01:00:00,4\n")
+        series = load_csv(path)
+        np.testing.assert_array_equal(
+            series.timestamps,
+            np.array(["2020-08-24T00:30:00", "2020-08-24T01:00:00"], dtype="datetime64[s]"),
+        )
+        np.testing.assert_array_equal(series.counts, [[3.0], [4.0]])
+
+
+def reference_iqr_clean(series, log):
+    """The group-at-a-time IQR cleaning that ``iqr_clean`` must match bit for bit."""
+    counts = np.array(series.counts, dtype=np.float64)
+    secs = series.timestamps.astype("datetime64[s]").astype(np.int64)
+    slots = (secs % 86400) // 1800
+    weeks = []
+    for ts in series.timestamps.astype("datetime64[s]").tolist():
+        iso = ts.isocalendar()
+        weeks.append((iso[0], iso[1]))
+
+    week_index = {}
+    for idx, wk in enumerate(weeks):
+        week_index.setdefault(wk, []).append(idx)
+
+    for region in range(series.n_regions):
+        col = counts[:, region]
+        weekly_mean = {}
+        for wk, idxs in week_index.items():
+            vals = col[idxs]
+            present = vals[~np.isnan(vals)]
+            weekly_mean[wk] = float(present.mean()) if present.size else math.nan
+        region_mean = float(np.nanmean(col)) if not np.all(np.isnan(col)) else 0.0
+
+        groups = {}
+        for idx, (wk, slot) in enumerate(zip(weeks, slots)):
+            groups.setdefault((wk, int(slot)), []).append(idx)
+
+        for (wk, slot), idxs in groups.items():
+            vals = col[np.asarray(idxs)]
+            present_mask = ~np.isnan(vals)
+            present = vals[present_mask]
+            replacement = None
+            outlier_mask = np.zeros(len(idxs), dtype=bool)
+            if present.size >= 2:
+                q1, q3 = np.percentile(present, [25.0, 75.0])
+                iqr = q3 - q1
+                lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
+                in_fence = present[(present >= lo) & (present <= hi)]
+                outlier_mask = present_mask & ((vals < lo) | (vals > hi))
+                if in_fence.size >= 2:
+                    replacement = float(in_fence.mean())
+            if replacement is None:
+                replacement = weekly_mean[wk]
+                if math.isnan(replacement):
+                    replacement = region_mean
+                log.append(
+                    "group week=%s slot=%d region=%s has <2 usable values; "
+                    "falling back to weekly mean" % (wk, slot, series.region_labels[region])
+                )
+            needs = outlier_mask | ~present_mask
+            if needs.any():
+                col[np.asarray(idxs)[needs]] = replacement
+        counts[:, region] = col
+    return counts
+
+
+def assert_matches_reference(series, caplog):
+    """Same bytes as the reference, and the same fallback warnings in order."""
+    expected_log = []
+    expected = reference_iqr_clean(series, expected_log)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="dpforecast.data"):
+        cleaned = iqr_clean(series)
+    got_log = [r.getMessage() for r in caplog.records if r.name == "dpforecast.data"]
+    assert cleaned.counts.dtype == np.float64
+    assert cleaned.counts.tobytes() == expected.tobytes()
+    assert got_log == expected_log
+    return expected_log
+
+
+def dirty_series(seed, n_days=72, n_regions=6, start=START):
+    """``build_series`` counts with NaN runs, single gaps and gross outliers."""
+    base = build_series(n_days=n_days, n_regions=n_regions, seed=seed, noise=30.0)
+    gen = np.random.default_rng(seed + 100)
+    counts = np.array(base.counts)
+    n = counts.shape[0]
+    for _ in range(8):
+        at, region = gen.integers(0, n - 12), gen.integers(0, n_regions)
+        counts[at:at + gen.integers(1, 12), region] = np.nan
+    counts[gen.random(counts.shape) < 0.01] = np.nan
+    spikes = gen.random(counts.shape) < 0.01
+    counts[spikes] *= gen.uniform(3.0, 6.0, spikes.sum())
+    ts = start + np.arange(n) * SLOT
+    return MobilitySeries(ts, counts, base.region_labels)
+
 
 class TestIqrClean:
     def test_textbook_group_outlier(self):
@@ -160,6 +315,81 @@ class TestIqrClean:
         counts[13:19, 0] = np.nan
         cleaned = iqr_clean(MobilitySeries(series.timestamps, counts, series.region_labels))
         assert not np.isnan(cleaned.counts).any()
+
+
+class TestIqrCleanMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_paper_shape_with_gaps_and_outliers(self, seed, caplog):
+        series = dirty_series(seed)
+        cleaned = iqr_clean(series)
+        assert not np.isnan(cleaned.counts).any()
+        assert (cleaned.counts != series.counts).sum() > np.isnan(series.counts).sum()
+        assert_matches_reference(series, caplog)
+
+    def test_starts_mid_week_and_mid_day(self, caplog):
+        start = START + np.timedelta64(5 * 86400 + 17 * 1800, "s")  # Saturday 08:30
+        series = dirty_series(3, n_days=20, start=start)
+        counts = np.array(series.counts)
+        counts[:2 * 48, 0] = 100.0
+        counts[30 - 17, 0] = np.nan  # Saturday's slot 30 is now a one-value group
+        series = MobilitySeries(series.timestamps, counts, series.region_labels)
+        log = assert_matches_reference(series, caplog)
+        # warnings follow each group's first slot in the series, not slot order:
+        # slot 30 first appears on Saturday, slots 0-16 (one value each) on Sunday
+        assert "slot=30 region=R1" in log[0]
+        assert "slot=0 region=R1" in log[1]
+
+    def test_iso_week_53_across_the_year_end(self, caplog):
+        start = np.datetime64("2020-12-28T00:00:00", "s")  # Monday of 2020-W53
+        series = dirty_series(4, n_days=14, n_regions=2, start=start)
+        assert_matches_reference(series, caplog)
+        # 2021-01-01..03 belong to 2020-W53: their groups hold seven values
+        counts = np.array(series.counts)
+        counts[4 * 48 + 10, 0] = 1e7  # Friday 2021-01-01 05:00
+        cleaned = iqr_clean(MobilitySeries(series.timestamps, counts, series.region_labels))
+        assert cleaned.counts[4 * 48 + 10, 0] < 1e6
+
+    def test_single_day(self, caplog):
+        log = assert_matches_reference(dirty_series(5, n_days=1, n_regions=2), caplog)
+        assert len(log) == 96
+
+    def test_all_nan_group_and_all_nan_region(self, caplog):
+        series = dirty_series(6, n_days=14, n_regions=3)
+        counts = np.array(series.counts)
+        counts[:, 1] = np.nan
+        counts[7 * 48 + 5::48, 0] = np.nan  # slot 5 of the second week
+        counts[:7 * 48, 2] = np.nan  # region 2's first week
+        gappy = MobilitySeries(series.timestamps, counts, series.region_labels)
+        log = assert_matches_reference(gappy, caplog)
+        assert any("slot=5 region=R1" in line for line in log)
+        assert not np.isnan(iqr_clean(gappy).counts).any()
+
+    def test_quartiles_have_percentile_bits(self):
+        gen = np.random.default_rng(11)
+        groups = np.full((4000, 7, 1), np.nan)
+        n_present = gen.integers(2, 8, size=(4000, 1))
+        for g, k in enumerate(n_present[:, 0]):
+            values = gen.normal(0.0, 1.0, k) * 10.0 ** gen.integers(-3, 6)
+            if g % 3 == 0:
+                values = np.round(values, 1)  # ties
+            groups[g, :k, 0] = values
+        ordered = np.sort(groups, axis=1)
+        q1 = _linear_quantile(ordered, n_present, 0.25)
+        q3 = _linear_quantile(ordered, n_present, 0.75)
+        for g, k in enumerate(n_present[:, 0]):
+            expected = np.percentile(groups[g, :k, 0], [25.0, 75.0])
+            # == holds bit for bit except for the sign of a zero, which
+            # depends on how a sort places -0.0 and 0.0 and no fence sees
+            assert (q1[g, 0], q3[g, 0]) == tuple(expected)
+
+    @pytest.mark.parametrize("n_days", [2, 3, 4, 5, 6, 7])
+    def test_small_groups_with_ties(self, n_days, caplog):
+        gen = np.random.default_rng(n_days)
+        counts = gen.integers(0, 4, size=(n_days * 48, 3)).astype(np.float64)
+        counts[gen.random(counts.shape) < 0.1] = 50.0
+        counts[gen.random(counts.shape) < 0.1] = np.nan
+        ts = START + np.arange(n_days * 48) * SLOT
+        assert_matches_reference(MobilitySeries(ts, counts, ("A", "B", "C")), caplog)
 
 
 class TestCyclicalFeatures:
