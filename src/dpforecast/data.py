@@ -34,6 +34,8 @@ SLOTS_PER_DAY = 48
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
+# The least integer that float() rounds past the largest finite double.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 CYCLICAL_NAMES = ("day_sin", "day_cos", "week_sin", "week_cos")
 
 MINUTES_PER_DAY = 1440.0
@@ -93,11 +95,11 @@ def load_csv(path) -> MobilitySeries:
     """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps.
 
     The file must be UTF-8 text. Each row is checked as it is read (field
-    count, timestamp, integer and nonnegative counts), so a row-level error
-    names the first offending line. The timestamps are then checked as one
-    column, in this order: duplicates, order, the span's and then each
-    row's alignment to the 30-minute grid; each check names its first
-    offender.
+    count, timestamp, integer and nonnegative counts that a float can hold),
+    so a row-level error names the first offending line. The timestamps
+    are then checked as one column, in this order: duplicates, order, the
+    span's and then each row's alignment to the 30-minute grid; each check
+    names its first offender.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -136,6 +138,8 @@ def load_csv(path) -> MobilitySeries:
             raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
         if min(values[-1]) < 0:
             raise DataFormatError(f"{path}:{lineno}: negative count")
+        if max(values[-1]) >= _FLOAT_OVERFLOW:
+            raise DataFormatError(f"{path}:{lineno}: count too large for a float")
         stamps.append((ts - _EPOCH) // _SECOND)
     if not stamps:
         raise DataFormatError(f"{path}: no data rows")

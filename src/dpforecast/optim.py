@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -94,6 +96,12 @@ def dp_aggregate(
     with ``m = len(per_microbatch)``. The noise is added entrywise to the
     sum, once per call, drawn in key order as one flat standard-normal
     vector; with ``noise_multiplier == 0`` no randomness is consumed.
+
+    ``rng`` is an ``RngStream`` (a fresh generator is made from it) or
+    anything with a ``standard_normal(size)`` method, such as a numpy
+    ``Generator``. The returned vector is scaled by ``noise_multiplier *
+    clip`` in place before it is added, so it must be the caller's to
+    overwrite.
     """
     if not per_microbatch:
         raise ValueError("per_microbatch must be nonempty")
@@ -119,7 +127,9 @@ def dp_aggregate(
             acc += g[k] * s
     if noise_multiplier > 0:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
-        total += (noise_multiplier * clip) * gen.standard_normal(total.size)
+        z = gen.standard_normal(total.size)
+        z *= noise_multiplier * clip
+        total += z
     total /= m
     return out
 
@@ -266,6 +276,13 @@ def train(
     config bypasses clipping and noise entirely. ``params0`` is copied into
     a fresh packed vector, which the steps then update in place; the
     caller's arrays are never changed.
+
+    With DP noise, each step's standard-normal vector is drawn one step
+    ahead on one worker thread, while the main thread runs the step's
+    forward and backward passes. The generator is read in the serial
+    order (an epoch's permutation, then that epoch's draws, one per step),
+    so the result is the same bytes as drawing in ``dp_aggregate``. The
+    thread lives only for this call.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     targets = np.asarray(dataset.targets, dtype=np.float64)
@@ -281,22 +298,53 @@ def train(
     state = init_adam_state(params)
     log = TrainLog()
 
-    for epoch in range(cfg.epochs):
-        perm = gen.permutation(n)
-        epoch_losses = []
-        for j in range(n_batches):
-            idx = perm[j * b:(j + 1) * b]
-            grad, batch_mae = _batch_gradient(spec, params, inputs[idx], targets[idx], cfg, gen)
-            if not math.isfinite(batch_mae):
-                raise TrainingDiverged(epoch)
-            params, state = adam_step(params, grad, state, cfg.learning_rate)
-            # Free the gradient before the next step allocates, so that the
-            # next step's arrays reuse its memory while it is still in cache.
-            del grad
-            log.step_count += 1
-            epoch_losses.append(batch_mae)
-        log.epoch_mae.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
+    with ExitStack() as stack:
+        noise, source = None, gen
+        if isinstance(cfg, DpSgdConfig) and cfg.noise_multiplier > 0:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=1))
+            noise = source = _NoiseAhead(gen, state.m.size, pool)
+        for epoch in range(cfg.epochs):
+            perm = gen.permutation(n)
+            if noise is not None:
+                noise.draw_next()
+            epoch_losses = []
+            for j in range(n_batches):
+                idx = perm[j * b:(j + 1) * b]
+                grad, batch_mae = _batch_gradient(
+                    spec, params, inputs[idx], targets[idx], cfg, source)
+                if noise is not None and j + 1 < n_batches:
+                    noise.draw_next()
+                if not math.isfinite(batch_mae):
+                    raise TrainingDiverged(epoch)
+                params, state = adam_step(params, grad, state, cfg.learning_rate)
+                # Free the gradient before the next step allocates, so that the
+                # next step's arrays reuse its memory while it is still in cache.
+                del grad
+                log.step_count += 1
+                epoch_losses.append(batch_mae)
+            log.epoch_mae.append(float(np.mean(epoch_losses)) if epoch_losses else math.nan)
     return params, log
+
+
+class _NoiseAhead:
+    """``train``'s noise source: one step's draw, made ahead on a worker thread.
+
+    ``draw_next`` queues ``gen.standard_normal`` into one reused vector;
+    ``standard_normal`` waits for that draw and hands the vector over, to be
+    used up before the next ``draw_next``. The worker touches nothing but
+    the generator.
+    """
+
+    def __init__(self, gen: np.random.Generator, size: int, pool: ThreadPoolExecutor):
+        self._gen, self._pool = gen, pool
+        self._buf = np.empty(size)
+        self._pending = None
+
+    def draw_next(self) -> None:
+        self._pending = self._pool.submit(self._gen.standard_normal, out=self._buf)
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        return self._pending.result()
 
 
 def _batch_gradient(spec, params, xb, yb, cfg, gen):

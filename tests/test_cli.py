@@ -107,6 +107,15 @@ class TestStats:
         assert f"error: {data}: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_count_too_large_for_float_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text(f"datetime,R1\n2020-08-24 00:00:00,{'9' * 400}\n")
+        cfg = write_config(tmp_path, f"[dataset]\npath = {data}\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}:2: count too large for a float" in err
+        assert "Traceback" not in err
+
 
 class TestClean:
     def test_fills_gaps_and_round_trips(self, tmp_path):

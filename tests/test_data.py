@@ -123,6 +123,28 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"two_errors\.csv:3: negative count$"):
             load_csv(path)
 
+    def test_count_too_large_for_float_names_line(self, tmp_path):
+        # line 3 overflows a float; line 4 repeats a timestamp, a column error
+        path = tmp_path / "huge.csv"
+        path.write_text(
+            "datetime,R1,R2\n"
+            "2020-08-24 00:00:00,1,2\n"
+            f"2020-08-24 00:30:00,3,{'9' * 400}\n"
+            "2020-08-24 00:30:00,5,6\n"
+        )
+        with pytest.raises(DataFormatError, match=r"huge\.csv:3: count too large for a float$"):
+            load_csv(path)
+
+    def test_largest_float_count_loads(self, tmp_path):
+        # float() rounds every integer below 2**1024 - 2**970 to a finite double
+        path = tmp_path / "edge.csv"
+        edge = 2**1024 - 2**970
+        path.write_text(f"datetime,R1\n2020-08-24 00:00:00,{edge - 1}\n")
+        assert load_csv(path).counts[0, 0] == np.finfo(np.float64).max
+        path.write_text(f"datetime,R1\n2020-08-24 00:00:00,{edge}\n")
+        with pytest.raises(DataFormatError, match=r"edge\.csv:2: count too large"):
+            load_csv(path)
+
     def test_off_grid_message(self, tmp_path):
         path = tmp_path / "offgrid.csv"
         path.write_text(

@@ -206,6 +206,24 @@ class TestRunGradientPerturbation:
             n_train * run.privacy["epsilon"], rel=1e-9
         )
 
+    def test_process_pool_matches_serial(self, sine_series):
+        # Each pool worker runs train's noise thread inside a forked process.
+        dp_cfg = DpSgdConfig(
+            l2_norm_clip=1.0, noise_multiplier=2.0, num_microbatches=4,
+            batch_size=8, epochs=1, learning_rate=5e-3,
+        )
+        args = (sine_series, MODEL, dp_cfg, 1e-7, [3, 4])
+        serial = run_gradient_perturbation(*args, train_days=13, test_days=2)
+        pooled = run_gradient_perturbation(*args, train_days=13, test_days=2, jobs=2)
+        assert pooled.best_seed == serial.best_seed
+        np.testing.assert_array_equal(pooled.predictions, serial.predictions)
+        for a, b in zip(pooled.per_seed, serial.per_seed):
+            assert a.seed == b.seed
+            np.testing.assert_array_equal(a.metrics.rmse, b.metrics.rmse)
+        assert pooled.params.keys() == serial.params.keys()
+        for name in serial.params:
+            assert pooled.params[name].tobytes() == serial.params[name].tobytes()
+
     def test_zero_noise_refused(self, sine_series):
         dp_cfg = DpSgdConfig(
             l2_norm_clip=1.0, noise_multiplier=0.0, num_microbatches=4,

@@ -1,5 +1,7 @@
 """Clipping, DP aggregation, Adam, and the training loop."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,8 +26,9 @@ from dpforecast import (
     make_windows,
     train,
 )
+from dpforecast import optim
 from dpforecast.nn import flat_vector, pack_params, placement
-from dpforecast.optim import _dp_batch_gradient, init_adam_state
+from dpforecast.optim import _dp_batch_gradient, _NoiseAhead, init_adam_state
 
 from conftest import SLOT, START
 
@@ -388,3 +391,116 @@ class TestTrain:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,step_count,train_mae"
         assert len(lines) == 3
+
+
+def serial_dp_train(spec, params0, dataset, cfg, rng):
+    """``train``'s DP loop with every draw made on the caller's thread."""
+    gen = rng.generator()
+    params = pack_params(spec, params0)
+    state = init_adam_state(params)
+    n, b = dataset.inputs.shape[0], cfg.batch_size
+    for _ in range(cfg.epochs):
+        perm = gen.permutation(n)
+        for j in range(n // b):
+            idx = perm[j * b:(j + 1) * b]
+            grad, _ = _dp_batch_gradient(
+                spec, params, dataset.inputs[idx], dataset.targets[idx], cfg, gen)
+            params, state = adam_step(params, grad, state, cfg.learning_rate)
+    return params
+
+
+class TestNoiseDrawnAhead:
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_draw_order_matches_serial_loop(self, size):
+        # 43 windows in batches of 4: ten steps an epoch and a dropped tail,
+        # so each epoch's permutation comes between two runs of draws.
+        ds = random_windows(n=43)
+        spec = ModelSpec("lstm", True, 3, 3, 2, "tanh")
+        p0 = init_params(spec, RngStream(4))
+        cfg = DpSgdConfig(1.0, 3.0, 4 // size, 4, 3, 0.01)
+        got, log = train(spec, p0, ds, cfg, RngStream(8))
+        ref = serial_dp_train(spec, p0, ds, cfg, RngStream(8))
+        assert log.step_count == 30
+        assert flat_vector(got).tobytes() == flat_vector(ref).tobytes()
+
+    def test_concurrent_trains_under_fast_switching(self):
+        # Four train calls at once, each with its own noise thread, on a
+        # 1-microsecond switch interval: any draw read before it is complete,
+        # or any generator use racing the worker, changes the bytes.
+        ds = random_windows(n=20)
+        spec = ModelSpec("gru", True, 3, 3, 2, "tanh")
+        p0 = init_params(spec, RngStream(4))
+        cfg = DpSgdConfig(1.0, 3.0, 2, 4, 2, 0.01)
+        refs = [flat_vector(serial_dp_train(spec, p0, ds, cfg, RngStream(s))).tobytes()
+                for s in range(4)]
+        got = [None] * 4
+
+        def run(s):
+            got[s] = flat_vector(train(spec, p0, ds, cfg, RngStream(s))[0]).tobytes()
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == refs
+
+    def test_divergence_with_a_draw_pending(self, monkeypatch):
+        # Poison the parameters after the sixth update: the seventh step, the
+        # third of epoch 1, diverges after the eighth step's draw is queued.
+        queued, taken = [], []
+        draw_next, standard_normal = _NoiseAhead.draw_next, _NoiseAhead.standard_normal
+
+        def counting_draw_next(self):
+            queued.append(1)
+            draw_next(self)
+
+        def counting_standard_normal(self, size):
+            taken.append(1)
+            return standard_normal(self, size)
+
+        def poisoning_adam_step(params, g, state, lr):
+            out = adam_step(params, g, state, lr)
+            if state.step == 6:
+                flat_vector(params)[:] = np.nan
+            return out
+
+        monkeypatch.setattr(_NoiseAhead, "draw_next", counting_draw_next)
+        monkeypatch.setattr(_NoiseAhead, "standard_normal", counting_standard_normal)
+        monkeypatch.setattr(optim, "adam_step", poisoning_adam_step)
+        ds = random_windows(n=16)
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        p0 = init_params(spec, RngStream(0))
+        before = threading.active_count()
+        with pytest.raises(TrainingDiverged) as err:
+            train(spec, p0, ds, DpSgdConfig(1.0, 2.0, 4, 4, 3, 0.01), RngStream(0))
+        assert err.value.epoch == 1
+        assert (len(queued), len(taken)) == (8, 7)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cfg, extra", [
+        (NonPrivateConfig(8, 2, 0.01), 0),
+        (DpSgdConfig(1.0, 0.0, 4, 8, 2, 0.01), 0),
+        (DpSgdConfig(1.0, 0.5, 4, 8, 2, 0.01), 1),
+    ])
+    def test_only_noisy_runs_start_a_thread(self, monkeypatch, cfg, extra):
+        seen = []
+
+        def counting_adam_step(*args):
+            seen.append(threading.active_count())
+            return adam_step(*args)
+
+        monkeypatch.setattr(optim, "adam_step", counting_adam_step)
+        ds = random_windows()
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        p0 = init_params(spec, RngStream(0))
+        before = threading.active_count()
+        train(spec, p0, ds, cfg, RngStream(1))
+        assert seen == [before + extra] * 10
+        assert threading.active_count() == before
