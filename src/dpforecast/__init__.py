@@ -22,7 +22,6 @@ from .data import (
     make_windows,
     split,
 )
-from .estimator import RecurrentForecaster
 from .forecast import (
     InputRelease,
     MetricsReport,
@@ -99,7 +98,7 @@ __all__ = [
     "DataFormatError", "DpSgdConfig", "IdentityScaler", "InputRelease",
     "MechanismValidityError", "MetricsReport", "MinMaxScaler", "MobilitySeries",
     "ModelConfig", "ModelSpec", "NonPrivateConfig", "PrivacyParams",
-    "PrivacyRecord", "RdpCurve", "RecurrentForecaster", "RngStream", "RunArtifact",
+    "PrivacyRecord", "RdpCurve", "RngStream", "RunArtifact",
     "SearchFailed", "SearchSpace", "StaleTapeError", "TrainConfig", "TrainLog",
     "TrainingDiverged", "Trial", "TuneResult", "WindowedDataset",
     "adam_step", "backward", "backward_batch", "clip_to_norm",

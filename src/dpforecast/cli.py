@@ -343,11 +343,12 @@ def cmd_tune(args) -> int:
     kind = cfg.get("run", "kind", "nonprivate")
     budget = cfg.get("tune", "budget", 100)
     strategy = cfg.get("tune", "strategy", "random")
-    if budget < 1 or strategy not in ("random", "tpe-lite"):
-        raise ConfigError("[tune] needs budget >= 1 and strategy random or tpe-lite")
+    trial_epochs = cfg.get("tune", "epochs", cfg.get("train", "epochs", 100))
+    if budget < 1 or trial_epochs < 0 or strategy not in ("random", "tpe-lite"):
+        raise ConfigError(
+            "[tune] needs budget >= 1, epochs >= 0 and strategy random or tpe-lite")
     if len(series.region_labels) < 2:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
-    trial_epochs = cfg.get("tune", "epochs", cfg.get("train", "epochs", 100))
     split_args, _ = _split_args(cfg, series)
     model = _model_config(cfg)
     delta = cfg.get("privacy", "delta", 1e-7)

@@ -39,8 +39,8 @@ from .data import (
     make_windows,
     split,
 )
-from .estimator import RecurrentForecaster
-from .optim import DpSgdConfig, TrainLog
+from .nn import ModelSpec, forward_batch, init_params
+from .optim import DpSgdConfig, NonPrivateConfig, TrainLog, train
 from .privacy import (
     BudgetError,
     BudgetLedger,
@@ -51,8 +51,10 @@ from .privacy import (
     sanitize_series,
 )
 
-# Sanitization consumes its own sub-stream so the release is independent of
-# model-training randomness.
+# Fixed sub-streams of a seed: initialization, batching and sanitization each
+# draw independent noise, so the release is independent of training randomness.
+_INIT_STREAM = 1
+_TRAIN_STREAM = 2
 _SANITIZE_STREAM = 7
 
 
@@ -284,12 +286,18 @@ def prepare(
 
 def _fit_one_seed(args) -> SeedResult:
     prepared, model_cfg, opt, seed = args
-    est = RecurrentForecaster(**asdict(model_cfg), **asdict(opt), seed=seed)
-    est.fit(prepared.train_windows.inputs, prepared.train_windows.targets)
-    scaled_preds = est.predict(prepared.test_inputs)
+    windows = prepared.train_windows
+    spec = ModelSpec(**asdict(model_cfg), input_size=windows.inputs.shape[2],
+                     output_size=windows.targets.shape[1])
+    if isinstance(opt, TrainConfig):
+        opt = NonPrivateConfig(**asdict(opt))
+    base = RngStream(seed)
+    params, log = train(spec, init_params(spec, base.child(_INIT_STREAM)), windows, opt,
+                        base.child(_TRAIN_STREAM))
+    scaled_preds, _ = forward_batch(spec, params, prepared.test_inputs)
     preds = prepared.scaler.inverse_transform_targets(scaled_preds)
     metrics = evaluate_forecast(prepared.raw_test_targets, preds, prepared.region_labels)
-    return SeedResult(seed, metrics, preds, est.params_, est.train_log_)
+    return SeedResult(seed, metrics, preds, params, log)
 
 
 def _fit_best_seed(
@@ -308,6 +316,10 @@ def _fit_best_seed(
     arguments, so the artifact is the same either way. ``echo`` is the
     run-specific part of ``config``.
     """
+    windows = prepared.train_windows
+    if not all(np.isfinite(a).all()
+               for a in (windows.inputs, windows.targets, prepared.test_inputs)):
+        raise ValueError("the training or test windows contain NaN or Inf")
     tasks = [(prepared, model_cfg, opt, seed) for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -340,6 +352,14 @@ def _privacy_block(mechanism: str, epsilon: float, delta: float, n_basis: int) -
         "mechanism": mechanism, "epsilon": epsilon, "delta": delta,
         "epsilon_total": eps_total, "delta_total": delta_total, "n_basis": n_basis,
     }
+
+
+def _split_args(seeds: Sequence[int], lag: int, train_days: int, test_days: int,
+                scale: bool) -> dict:
+    """The split arguments of a trained run; every trained run checks its seeds here."""
+    if len(seeds) == 0:
+        raise ValueError("seeds must be nonempty")
+    return dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
 
 
 def run_baseline(
@@ -377,7 +397,7 @@ def run_nonprivate(
     jobs: int = 1,
 ) -> RunArtifact:
     """Plain-Adam pipeline; the best of the seeded runs (by mean RMSE) wins."""
-    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    split_args = _split_args(seeds, lag, train_days, test_days, scale)
     prepared = prepare(series, **split_args)
     return _fit_best_seed(
         "nonprivate", prepared, model_cfg, train_cfg, seeds, jobs,
@@ -409,7 +429,7 @@ def run_gradient_perturbation(
             "gradient perturbation requires noise_multiplier > 0; "
             "a zero-noise run has no finite privacy guarantee"
         )
-    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    split_args = _split_args(seeds, lag, train_days, test_days, scale)
     prepared = prepare(series, **split_args)
     n_basis = prepared.n_train_slots
     # Checked before training: the accountant would reject delta <= 0 only
@@ -486,14 +506,12 @@ def run_input_perturbation(
     training windows; metrics compare predictions with the raw test
     targets. The privacy ledger composes one release per training slot.
     """
+    split_args = _split_args(seeds, lag, train_days, test_days, scale)
     release = input_release(
         series, privacy_params, RngStream(seeds[0]).child(_SANITIZE_STREAM),
         train_days, test_days,
     )
-    artifact = fit_release(
-        release, model_cfg, train_cfg, seeds,
-        lag=lag, train_days=train_days, test_days=test_days, scale=scale, jobs=jobs,
-    )
+    artifact = fit_release(release, model_cfg, train_cfg, seeds, jobs=jobs, **split_args)
     n_basis = release.n_train_slots
     artifact.privacy = _privacy_block(
         "gaussian-input", privacy_params.epsilon, privacy_params.delta, n_basis
@@ -522,7 +540,7 @@ def fit_release(
     jobs: int = 1,
 ) -> RunArtifact:
     """Train and score on an :class:`InputRelease`; never sees raw data."""
-    split_args = dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    split_args = _split_args(seeds, lag, train_days, test_days, scale)
     prepared = prepare(release.sanitized, **split_args)
     prepared.raw_test_targets = release.raw_test_counts
     return _fit_best_seed(

@@ -17,17 +17,19 @@ Keys are prefixed ``fw_`` (always) and ``bw_`` (bidirectional only); the
 dense output layer is ``out_W`` (H, output) and ``out_b`` (output,) with
 H = hidden or 2*hidden under bidirectional concatenation.
 
-The packed layout. ``init_params`` and ``pack_params`` return every named
-tensor as a view into one contiguous float64 vector. Each direction's gates
+The packed layout. ``init_params`` and ``pack_params`` return a
+:class:`Packed`: every named tensor as a view into one contiguous float64
+vector, which the ``Packed`` holds as ``vector``. Each direction's gates
 are fused: the vector holds, per direction in order, ``W`` (d, G*h), ``U``
 (h, G*h) and ``b`` (G*h,), each row-major, then ``out_W`` and ``out_b``,
 with G = 3 for the GRU and G = 4 for the LSTM. A gate's tensor is a column
 block of its fused tensor in the gate order above: ``W_z`` is ``W[:, :h]``,
-``W_r`` is ``W[:, h:2h]``, ``W_xg`` is ``W[:, 3h:]``. The optimizer updates
-the vector in place, and the mean backward pass writes its gradient into a
-fresh vector of the same layout. The forward pass reads the fused tensors;
-any other mapping of named tensors (``load_params`` output, a hand-built
-dict) is first copied into a fresh packed vector.
+``W_r`` is ``W[:, h:2h]``, ``W_xg`` is ``W[:, 3h:]``; ``Packed.fused`` holds
+the fused tensors. The optimizer updates the vector in place, and the mean
+backward pass returns its gradient as a fresh ``Packed``. The forward pass
+reads the fused tensors of a ``Packed`` of its spec; any other mapping of
+named tensors (``load_params`` output, a hand-built dict) is first copied
+into a fresh packed vector.
 
 Step equations, with x_t the input row, a = x_t W + b the fused input
 projection of that step and ⊗ elementwise:
@@ -190,71 +192,70 @@ def param_count(spec: ModelSpec) -> int:
     return sum(math.prod(shape) for shape in _fused_shapes(spec).values())
 
 
-def placement(tensors: Mapping[str, np.ndarray], flat: np.ndarray, keys) -> dict:
-    """Byte offset in ``flat``, shape and strides of ``tensors[k]`` for each key."""
-    base = flat.__array_interface__["data"][0]
-    return {k: (tensors[k].__array_interface__["data"][0] - base, tensors[k].shape,
-                tensors[k].strides) for k in keys}
+class Packed(Mapping):
+    """The named per-gate tensors of ``spec``, as views of one packed vector.
+
+    ``vector`` is the 1-d float64 vector in the packed layout and ``fused``
+    its fused tensors (``fw_W``, ``fw_U``, ..., ``out_b``); the mapping
+    holds the per-gate views in ``param_shapes`` order. It has no item
+    assignment: write through a view to change a tensor, or take
+    ``dict(p)`` for a loose copy of the mapping. Pickling sends the spec
+    and the vector, so a copy's views share its own vector.
+    """
+
+    __slots__ = ("spec", "vector", "fused", "_named")
+
+    def __init__(self, spec: ModelSpec, vector: np.ndarray):
+        size = param_count(spec)
+        if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
+                and vector.shape == (size,) and vector.flags.c_contiguous):
+            raise ValueError(f"the packed vector of {spec} is a contiguous float64 array "
+                             f"of shape ({size},)")
+        self.spec, self.vector = spec, vector
+        self.fused = _views(vector, _fused_shapes(spec))
+        self._named = _named_views(spec, self.fused)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._named[name]
+
+    def __iter__(self):
+        return iter(self._named)
+
+    def __len__(self) -> int:
+        return len(self._named)
+
+    def __reduce__(self):
+        return Packed, (self.spec, self.vector)
 
 
 @lru_cache(maxsize=64)
-def _slots(spec: ModelSpec) -> dict[str, tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """``placement`` of each named view in a packed vector."""
-    flat = np.empty(param_count(spec))
-    named = _named_views(spec, _views(flat, _fused_shapes(spec)))
-    return placement(named, flat, named)
+def _named_shapes(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    return tuple((name, view.shape)
+                 for name, view in Packed(spec, np.empty(param_count(spec))).items())
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Deterministically ordered name -> shape map for ``spec``."""
-    return {name: shape for name, (_, shape, _) in _slots(spec).items()}
+    return dict(_named_shapes(spec))
 
 
-def _packed_vector(spec: ModelSpec, params: Mapping[str, np.ndarray]) -> np.ndarray | None:
-    """The vector behind ``params`` if they are its views in the packed layout."""
-    slots = _slots(spec)
-    try:
-        flat = flat_vector({name: params[name] for name in slots})
-    except ValueError:
-        return None
-    return flat if placement(params, flat, slots) == slots else None
-
-
-def pack_params(spec: ModelSpec, tensors: Mapping[str, np.ndarray] | None = None) -> Params:
-    """Named views into a fresh packed vector holding copies of ``tensors``.
+def pack_params(spec: ModelSpec, tensors: Mapping[str, np.ndarray] | None = None) -> Packed:
+    """A fresh :class:`Packed` holding copies of ``tensors``.
 
     With ``tensors=None`` the vector is zero. The caller's arrays are never
     shared with the result.
     """
-    named = _named_views(spec, _views(np.zeros(param_count(spec)), _fused_shapes(spec)))
+    packed = Packed(spec, np.zeros(param_count(spec)))
     if tensors is not None:
-        for name, view in named.items():
+        for name, view in packed.items():
             value = np.asarray(tensors[name], dtype=np.float64)
             if value.shape != view.shape:
                 raise ValueError(f"{name} has shape {value.shape}, expected {view.shape}")
             view[...] = value
-    return named
+    return packed
 
 
-def flat_vector(tensors: Mapping[str, np.ndarray]) -> np.ndarray:
-    """The one contiguous float64 vector that the tensors are views of.
-
-    A lone 1-d array is its own vector. Raises ValueError unless every
-    tensor is a view of the same vector and their sizes add up to its size.
-    """
-    values = list(tensors.values())
-    first = values[0] if values else None
-    flat = first if getattr(first, "base", None) is None else first.base
-    if not (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
-            and flat.flags.c_contiguous
-            and all(v is flat or getattr(v, "base", None) is flat for v in values)
-            and sum(v.size for v in values) == flat.size):
-        raise ValueError("tensors are not views into one flat float64 vector; "
-                         "pack them with pack_params")
-    return flat
-
-
-def init_params(spec: ModelSpec, rng: RngStream) -> Params:
+def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     """Glorot-uniform weights (per-gate fans), zero biases, packed."""
     gen = rng.generator()
     params = pack_params(spec)
@@ -263,14 +264,6 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Params:
             bound = np.sqrt(6.0 / (value.shape[0] + value.shape[1]))
             value[...] = gen.uniform(-bound, bound, size=value.shape)
     return params
-
-
-def _fused_params(spec: ModelSpec, params: Mapping[str, np.ndarray]) -> Params:
-    """Fused views of ``params``' packed vector, packing a copy if they have none."""
-    flat = _packed_vector(spec, params)
-    if flat is None:
-        flat = pack_params(spec, params)["out_W"].base
-    return _views(flat, _fused_shapes(spec))
 
 
 def _gru_cell(a, h, U, act: str, a_c, out=None):
@@ -432,7 +425,8 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
         raise ValueError(
             f"window feature size {windows.shape[2]} != spec input_size {spec.input_size}"
         )
-    weights = _fused_params(spec, params)
+    same = isinstance(params, Packed) and params.spec == spec
+    weights = (params if same else pack_params(spec, params)).fused
     time_major = windows.transpose(1, 0, 2)
     caches: dict[str, _DirectionCache] = {}
     for direction in spec.directions:
@@ -474,10 +468,9 @@ def _backprop_direction(
     tape: ForwardTape,
     dh: np.ndarray,
     per_example: bool,
-    grads: Params,
     outs: Mapping[str, np.ndarray],
 ) -> None:
-    """Add one direction's gradients to ``grads``, written into ``outs``."""
+    """Write one direction's gradients into ``outs``."""
     act, k = spec.activation, spec.hidden_size
     U, cache = tape.weights[f"{direction}_U"], tape.caches[direction]
     h_prev, cand, gates = cache.h_prev, cache.cand, cache.gates
@@ -522,11 +515,11 @@ def _backprop_direction(
     names_W, names_U, names_b = (
         [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
     for name, delta in zip(names_W, deltas):
-        grads[name] = _sum_outer(cache.xs, delta, per_example, outs[name])
+        _sum_outer(cache.xs, delta, per_example, outs[name])
     for name, a, delta in zip(names_U, recurrent_inputs, deltas):
-        grads[name] = _sum_outer(a, delta, per_example, outs[name])
+        _sum_outer(a, delta, per_example, outs[name])
     for name, delta in zip(names_b, deltas):
-        grads[name] = delta.sum(axis=0 if per_example else (0, 1), out=outs[name])
+        delta.sum(axis=0 if per_example else (0, 1), out=outs[name])
 
 
 def backward_batch(
@@ -536,14 +529,14 @@ def backward_batch(
     targets: np.ndarray,
     loss: str = "mae",
     reduce: str = "mean",
-) -> Params:
+) -> Mapping[str, np.ndarray]:
     """Gradients of per-example MAE w.r.t. every parameter tensor.
 
-    ``reduce="mean"`` returns the average gradient over the batch as views
-    into one fresh vector in the packed layout; ``reduce="stack"`` returns
-    per-example gradients, one array with a leading batch axis per tensor.
-    Keys run ``out_W, out_b``, then the ``fw_`` and ``bw_`` tensors in
-    ``param_shapes`` order.
+    ``reduce="mean"`` returns the average gradient over the batch as a
+    fresh :class:`Packed`, in ``param_shapes`` order. ``reduce="stack"``
+    returns per-example gradients, one array with a leading batch axis per
+    tensor, keyed ``out_W, out_b`` and then the ``fw_`` and ``bw_`` tensors
+    in ``param_shapes`` order.
     """
     if loss != "mae":
         raise ValueError(f"unsupported loss {loss!r}")
@@ -567,17 +560,20 @@ def backward_batch(
         dpred = np.sign(pred - targets) / out
         outs["out_b"][...] = dpred
     else:
-        outs = _named_views(spec, _views(np.empty(param_count(spec)), _fused_shapes(spec)))
+        outs = Packed(spec, np.empty(param_count(spec)))
         # The mean's 1/n rides on dpred, which every gradient is linear in.
         dpred = np.sign(pred - targets) / (out * n)
         dpred.sum(axis=0, out=outs["out_b"])
-    grads = {"out_W": _sum_outer(tape.h_cat[None], dpred[None], per_example, outs["out_W"]),
-             "out_b": outs["out_b"]}
+    _sum_outer(tape.h_cat[None], dpred[None], per_example, outs["out_W"])
     dh_cat = dpred @ tape.weights["out_W"].T
     for k, direction in enumerate(spec.directions):
         _backprop_direction(spec, direction, tape, dh_cat[:, k * h:(k + 1) * h],
-                            per_example, grads, outs)
-    return grads
+                            per_example, outs)
+    if not per_example:
+        return outs
+    # The DP noise is drawn in this key order, dense layer first.
+    names = list(outs)
+    return {name: outs[name] for name in names[-2:] + names[:-2]}
 
 
 def backward(
@@ -586,7 +582,7 @@ def backward(
     tape: ForwardTape,
     target: np.ndarray,
     loss: str = "mae",
-) -> Params:
+) -> Packed:
     """Single-example gradient of MAE; ``tape`` must come from forward()."""
     target = np.asarray(target, dtype=np.float64)
     if target.ndim == 1:

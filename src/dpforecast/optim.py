@@ -20,9 +20,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .core import RngStream
-from .nn import (
-    ModelSpec, Params, backward_batch, flat_vector, forward_batch, pack_params, placement,
-)
+from .nn import ModelSpec, Packed, Params, backward_batch, forward_batch, pack_params
 
 
 class TrainingDiverged(RuntimeError):
@@ -144,10 +142,10 @@ _ADAM_CHUNK = 32768
 class AdamState:
     """Flat first/second moment vectors with a strictly increasing step count.
 
-    ``m`` and ``v`` are laid out like the flat parameter vector they belong
-    to. The private fields are ``adam_step``'s work space: a chunk-long work
-    vector, a vector for gradients laid out otherwise (allocated on first
-    use), and the placement of the last parameter set.
+    ``m`` and ``v`` are laid out like the packed parameter vector they
+    belong to. The private fields are ``adam_step``'s work space: a
+    chunk-long work vector, and a ``Packed`` that gradients of any other
+    form are copied into (allocated on first use).
     """
 
     m: np.ndarray
@@ -157,66 +155,56 @@ class AdamState:
     beta2: float = 0.999
     eps_hat: float = 1e-7
     _work: np.ndarray = field(init=False, repr=False, compare=False)
-    _gathered: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _where: tuple = field(default=((), {}), init=False, repr=False, compare=False)
+    _gathered: Packed | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
 
-    def _placement(self, params: Mapping[str, np.ndarray], p: np.ndarray) -> dict:
-        """``nn.placement`` of ``params`` in ``p``, kept while the same views recur."""
-        views, where = self._where
-        if len(views) != len(params) or any(
-                params.get(k) is not view for k, view in zip(where, views)):
-            where = placement(params, p, params)
-            self._where = (tuple(params.values()), where)
-        return where
 
-    def _gradient_vector(self, g: Mapping[str, np.ndarray], where: dict) -> np.ndarray:
-        """``g`` as one vector laid out by ``where``: its own, or a copy."""
-        try:
-            flat = flat_vector(g)
-        except ValueError:
-            flat = None
-        if flat is not None and flat.size == self.m.size and placement(g, flat, where) == where:
-            return flat
-        if self._gathered is None:
-            self._gathered = np.empty_like(self.m)
-        for k, (offset, shape, strides) in where.items():
-            np.ndarray(shape, np.float64, self._gathered, offset, strides)[...] = g[k]
-        return self._gathered
+def _packed(params) -> Packed:
+    if not isinstance(params, Packed):
+        raise ValueError("Adam needs the parameters as one flat packed vector, an nn.Packed "
+                         f"(init_params and pack_params return one), got {type(params).__name__}")
+    return params
 
 
-def init_adam_state(params: Mapping[str, np.ndarray]) -> AdamState:
-    size = flat_vector(params).size
+def init_adam_state(params: Packed) -> AdamState:
+    size = _packed(params).vector.size
     return AdamState(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
-    params: Mapping[str, np.ndarray],
+    params: Packed,
     g: Mapping[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-) -> tuple[Params, AdamState]:
+) -> tuple[Packed, AdamState]:
     """One bias-corrected Adam update, in place.
 
-    ``params`` must be views into one flat vector (``init_params`` and
-    ``train`` give such sets; a lone 1-d array is its own vector). That
-    vector and the state's ``m``, ``v`` and step count are updated in place,
-    and the same ``(params, state)`` objects are returned. ``g`` is any
-    mapping with the keys and shapes of ``params``; a gradient laid out like
-    ``params`` in a vector of its own, as ``backward_batch`` returns it, is
-    read in place, and any other is first copied into that layout.
+    ``params`` must be a :class:`~dpforecast.nn.Packed` (``init_params``
+    and ``train`` return one). Its vector and the state's ``m``, ``v`` and
+    step count are updated in place, and the same ``(params, state)``
+    objects are returned. ``g`` is any mapping with the keys and shapes of
+    ``params``; a ``Packed`` of the same spec, as the mean
+    ``backward_batch`` returns it, is read in place, and any other is
+    first copied into that layout.
 
     With bias corrections bc1 = 1 - beta1**t and bc2 = 1 - beta2**t, the
     update ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps_hat)`` is computed
     as ``lr * sqrt(bc2) / bc1 * m / (sqrt(v) + eps_hat * sqrt(bc2))``:
     twelve in-place vector operations per chunk, through one work vector.
     """
-    p = flat_vector(params)
+    p = _packed(params).vector
     if p.size != state.m.size:
         raise ValueError(f"state holds {state.m.size} moments for {p.size} parameters")
-    grad = state._gradient_vector(g, state._placement(params, p))
+    if isinstance(g, Packed) and g.spec == params.spec:
+        grad = g.vector
+    else:
+        if state._gathered is None:
+            state._gathered = Packed(params.spec, np.empty_like(state.m))
+        for name, view in state._gathered.items():
+            view[...] = g[name]
+        grad = state._gathered.vector
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
@@ -266,7 +254,7 @@ def train(
     dataset,
     cfg: Union[NonPrivateConfig, DpSgdConfig],
     rng: RngStream,
-) -> tuple[Params, TrainLog]:
+) -> tuple[Packed, TrainLog]:
     """Train over shuffled batches for ``cfg.epochs`` epochs.
 
     ``dataset`` needs ``inputs`` of shape (n, lag, d) and ``targets`` of

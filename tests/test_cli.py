@@ -376,6 +376,19 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
         assert "two or more regions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section", ["[tune]", "[train]"])
+    def test_negative_epochs_is_usage_error(self, tmp_path, dataset, capsys, section):
+        # [tune] epochs falls back to [train] epochs; either one negative is caught.
+        body = BASE_CONFIG.format(data=dataset, kind="nonprivate") + "\n[tune]\nbudget = 1\n"
+        if section == "[tune]":
+            body += "epochs = -1\n"
+        else:
+            body = body.replace("epochs = 2\n", "epochs = -1\n")
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        err = capsys.readouterr().err
+        assert "[tune]" in err and "Traceback" not in err
+
     def test_gradient_search_reports_epsilon(self, tmp_path, dataset):
         body = gradient_config(dataset).replace(
             "num_microbatches = 4", "num_microbatches = 5"  # divides every searched batch

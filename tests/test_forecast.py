@@ -1,4 +1,4 @@
-"""Metrics, persistence baseline, estimator surface, and the run pipelines."""
+"""Metrics, persistence baseline, and the run pipelines."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from dpforecast import (
     MobilitySeries,
     ModelConfig,
     PrivacyParams,
-    RecurrentForecaster,
     RngStream,
     TrainConfig,
     evaluate_forecast,
@@ -27,6 +26,7 @@ from dpforecast import (
     split,
     utility_loss,
 )
+from dpforecast import forecast
 
 from conftest import build_series
 
@@ -104,43 +104,6 @@ class TestPersistence:
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
 
-class TestRecurrentForecaster:
-    def test_get_set_params_round_trip(self):
-        est = RecurrentForecaster(hidden_size=8, seed=3)
-        params = est.get_params()
-        assert params["hidden_size"] == 8 and params["seed"] == 3
-        est.set_params(hidden_size=16)
-        assert est.hidden_size == 16
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_fit_predict_shapes_and_determinism(self):
-        gen = np.random.default_rng(0)
-        X = gen.uniform(0, 1, (40, 4, 3))
-        y = gen.uniform(0, 1, (40, 2))
-        a = RecurrentForecaster(hidden_size=4, epochs=2, batch_size=8, seed=1).fit(X, y)
-        b = RecurrentForecaster(hidden_size=4, epochs=2, batch_size=8, seed=1).fit(X, y)
-        pa, pb = a.predict(X), b.predict(X)
-        assert pa.shape == (40, 2)
-        np.testing.assert_array_equal(pa, pb)
-
-    def test_rejects_nonfinite_inputs(self):
-        X = np.zeros((4, 2, 2))
-        y = np.zeros((4, 1))
-        X[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            RecurrentForecaster(epochs=1, batch_size=2).fit(X, y)
-
-    def test_predict_before_fit_rejected(self):
-        with pytest.raises(RuntimeError):
-            RecurrentForecaster().predict(np.zeros((1, 2, 2)))
-
-    def test_private_mode_requires_full_dp_config(self):
-        est = RecurrentForecaster(noise_multiplier=1.0)
-        with pytest.raises(ValueError, match="l2_norm_clip"):
-            est.fit(np.zeros((8, 2, 2)), np.zeros((8, 1)))
-
-
 MODEL = ModelConfig(cell="gru", bidirectional=True, hidden_size=8, activation="relu")
 SMOKE_TRAIN = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=15)
 
@@ -179,6 +142,16 @@ class TestRunNonprivate:
         assert pooled.params.keys() == serial.params.keys()
         for name in serial.params:
             assert pooled.params[name].tobytes() == serial.params[name].tobytes()
+
+    def test_rejects_nonfinite_inputs(self, sine_series, monkeypatch):
+        counts = sine_series.counts.copy()
+        counts[-10 * 48, 1] = np.nan  # within the 13 training days
+        series = MobilitySeries(sine_series.timestamps, counts, sine_series.region_labels)
+        trained = []
+        monkeypatch.setattr(forecast, "train", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match="NaN"):
+            run_nonprivate(series, MODEL, SMOKE_TRAIN, [0, 1], train_days=13, test_days=2)
+        assert trained == []
 
     def test_keeps_best_seed_by_mean_rmse(self, sine_series):
         cfg = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=3)
@@ -391,3 +364,20 @@ class TestCausality:
         np.testing.assert_allclose(
             run.predictions[:k - 6], run_p.predictions[:k - 6], atol=1e-9
         )
+
+
+SMOKE_DP = DpSgdConfig(
+    l2_norm_clip=1.0, noise_multiplier=2.0, num_microbatches=4,
+    batch_size=4, epochs=1, learning_rate=1e-3,
+)
+
+
+@pytest.mark.parametrize("run, args", [
+    (run_nonprivate, (MODEL, SMOKE_TRAIN)),
+    (run_gradient_perturbation, (MODEL, SMOKE_DP, 1e-7)),
+    (run_input_perturbation, (MODEL, SMOKE_IP_TRAIN, PRIVACY)),
+], ids=["nonprivate", "gradient", "input"])
+def test_empty_seed_list_rejected_before_reading_the_series(run, args):
+    # No series at all: any data work before the check would fail otherwise.
+    with pytest.raises(ValueError, match="seeds must be nonempty"):
+        run(None, *args, seeds=[])

@@ -1,6 +1,8 @@
 """Cell equations, network forward/backward, and gradient oracles."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,8 @@ from dpforecast import (
     lstm_step,
     save_params,
 )
-from dpforecast.nn import GATE_NAMES, flat_vector, pack_params, param_shapes, placement
+from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_shapes
+from dpforecast.optim import adam_step, init_adam_state
 
 
 def zero_params(spec):
@@ -75,7 +78,7 @@ class TestPackedLayout:
         spec = ModelSpec(cell, True, 4, 3, 2, "relu")
         d, h, G = 3, 4, len(GATE_NAMES[cell][0])
         params = init_params(spec, RngStream(0))
-        flat = flat_vector(params)
+        flat = params.vector
         assert flat.size == sum(v.size for v in params.values())
         assert all(np.shares_memory(v, flat) for v in params.values())
         lo = 0
@@ -97,11 +100,16 @@ class TestPackedLayout:
         params = init_params(spec, RngStream(0))
         gen = np.random.default_rng(1)
         _, tape = forward_batch(spec, params, gen.standard_normal((5, 4, 3)))
-        grads = backward_batch(spec, params, tape, gen.standard_normal((5, 2)))
-        names = list(param_shapes(spec))
-        assert list(grads) == names[-2:] + names[:-2]
-        assert (placement(grads, flat_vector(grads), names)
-                == placement(params, flat_vector(params), names))
+        targets = gen.standard_normal((5, 2))
+        grads = backward_batch(spec, params, tape, targets)
+        assert isinstance(grads, Packed) and grads.spec == spec
+        assert list(grads) == list(params) == list(param_shapes(spec))
+        assert not np.shares_memory(grads.vector, params.vector)
+        # The per-example gradients keep the dense layer first: the DP noise
+        # is drawn in their key order.
+        names = list(params)
+        stacked = backward_batch(spec, params, tape, targets, reduce="stack")
+        assert list(stacked) == names[-2:] + names[:-2]
 
     def test_init_draws_per_gate_tensors_in_key_order(self):
         spec = ModelSpec("lstm", True, 5, 3, 2)
@@ -168,6 +176,54 @@ class TestPackedLayout:
         loose = {k: v.copy() for k, v in params.items()}
         window = RngStream(6).generator().standard_normal((4, 3))
         assert np.array_equal(forward(spec, params, window)[0], forward(spec, loose, window)[0])
+
+
+class TestPacked:
+    @pytest.mark.parametrize("clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_copies_keep_every_view_on_their_own_vector(self, clone):
+        spec = ModelSpec("lstm", True, 3, 2, 2, "relu")
+        params = init_params(spec, RngStream(1))
+        copied = clone(params)
+        assert isinstance(copied, Packed) and copied.spec == spec
+        assert copied.vector.tobytes() == params.vector.tobytes()
+        assert not np.shares_memory(copied.vector, params.vector)
+        views = list(copied.values()) + list(copied.fused.values())
+        assert all(np.shares_memory(v, copied.vector) for v in views)
+        copied.vector[:] = 0.0
+        assert all((v == 0.0).all() for v in views)
+
+    def test_no_item_assignment(self):
+        params = pack_params(ModelSpec("gru", False, 2, 1, 1))
+        with pytest.raises(TypeError):
+            params["out_b"] = np.ones(1)
+        loose = dict(params)
+        loose["out_b"] = np.ones(1)
+        assert params["out_b"][0] == 0.0
+
+    def test_vector_is_checked(self):
+        spec = ModelSpec("gru", False, 2, 1, 1)
+        size = len(pack_params(spec).vector)
+        for bad in (np.zeros(size, dtype=np.float32), np.zeros(size + 1),
+                    np.zeros((size, 1)), np.zeros(2 * size)[::2], [0.0] * size):
+            with pytest.raises(ValueError, match="packed vector"):
+                Packed(spec, bad)
+
+    def test_forward_of_another_specs_packed_equals_a_loose_forward(self):
+        # Same layout, other activation: the fused tensors are not taken as is.
+        spec = ModelSpec("gru", True, 4, 3, 2, "tanh")
+        relu = init_params(ModelSpec("gru", True, 4, 3, 2, "relu"), RngStream(2))
+        X = RngStream(3).generator().standard_normal((5, 6, 3))
+        got, _ = forward_batch(spec, relu, X)
+        expected, _ = forward_batch(spec, dict(relu), X)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_adam_refuses_a_plain_dict(self):
+        spec = ModelSpec("gru", False, 2, 1, 1)
+        params = init_params(spec, RngStream(4))
+        state = init_adam_state(params)
+        with pytest.raises(ValueError, match="one flat"):
+            adam_step(dict(params), params, state, 0.1)
 
 
 class TestLstmStep:
@@ -248,9 +304,9 @@ class TestForward:
     def test_palindromic_window_symmetry(self):
         spec = ModelSpec("gru", True, 3, 2, 2, "tanh")
         params = init_params(spec, RngStream(3))
-        for name in list(params):
+        for name in params:
             if name.startswith("bw_"):
-                params[name] = params["fw_" + name[3:]].copy()
+                params[name][...] = params["fw_" + name[3:]]
         window = np.array([[0.1, -0.4], [1.0, 0.2], [0.1, -0.4]])
         _, tape = forward(spec, params, window)
         finals = tape.direction_finals
@@ -407,7 +463,8 @@ class TestSerialization:
         spec = ModelSpec("lstm", True, 5, 3, 2, "relu")
         params = init_params(spec, RngStream(33))
         path = tmp_path / "params.npz"
-        flat_vector(params)  # a packed set: every tensor is a view of one vector
+        # A packed set: every tensor is a view of one vector.
+        assert all(np.shares_memory(v, params.vector) for v in params.values())
         save_params(path, params)
         loaded = load_params(path)
         assert set(loaded) == set(params)

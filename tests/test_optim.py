@@ -27,7 +27,7 @@ from dpforecast import (
     train,
 )
 from dpforecast import optim
-from dpforecast.nn import flat_vector, pack_params, placement
+from dpforecast.nn import Packed, pack_params, param_shapes
 from dpforecast.optim import _dp_batch_gradient, _NoiseAhead, init_adam_state
 
 from conftest import SLOT, START
@@ -152,10 +152,14 @@ def reference_dp_gradient(spec, params, xb, yb, cfg, gen):
         clipped = clip_to_norm(g, cfg.l2_norm_clip)
         total = clipped if total is None else {k: total[k] + clipped[k] for k in total}
         maes.append(np.mean(np.abs(preds - yb[sl])))
+    # The noise is drawn key by key in the order of the per-example
+    # gradients: out_W and out_b first, then the parameter order.
+    names = list(param_shapes(spec))
+    order = names[-2:] + names[:-2]
     if cfg.noise_multiplier > 0:
         scale = cfg.noise_multiplier * cfg.l2_norm_clip
-        total = {k: v + scale * gen.standard_normal(size=v.shape) for k, v in total.items()}
-    return {k: v / m for k, v in total.items()}, float(np.mean(maes)), norms
+        total = {k: total[k] + scale * gen.standard_normal(size=total[k].shape) for k in order}
+    return {k: total[k] / m for k in order}, float(np.mean(maes)), norms
 
 
 class TestDpBatchGradient:
@@ -186,44 +190,55 @@ class TestDpBatchGradient:
         assert got_mae == pytest.approx(ref_mae, rel=1e-12)
 
 
+TINY = ModelSpec("gru", False, 1, 1, 1)  # 11 parameters
+
+
+def tiny(*values):
+    """A packed ``TINY`` set whose vector starts with ``values``, zero after."""
+    packed = pack_params(TINY)
+    packed.vector[:len(values)] = values
+    return packed
+
+
 class TestAdamStep:
     # adam_step updates the parameter vector and the state in place, so each
     # test compares against copies taken before the step.
 
     def test_zero_gradient_keeps_params(self):
-        params = {"w": np.array([1.0, -2.0])}
-        saved = params["w"].copy()
+        params = tiny(1.0, -2.0)
+        saved = params.vector.copy()
         state = init_adam_state(params)
-        new_params, new_state = adam_step(params, {"w": np.zeros(2)}, state, 0.1)
+        new_params, new_state = adam_step(params, tiny(), state, 0.1)
         assert new_params is params and new_state is state
-        assert np.array_equal(new_params["w"], saved)
+        assert np.array_equal(new_params.vector, saved)
         assert new_state.step == 1
 
     def test_single_step_hand_value(self):
         # Bias-corrected first step with g=1: update = -lr / (1 + eps_hat).
-        params = {"w": np.array([0.0])}
+        params = tiny()
         state = init_adam_state(params)
-        new_params, _ = adam_step(params, {"w": np.array([1.0])}, state, 0.1)
-        assert new_params["w"][0] == pytest.approx(-0.099999990000001, abs=1e-15)
+        new_params, _ = adam_step(params, Packed(TINY, np.ones(11)), state, 0.1)
+        np.testing.assert_allclose(new_params.vector, -0.099999990000001, rtol=0, atol=1e-15)
 
     def test_deterministic(self):
         # Two independent copies of one starting state take the same steps.
-        g = {"w": np.array([0.1, -0.2])}
+        g = tiny(0.1, -0.2)
         runs = []
         for _ in range(2):
-            params = {"w": np.array([0.3, 0.7])}
+            params = tiny(0.3, 0.7)
             state = init_adam_state(params)
             for _ in range(3):
                 params, state = adam_step(params, g, state, 0.01)
-            runs.append((params["w"].tobytes(), state.m.tobytes(), state.v.tobytes(), state.step))
+            runs.append((params.vector.tobytes(), state.m.tobytes(), state.v.tobytes(),
+                         state.step))
         assert runs[0] == runs[1]
         assert runs[0][3] == 3
 
     def test_step_counter_strictly_increases(self):
-        params = {"w": np.array([0.0])}
+        params = tiny()
         state = init_adam_state(params)
         for expected in (1, 2, 3):
-            params, state = adam_step(params, {"w": np.array([0.5])}, state, 0.01)
+            params, state = adam_step(params, tiny(0.5), state, 0.01)
             assert state.step == expected
 
     @pytest.mark.parametrize("layout", ["packed", "loose", "reordered"])
@@ -258,14 +273,11 @@ class TestAdamStep:
                 g = {k: buffer[end - v.size:end].reshape(v.shape)
                      for (k, v), end in zip(reversed(g.items()), ends)}
             adam_step(params, g, state, lr)
-        where = placement(params, flat_vector(params), params)
+        m, v = Packed(spec, state.m), Packed(spec, state.v)
         for k, p in params.items():
             assert np.max(np.abs(p - ref_p[k])) <= 1e-15, k
-            offset, shape, strides = where[k]
-            m, v = (np.ndarray(shape, np.float64, moments, offset, strides)
-                    for moments in (state.m, state.v))
-            np.testing.assert_allclose(m, ref_m[k], rtol=1e-14, atol=1e-300)
-            np.testing.assert_allclose(v, ref_v[k], rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(m[k], ref_m[k], rtol=1e-14, atol=1e-300)
+            np.testing.assert_allclose(v[k], ref_v[k], rtol=1e-14, atol=1e-300)
 
     def test_rejects_unpacked_params(self):
         params = {"a": np.zeros(2), "b": np.zeros(3)}
@@ -312,7 +324,7 @@ class TestTrain:
             assert p0[name].tobytes() == saved[name].tobytes(), name
             assert runs[0][name].tobytes() == runs[1][name].tobytes(), name
         assert not np.array_equal(runs[0]["fw_U_z"], p0["fw_U_z"])
-        assert not np.shares_memory(flat_vector(runs[0]), flat_vector(p0))
+        assert not np.shares_memory(runs[0].vector, p0.vector)
 
     def test_training_mae_strictly_decreases_on_toy_series(self):
         w = toy_windows()
@@ -421,7 +433,7 @@ class TestNoiseDrawnAhead:
         got, log = train(spec, p0, ds, cfg, RngStream(8))
         ref = serial_dp_train(spec, p0, ds, cfg, RngStream(8))
         assert log.step_count == 30
-        assert flat_vector(got).tobytes() == flat_vector(ref).tobytes()
+        assert got.vector.tobytes() == ref.vector.tobytes()
 
     def test_concurrent_trains_under_fast_switching(self):
         # Four train calls at once, each with its own noise thread, on a
@@ -431,12 +443,12 @@ class TestNoiseDrawnAhead:
         spec = ModelSpec("gru", True, 3, 3, 2, "tanh")
         p0 = init_params(spec, RngStream(4))
         cfg = DpSgdConfig(1.0, 3.0, 2, 4, 2, 0.01)
-        refs = [flat_vector(serial_dp_train(spec, p0, ds, cfg, RngStream(s))).tobytes()
+        refs = [serial_dp_train(spec, p0, ds, cfg, RngStream(s)).vector.tobytes()
                 for s in range(4)]
         got = [None] * 4
 
         def run(s):
-            got[s] = flat_vector(train(spec, p0, ds, cfg, RngStream(s))[0]).tobytes()
+            got[s] = train(spec, p0, ds, cfg, RngStream(s))[0].vector.tobytes()
 
         threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
         interval = sys.getswitchinterval()
@@ -468,7 +480,7 @@ class TestNoiseDrawnAhead:
         def poisoning_adam_step(params, g, state, lr):
             out = adam_step(params, g, state, lr)
             if state.step == 6:
-                flat_vector(params)[:] = np.nan
+                params.vector[:] = np.nan
             return out
 
         monkeypatch.setattr(_NoiseAhead, "draw_next", counting_draw_next)
