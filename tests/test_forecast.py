@@ -27,6 +27,7 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast import forecast
+from dpforecast.data import IdentityScaler, WindowedDataset
 
 from conftest import build_series
 
@@ -106,6 +107,26 @@ class TestPersistence:
 
 MODEL = ModelConfig(cell="gru", bidirectional=True, hidden_size=8, activation="relu")
 SMOKE_TRAIN = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=15)
+
+
+class TestRecurrentForecaster:
+    def test_fit_predict_shapes_and_determinism(self):
+        gen = np.random.default_rng(0)
+        X = gen.uniform(0, 1, (40, 4, 3))
+        y = gen.uniform(0, 1, (40, 2))
+        windows = WindowedDataset(X, y, lag=4, feature_names=("a", "b", "c"),
+                                  target_timestamps=np.arange(40))
+        prepared = forecast.Prepared(
+            train_windows=windows, test_inputs=X, raw_test_targets=y,
+            target_timestamps=np.arange(40), scaler=IdentityScaler(),
+            region_labels=("r0", "r1"), n_train_slots=40, last_train_counts=y[-1],
+        )
+        model = ModelConfig(cell="gru", bidirectional=True, hidden_size=4, activation="relu")
+        cfg = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2)
+        a = forecast._fit_one_seed((prepared, model, cfg, 1))
+        b = forecast._fit_one_seed((prepared, model, cfg, 1))
+        assert a.predictions.shape == (40, 2)
+        np.testing.assert_array_equal(a.predictions, b.predictions)
 
 
 class TestRunNonprivate:
