@@ -26,6 +26,7 @@ from .core import RngStream
 from .data import DataFormatError, descriptive_stats, iqr_clean, load_csv
 from .forecast import (
     ModelConfig,
+    Prepared,
     TrainConfig,
     evaluate_forecast,
     prepare,
@@ -44,6 +45,8 @@ from .privacy import (
     PrivacyParams,
     compute_epsilon,
     gaussian_sigma,
+    rdp_curve,
+    require_delta_budget,
     sanitize_series,
 )
 from .tune import SearchSpace, run_search, write_trials_csv
@@ -150,8 +153,8 @@ def _privacy_params(cfg: ExperimentConfig) -> PrivacyParams:
     return params
 
 
-def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int]:
-    """``[run]`` lag and days, checked against ``series``, and the training window count."""
+def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, Prepared]:
+    """``[run]`` lag and days, checked against ``series``, and the unscaled split."""
     run = cfg.section("run")
     args = {
         "lag": run.get("lag", 6),
@@ -160,8 +163,8 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int]:
     }
     with _usage("[run]"):
         # Unscaled: only the split and the windowing can reject the values.
-        windows = prepare(series, **args, scale=False).train_windows
-    return args | {"scale": run.get("scale", True)}, windows.n_samples
+        prepared = prepare(series, **args, scale=False)
+    return args | {"scale": run.get("scale", True)}, prepared
 
 
 def cmd_stats(args) -> int:
@@ -249,14 +252,14 @@ def cmd_accountant(args) -> int:
 def _run_pipeline(cfg: ExperimentConfig, args):
     kind = cfg.get("run", "kind", "nonprivate")
     series, path = _dataset_series(cfg, clean=True)
-    split_args, n_windows = _split_args(cfg, series)
+    split_args, unscaled = _split_args(cfg, series)
     jobs = args.jobs if args.jobs else cfg.get("run", "jobs", 1)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
         split_args.pop("scale")
         return run_baseline(series, **split_args), path, seeds
     model = _model_config(cfg)
-    train = _train_config(cfg, n_windows)
+    train = _train_config(cfg, unscaled.train_windows.n_samples)
     if kind == "nonprivate":
         artifact = run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
     elif kind == "gradient":
@@ -337,6 +340,22 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _check_gradient_search(cfg: ExperimentConfig, space: SearchSpace, epochs: int,
+                           delta: float, n_basis: int) -> None:
+    """The ``[dp]`` and ``[privacy]`` values of every gradient trial, checked before any trains."""
+    with _usage("[dp]"):
+        # The accountant's check of the noise multiplier; the rate does not enter it.
+        rdp_curve(1.0, space.noise_multiplier)
+    for batch in space.batch_choices():
+        try:
+            _dp_config(cfg, TrainConfig(batch, space.lr_range[0], epochs),
+                       l2_norm_clip=space.clip_choices[0])
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (tune searches batch size {batch})") from None
+    with _usage("[privacy]"):
+        require_delta_budget(delta, n_basis)
+
+
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
     series, path = _dataset_series(cfg, clean=True)
@@ -349,7 +368,7 @@ def cmd_tune(args) -> int:
             "[tune] needs budget >= 1, epochs >= 0 and strategy random or tpe-lite")
     if len(series.region_labels) < 2:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
-    split_args, _ = _split_args(cfg, series)
+    split_args, unscaled = _split_args(cfg, series)
     model = _model_config(cfg)
     delta = cfg.get("privacy", "delta", 1e-7)
     if kind == "gradient":
@@ -357,6 +376,7 @@ def cmd_tune(args) -> int:
             clip_choices=(1.0, 1.5, 2.0, 2.5),
             noise_multiplier=cfg.get("dp", "noise_multiplier", 35.0),
         )
+        _check_gradient_search(cfg, space, trial_epochs, delta, unscaled.n_train_slots)
     else:
         space = SearchSpace()
 

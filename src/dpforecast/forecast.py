@@ -42,12 +42,11 @@ from .data import (
 from .nn import ModelSpec, forward_batch, init_params
 from .optim import DpSgdConfig, NonPrivateConfig, TrainLog, train
 from .privacy import (
-    BudgetError,
     BudgetLedger,
     MechanismValidityError,
     PrivacyParams,
     compute_epsilon,
-    delta_budget_check,
+    require_delta_budget,
     sanitize_series,
 )
 
@@ -434,11 +433,7 @@ def run_gradient_perturbation(
     n_basis = prepared.n_train_slots
     # Checked before training: the accountant would reject delta <= 0 only
     # after every seed had been trained.
-    if not (delta > 0 and delta_budget_check(delta, n_basis)):
-        raise BudgetError(
-            f"delta={delta} fails the budget check over {n_basis} samples; "
-            f"need 0 < delta < {1.0 / (n_basis * n_basis):.3e}"
-        )
+    require_delta_budget(delta, n_basis)
     artifact = _fit_best_seed(
         "gradient", prepared, model_cfg, dp_cfg, seeds, jobs,
         {"dp": asdict(dp_cfg), "delta": delta} | split_args,

@@ -26,7 +26,7 @@ with G = 3 for the GRU and G = 4 for the LSTM. A gate's tensor is a column
 block of its fused tensor in the gate order above: ``W_z`` is ``W[:, :h]``,
 ``W_r`` is ``W[:, h:2h]``, ``W_xg`` is ``W[:, 3h:]``; ``Packed.fused`` holds
 the fused tensors. The optimizer updates the vector in place, and the mean
-backward pass returns its gradient as a fresh ``Packed``. The forward pass
+and clipped backward passes return their gradients as a fresh ``Packed``. The forward pass
 reads the fused tensors of a ``Packed`` of its spec; any other mapping of
 named tensors (``load_params`` output, a hand-built dict) is first copied
 into a fresh packed vector.
@@ -54,11 +54,23 @@ stacked as (T, n, G*h), written in place over the projection, and the
 candidate's pre-activation as (T, n, h). The backward pass runs the
 recurrence over ``dh`` step by step, with the LSTM's gate deltas (the
 GRU's update and reset deltas) going through one fused matmul per step,
-collects the fused gate deltas in a (T, n, G*h) array, and then forms each
-gate tensor's gradient in one reduction: a
-(k, T*n) @ (T*n, h) matmul for the batch mean, written straight into the
-packed gradient vector, or a batched (n, k, T) @ (n, T, h) matmul for
-per-example gradients.
+and collects the fused gate deltas in a (T, n, G*h) array. Every weight
+gradient is a sum over rows of ``a.T @ delta``, with ``a`` the input of
+its tensor (``xs``, ``h_prev`` or, for the GRU's candidate, ``r ⊗ h_prev``;
+a bias's input is a column of ones). Three reductions share the
+recurrence, each forming a gate tensor's gradient in one reduction:
+
+- the batch mean, a (k, T*n) @ (T*n, h) matmul written straight into the
+  packed gradient vector;
+- per-example gradients, a batched (n, k, T) @ (n, T, h) matmul;
+- DP-SGD's clipped sum, which never forms a per-example gradient. A
+  microbatch's gradient is ``A.T @ D`` over its rows, so its squared
+  norm is ``<A A.T, D D.T>``: the inner product of two (s*T, s*T) Gram
+  matrices, summed over the weight groups and clamped at 0 against
+  rounding. Each microbatch's rows of ``dpred`` and of the deltas are
+  then scaled by its clip factor over its size, and the mean reduction's
+  matmuls sum them into a fresh packed vector (the book-keeping form of
+  ghost clipping: Li et al. 2022; Bu et al. 2023).
 """
 
 from __future__ import annotations
@@ -462,17 +474,9 @@ def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool, out: np.ndarray
     return np.matmul(a.reshape(T * n, k).T, da.reshape(T * n, -1), out=out)
 
 
-def _backprop_direction(
-    spec: ModelSpec,
-    direction: str,
-    tape: ForwardTape,
-    dh: np.ndarray,
-    per_example: bool,
-    outs: Mapping[str, np.ndarray],
-) -> None:
-    """Write one direction's gradients into ``outs``."""
+def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh: np.ndarray):
+    """One direction's fused gate deltas (T, n, G*h) and each gate's recurrent input."""
     act, k = spec.activation, spec.hidden_size
-    U, cache = tape.weights[f"{direction}_U"], tape.caches[direction]
     h_prev, cand, gates = cache.h_prev, cache.cand, cache.gates
     G = gates.shape[-1] // k
     # Start each gate delta as its sigmoid's derivative, and take the other
@@ -509,17 +513,73 @@ def _backprop_direction(
             dc = dc_t * f
             dh = da[t] @ U.T
         recurrent_inputs = (h_prev,) * 4
+    return da, recurrent_inputs
+
+
+def _reduce_direction(spec: ModelSpec, direction: str, cache: _DirectionCache, da, inputs,
+                      per_example: bool, outs: Mapping[str, np.ndarray]) -> None:
+    """Write one direction's gradients, from its deltas ``da``, into ``outs``."""
     # One reduction per gate tensor: with T*n = 30 rows (T = 6 per example)
     # OpenBLAS forms h-wide products faster than one fused G*h-wide product.
-    deltas = _blocks(da, k)
+    deltas = _blocks(da, spec.hidden_size)
     names_W, names_U, names_b = (
         [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
     for name, delta in zip(names_W, deltas):
         _sum_outer(cache.xs, delta, per_example, outs[name])
-    for name, a, delta in zip(names_U, recurrent_inputs, deltas):
+    for name, a, delta in zip(names_U, inputs, deltas):
         _sum_outer(a, delta, per_example, outs[name])
     for name, delta in zip(names_b, deltas):
         delta.sum(axis=0 if per_example else (0, 1), out=outs[name])
+
+
+def _grams(a: np.ndarray, m: int) -> np.ndarray:
+    """Gram matrices of the rows of ``a`` (T, n, k), one per microbatch.
+
+    Microbatch j holds examples j*s to (j+1)*s - 1, with s = n / m; the
+    result is (m, s*T, s*T).
+    """
+    T, n, k = a.shape
+    rows = a.transpose(1, 0, 2).reshape(m, n // m * T, k)
+    return rows @ rows.transpose(0, 2, 1)
+
+
+def _gram_inner(ga: np.ndarray, gd: np.ndarray) -> np.ndarray:
+    """``<ga, gd>`` per microbatch: the squared norm of its ``a.T @ delta``."""
+    return np.einsum("mij,mij->m", ga, gd)
+
+
+def _squared_norms(spec: ModelSpec, tape: ForwardTape, dpred, deltas, m: int) -> np.ndarray:
+    """The squared L2 norm of each microbatch's summed gradient, from Grams.
+
+    A bias is a weight on an input of ones, so its Gram is all ones.
+    """
+    sq = _gram_inner(_grams(tape.h_cat[None], m) + 1.0, _grams(dpred[None], m))
+    for direction, (da, inputs) in deltas.items():
+        gx = _grams(tape.caches[direction].xs, m) + 1.0
+        last = None
+        # Gates that share a recurrent input are adjacent: reuse its Gram.
+        for a, delta in zip(inputs, _blocks(da, spec.hidden_size)):
+            if a is not last:
+                ga, last = gx + _grams(a, m), a
+            sq += _gram_inner(ga, _grams(delta, m))
+    return np.maximum(sq, 0.0)
+
+
+def clip_scales(norms: np.ndarray, clip: float) -> np.ndarray:
+    """The factor that clips each gradient norm to ``clip``.
+
+    ``clip / norm`` unless ``norm <= clip``, where it is 1: a zero norm is
+    left alone (no 0/0), and a NaN norm gives a NaN factor, which poisons
+    whatever it scales.
+    """
+    return np.divide(clip, norms, out=np.ones(norms.shape), where=~(norms <= clip))
+
+
+@lru_cache(maxsize=64)
+def dp_key_order(spec: ModelSpec) -> tuple[str, ...]:
+    """Tensor names in the DP noise's draw order: ``out_W, out_b``, then ``param_shapes``."""
+    names = [name for name, _ in _named_shapes(spec)]
+    return tuple(names[-2:] + names[:-2])
 
 
 def backward_batch(
@@ -529,19 +589,31 @@ def backward_batch(
     targets: np.ndarray,
     loss: str = "mae",
     reduce: str = "mean",
+    clip: float | None = None,
+    microbatches: int = 1,
 ) -> Mapping[str, np.ndarray]:
     """Gradients of per-example MAE w.r.t. every parameter tensor.
 
     ``reduce="mean"`` returns the average gradient over the batch as a
     fresh :class:`Packed`, in ``param_shapes`` order. ``reduce="stack"``
     returns per-example gradients, one array with a leading batch axis per
-    tensor, keyed ``out_W, out_b`` and then the ``fw_`` and ``bw_`` tensors
-    in ``param_shapes`` order.
+    tensor, keyed in ``dp_key_order``: ``out_W, out_b`` and then the
+    ``fw_`` and ``bw_`` tensors in ``param_shapes`` order.
+
+    ``reduce="clip"`` returns DP-SGD's clipped sum as a fresh ``Packed``:
+    the batch is cut into ``microbatches`` runs of consecutive examples of
+    equal size, each run's mean gradient is scaled by ``clip_scales`` to
+    L2 norm at most ``clip``, and the scaled run gradients are summed. No
+    per-example gradient is formed. Each run's squared norm is the sum,
+    over the weight groups, of ``<A A.T, D D.T>``, the inner product of the
+    Gram matrices of the group's inputs and deltas over the run's rows, and
+    is clamped at 0; the sum is the mean reduction's matmuls over the
+    deltas with each run's rows scaled by its factor over its size.
     """
     if loss != "mae":
         raise ValueError(f"unsupported loss {loss!r}")
-    if reduce not in ("mean", "stack"):
-        raise ValueError(f"reduce must be 'mean' or 'stack', got {reduce!r}")
+    if reduce not in ("mean", "stack", "clip"):
+        raise ValueError(f"reduce must be 'mean', 'stack' or 'clip', got {reduce!r}")
     if tape.params is not params:
         raise StaleTapeError("tape was produced by a different parameter set")
     targets = np.asarray(targets, dtype=np.float64)
@@ -549,31 +621,46 @@ def backward_batch(
     if targets.shape != pred.shape:
         raise ValueError(f"targets shape {targets.shape} != predictions {pred.shape}")
     n, out = pred.shape
+    if reduce == "clip":
+        if not (clip is not None and clip > 0):
+            raise ValueError(f"reduce='clip' needs a positive clip, got {clip}")
+        if not (microbatches >= 1 and n % microbatches == 0):
+            raise ValueError(f"microbatches must be >= 1 and divide the batch of {n}, "
+                             f"got {microbatches}")
     per_example = reduce == "stack"
     h = spec.hidden_size
 
+    # The mean's 1/n rides on dpred, which every gradient is linear in.
+    dpred = np.sign(pred - targets) / (out * n if reduce == "mean" else out)
+    dh_cat = dpred @ tape.weights["out_W"].T
+    deltas = {
+        direction: _direction_deltas(spec, tape.weights[f"{direction}_U"],
+                                     tape.caches[direction], dh_cat[:, k * h:(k + 1) * h])
+        for k, direction in enumerate(spec.directions)
+    }
+    if reduce == "clip":
+        size = n // microbatches
+        norms = np.sqrt(_squared_norms(spec, tape, dpred, deltas, microbatches)) / size
+        rows = np.repeat(clip_scales(norms, clip) / size, size)[:, None]
+        dpred *= rows
+        for da, _ in deltas.values():
+            da *= rows
     if per_example:
         # Each tensor's per-example gradients are one contiguous block of
         # one buffer: one allocation per call, and BLAS writes dense rows.
         shapes = {k: (n,) + shape for k, shape in param_shapes(spec).items()}
         outs = _views(np.empty(n * param_count(spec)), shapes)
-        dpred = np.sign(pred - targets) / out
         outs["out_b"][...] = dpred
     else:
         outs = Packed(spec, np.empty(param_count(spec)))
-        # The mean's 1/n rides on dpred, which every gradient is linear in.
-        dpred = np.sign(pred - targets) / (out * n)
         dpred.sum(axis=0, out=outs["out_b"])
     _sum_outer(tape.h_cat[None], dpred[None], per_example, outs["out_W"])
-    dh_cat = dpred @ tape.weights["out_W"].T
-    for k, direction in enumerate(spec.directions):
-        _backprop_direction(spec, direction, tape, dh_cat[:, k * h:(k + 1) * h],
-                            per_example, outs)
+    for direction, (da, inputs) in deltas.items():
+        _reduce_direction(spec, direction, tape.caches[direction], da, inputs,
+                          per_example, outs)
     if not per_example:
         return outs
-    # The DP noise is drawn in this key order, dense layer first.
-    names = list(outs)
-    return {name: outs[name] for name in names[-2:] + names[:-2]}
+    return {name: outs[name] for name in dp_key_order(spec)}
 
 
 def backward(

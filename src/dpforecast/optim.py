@@ -20,7 +20,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .core import RngStream
-from .nn import ModelSpec, Packed, Params, backward_batch, forward_batch, pack_params
+from .nn import (ModelSpec, Packed, Params, backward_batch, clip_scales, dp_key_order,
+                 forward_batch, pack_params)
 
 
 class TrainingDiverged(RuntimeError):
@@ -111,10 +112,7 @@ def dp_aggregate(
         if list(g.keys()) != keys or any(g[k].shape != first[k].shape for k in keys):
             raise ValueError("inconsistent gradient shapes across microbatches")
     m = len(per_microbatch)
-    norms = np.array([global_norm(g) for g in per_microbatch])
-    # clip_to_norm's rule: scale by clip/norm unless norm <= clip, so a zero
-    # gradient is left alone (no 0/0) and a NaN norm still poisons the sum.
-    scales = np.divide(clip, norms, out=np.ones(m), where=~(norms <= clip))
+    scales = clip_scales(np.array([global_norm(g) for g in per_microbatch]), clip)
     bounds = np.cumsum([0] + [first[k].size for k in keys]).tolist()
     total = np.empty(bounds[-1])
     out: Params = {}
@@ -123,13 +121,28 @@ def dp_aggregate(
         np.multiply(first[k], scales[0], out=acc)
         for g, s in zip(per_microbatch[1:], scales[1:]):
             acc += g[k] * s
+    _noise_and_average(out.values(), total, m, clip, noise_multiplier, rng)
+    return out
+
+
+def _noise_and_average(views, total: np.ndarray, m: int, clip: float,
+                       noise_multiplier: float, rng) -> None:
+    """Add the DP noise to ``views`` and divide ``total``, the vector they cover, by ``m``.
+
+    The noise is one flat draw of ``total.size`` standard normals, scaled
+    by ``noise_multiplier * clip`` in place and laid over the views in
+    their order; with ``noise_multiplier == 0`` nothing is drawn.
+    """
     if noise_multiplier > 0:
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         z = gen.standard_normal(total.size)
         z *= noise_multiplier * clip
-        total += z
+        lo = 0
+        for view in views:
+            hi = lo + view.size
+            view += z[lo:hi].reshape(view.shape)
+            lo = hi
     total /= m
-    return out
 
 
 # Elements per pass of ``adam_step``: chunks of the parameter, moment,
@@ -143,9 +156,8 @@ class AdamState:
     """Flat first/second moment vectors with a strictly increasing step count.
 
     ``m`` and ``v`` are laid out like the packed parameter vector they
-    belong to. The private fields are ``adam_step``'s work space: a
-    chunk-long work vector, and a ``Packed`` that gradients of any other
-    form are copied into (allocated on first use).
+    belong to. The private field is ``adam_step``'s work space, a
+    chunk-long work vector.
     """
 
     m: np.ndarray
@@ -155,7 +167,6 @@ class AdamState:
     beta2: float = 0.999
     eps_hat: float = 1e-7
     _work: np.ndarray = field(init=False, repr=False, compare=False)
-    _gathered: Packed | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._work = np.empty(min(self.m.size, _ADAM_CHUNK))
@@ -185,9 +196,9 @@ def adam_step(
     and ``train`` return one). Its vector and the state's ``m``, ``v`` and
     step count are updated in place, and the same ``(params, state)``
     objects are returned. ``g`` is any mapping with the keys and shapes of
-    ``params``; a ``Packed`` of the same spec, as the mean
-    ``backward_batch`` returns it, is read in place, and any other is
-    first copied into that layout.
+    ``params``; a ``Packed`` of the same spec, as ``backward_batch`` and
+    the DP step return it, is read in place, and any other is first
+    copied into a fresh one.
 
     With bias corrections bc1 = 1 - beta1**t and bc2 = 1 - beta2**t, the
     update ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps_hat)`` is computed
@@ -197,14 +208,9 @@ def adam_step(
     p = _packed(params).vector
     if p.size != state.m.size:
         raise ValueError(f"state holds {state.m.size} moments for {p.size} parameters")
-    if isinstance(g, Packed) and g.spec == params.spec:
-        grad = g.vector
-    else:
-        if state._gathered is None:
-            state._gathered = Packed(params.spec, np.empty_like(state.m))
-        for name, view in state._gathered.items():
-            view[...] = g[name]
-        grad = state._gathered.vector
+    if not (isinstance(g, Packed) and g.spec == params.spec):
+        g = pack_params(params.spec, g)
+    grad = g.vector
     t = state.step + 1
     b1, b2 = state.beta1, state.beta2
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
@@ -269,7 +275,7 @@ def train(
     ahead on one worker thread, while the main thread runs the step's
     forward and backward passes. The generator is read in the serial
     order (an epoch's permutation, then that epoch's draws, one per step),
-    so the result is the same bytes as drawing in ``dp_aggregate``. The
+    so the result is the same bytes as drawing in the step itself. The
     thread lives only for this call.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
@@ -345,14 +351,16 @@ def _batch_gradient(spec, params, xb, yb, cfg, gen):
 
 
 def _dp_batch_gradient(spec, params, xb, yb, cfg: DpSgdConfig, gen):
-    # One forward and one per-example backward over the whole batch; a
-    # microbatch gradient is the mean of its examples' gradients.
-    m = cfg.num_microbatches
-    size = cfg.batch_size // m
+    """``dp_aggregate`` over the step's microbatch gradients, as one packed vector.
+
+    One forward and one backward over the whole batch; the backward's
+    clipped reduction sums the clipped microbatch gradients without
+    forming any of them, and the noise goes on in ``dp_aggregate``'s key
+    order.
+    """
+    m, clip = cfg.num_microbatches, cfg.l2_norm_clip
     preds, tape = forward_batch(spec, params, xb)
-    grads = backward_batch(spec, params, tape, yb, reduce="stack")
-    if size > 1:
-        grads = {k: v.reshape((m, size) + v.shape[1:]).mean(axis=1) for k, v in grads.items()}
-    micro = [{k: v[i] for k, v in grads.items()} for i in range(m)]
-    grad = dp_aggregate(micro, cfg.l2_norm_clip, cfg.noise_multiplier, gen)
+    grad = backward_batch(spec, params, tape, yb, reduce="clip", clip=clip, microbatches=m)
+    _noise_and_average((grad[k] for k in dp_key_order(spec)), grad.vector, m, clip,
+                       cfg.noise_multiplier, gen)
     return grad, float(np.mean(np.abs(preds - yb)))

@@ -202,6 +202,13 @@ def delta_budget_check(delta: float, n: int) -> bool:
     return n * delta < 1.0 / n
 
 
+def require_delta_budget(delta: float, n: int) -> None:
+    """Raise ``BudgetError`` unless ``delta > 0`` passes ``delta_budget_check`` over ``n``."""
+    if not (delta > 0 and delta_budget_check(delta, n)):
+        raise BudgetError(f"delta={delta} fails the budget check over {n} samples; "
+                          f"need 0 < delta < {1.0 / (n * n):.3e}")
+
+
 @dataclass(frozen=True)
 class LedgerEntry:
     label: str

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from dpforecast import evaluate_forecast, optim, utility_loss
+from dpforecast import cli, evaluate_forecast, optim, utility_loss
 from dpforecast.cli import main
 
 from conftest import build_series, write_series_csv
@@ -400,3 +400,24 @@ class TestTuneCommand:
         rows = list(csv.DictReader(open(out / "trials.csv")))
         assert len(rows) == 1
         assert float(rows[0]["epsilon"]) > 0
+
+    @pytest.mark.parametrize("old, new, section", [
+        ("noise_multiplier = 2.0", "noise_multiplier = 0.0", "[dp]"),
+        ("num_microbatches = 5", "num_microbatches = 4", "[dp]"),  # 4 does not divide 5
+        ("delta = 1e-7", "delta = 1.0", "[privacy]"),
+        ("delta = 1e-7", "delta = 1e-3", "[privacy]"),  # fails the budget over 624 slots
+    ])
+    def test_bad_gradient_search_value_is_usage_error(
+        self, tmp_path, dataset, capsys, monkeypatch, old, new, section
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_gradient_perturbation", no_trial)
+        body = gradient_config(dataset).replace(
+            "num_microbatches = 4", "num_microbatches = 5"
+        ).replace(old, new) + "\n[tune]\nbudget = 1\nepochs = 1\n"
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        err = capsys.readouterr().err
+        assert section in err and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,14 +184,113 @@ class TestDpBatchGradient:
         ref, ref_mae, norms = reference_dp_gradient(
             spec, params, data.inputs, data.targets, cfg, RngStream(13).generator())
         assert all((n > clip) == (clip < 1) for n in norms)  # the small clip binds
-        assert list(got) == list(ref)
+        assert isinstance(got, Packed) and got.spec == spec and set(got) == set(ref)
         for k in ref:
             err = np.linalg.norm(got[k] - ref[k])
             assert err <= 1e-12 * max(np.linalg.norm(ref[k]), 1e-300), k
         assert got_mae == pytest.approx(ref_mae, rel=1e-12)
 
+    def test_paper_shape_step_forms_no_per_example_buffer(self):
+        # The per-example gradients of the paper's BiGRU at batch 5 take
+        # 5 * 197,406 float64s; the clipped reduction never forms them.
+        spec = ModelSpec("gru", True, 175, 10, 6, "relu")
+        params = init_params(spec, RngStream(1))
+        data = random_windows(n=5, lag=6, d=10, out=6, seed=2)
+        cfg = DpSgdConfig(2.0, 70.0, 5, 5, 1, 4.55e-4)
+        per_example_bytes = 5 * params.vector.nbytes
+        gen = RngStream(3).generator()
+        tracemalloc.start()
+        try:
+            _dp_batch_gradient(spec, params, data.inputs, data.targets, cfg, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < per_example_bytes, peak
 
-TINY = ModelSpec("gru", False, 1, 1, 1)  # 11 parameters
+
+def clipped_sum(spec, params, inputs, targets, clip, microbatches):
+    _, tape = forward_batch(spec, params, inputs)
+    return backward_batch(spec, params, tape, targets, reduce="clip", clip=clip,
+                          microbatches=microbatches)
+
+
+class TestClippedReduction:
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    def test_matches_stacked_aggregate_and_reference(self, cell, bidirectional, activation,
+                                                     size, clip):
+        spec = ModelSpec(cell, bidirectional, 4, 3, 2, activation)
+        params = init_params(spec, RngStream(11))
+        data = random_windows(n=6, lag=5, d=3, out=2, seed=12)
+        m = 6 // size
+        got = clipped_sum(spec, params, data.inputs, data.targets, clip, m)
+        assert isinstance(got, Packed) and got.spec == spec
+        _, tape = forward_batch(spec, params, data.inputs)
+        stack = backward_batch(spec, params, tape, data.targets, reduce="stack")
+        micro = [{k: v[i * size:(i + 1) * size].mean(axis=0) for k, v in stack.items()}
+                 for i in range(m)]
+        aggregated = dp_aggregate(micro, clip, 0.0, RngStream(0))
+        cfg = DpSgdConfig(clip, 0.0, m, 6, 1, 0.01)
+        ref, _, norms = reference_dp_gradient(spec, params, data.inputs, data.targets, cfg,
+                                              None)
+        assert all((n > clip) == (clip < 1) for n in norms)  # the small clip binds
+        for oracle in (aggregated, ref):
+            for k, value in oracle.items():
+                err = np.linalg.norm(got[k] / m - value)
+                assert err <= 1e-12 * max(np.linalg.norm(value), 1e-300), k
+
+    def test_zero_gradient_is_left_alone(self):
+        spec = ModelSpec("lstm", True, 3, 3, 2, "tanh")
+        params = init_params(spec, RngStream(0))
+        inputs = random_windows(n=4, lag=5, d=3, out=2, seed=1).inputs
+        preds, _ = forward_batch(spec, params, inputs)
+        with np.errstate(all="raise"):
+            got = clipped_sum(spec, params, inputs, preds, 1.0, 2)
+        assert not got.vector.any()
+
+    def test_nan_window_poisons_the_sum_like_the_aggregate(self):
+        spec = ModelSpec("gru", True, 3, 3, 2, "relu")
+        params = init_params(spec, RngStream(0))
+        data = random_windows(n=4, lag=5, d=3, out=2, seed=1)
+        data.inputs[2, 1, 0] = np.nan
+        got = clipped_sum(spec, params, data.inputs, data.targets, 1.0, 4)
+        _, tape = forward_batch(spec, params, data.inputs)
+        stack = backward_batch(spec, params, tape, data.targets, reduce="stack")
+        micro = [{k: v[i] for k, v in stack.items()} for i in range(4)]
+        aggregated = dp_aggregate(micro, 1.0, 0.0, RngStream(0))
+        assert np.isnan(got.vector).all()
+        for k, value in aggregated.items():
+            assert np.array_equal(np.isnan(got[k]), np.isnan(value)), k
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_cancelling_gradients_get_no_nan_norm(self, cell, bidirectional):
+        # Two copies of one window with targets on either side of its
+        # prediction: the microbatch's gradients cancel exactly, and the
+        # Gram inner products come out as rounding noise of either sign.
+        spec = ModelSpec(cell, bidirectional, 4, 3, 2, "tanh")
+        for seed in range(5):
+            params = init_params(spec, RngStream(seed))
+            inputs = np.repeat(random_windows(n=1, lag=5, d=3, out=2, seed=seed).inputs, 2,
+                               axis=0)
+            preds, _ = forward_batch(spec, params, inputs)
+            with np.errstate(invalid="raise"):
+                got = clipped_sum(spec, params, inputs, preds + [[-1.0], [1.0]], 1e-3, 1)
+            assert np.abs(got.vector).max() <= 1e-12, seed
+
+    def test_rejects_bad_clip_and_microbatches(self):
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        params = init_params(spec, RngStream(0))
+        data = random_windows(n=4, lag=3, d=3, out=2, seed=1)
+        for clip, m in ((None, 1), (0.0, 1), (1.0, 3), (1.0, 0)):
+            with pytest.raises(ValueError):
+                clipped_sum(spec, params, data.inputs, data.targets, clip, m)
+
+
+TINY =ModelSpec("gru", False, 1, 1, 1)  # 11 parameters
 
 
 def tiny(*values):
