@@ -582,6 +582,30 @@ def dp_key_order(spec: ModelSpec) -> tuple[str, ...]:
     return tuple(names[-2:] + names[:-2])
 
 
+def add_in_dp_order(packed: Packed, z: np.ndarray) -> None:
+    """Add ``z`` to ``packed`` in place, ``z`` holding its tensors in ``dp_key_order``.
+
+    ``z`` is flat and covers every tensor once, each a row-major block, one
+    after another. A direction's gate blocks of one group, (G, rows, h) in
+    ``z``, go into their fused (rows, G*h) tensor in one add, and the dense
+    layer's, first in ``z`` and last in the vector, in another.
+    """
+    spec, h = packed.spec, packed.spec.hidden_size
+    if z.shape != packed.vector.shape:
+        raise ValueError(f"z has shape {z.shape}, expected {packed.vector.shape}")
+    dense = packed.fused["out_W"].size + packed.fused["out_b"].size
+    packed.vector[-dense:] += z[:dense]
+    lo = dense
+    for direction in spec.directions:
+        for group in "WUb":
+            fused = packed.fused[f"{direction}_{group}"]
+            rows, gates = fused.size // fused.shape[-1], fused.shape[-1] // h
+            hi = lo + fused.size
+            view = fused.reshape(rows, gates, h)
+            view += z[lo:hi].reshape(gates, rows, h).transpose(1, 0, 2)
+            lo = hi
+
+
 def backward_batch(
     spec: ModelSpec,
     params: Mapping[str, np.ndarray],
@@ -589,6 +613,7 @@ def backward_batch(
     targets: np.ndarray,
     loss: str = "mae",
     reduce: str = "mean",
+    *,
     clip: float | None = None,
     microbatches: int = 1,
 ) -> Mapping[str, np.ndarray]:
@@ -600,15 +625,17 @@ def backward_batch(
     tensor, keyed in ``dp_key_order``: ``out_W, out_b`` and then the
     ``fw_`` and ``bw_`` tensors in ``param_shapes`` order.
 
-    ``reduce="clip"`` returns DP-SGD's clipped sum as a fresh ``Packed``:
-    the batch is cut into ``microbatches`` runs of consecutive examples of
-    equal size, each run's mean gradient is scaled by ``clip_scales`` to
-    L2 norm at most ``clip``, and the scaled run gradients are summed. No
-    per-example gradient is formed. Each run's squared norm is the sum,
-    over the weight groups, of ``<A A.T, D D.T>``, the inner product of the
-    Gram matrices of the group's inputs and deltas over the run's rows, and
-    is clamped at 0; the sum is the mean reduction's matmuls over the
-    deltas with each run's rows scaled by its factor over its size.
+    ``reduce="clip"`` returns DP-SGD's clipped sum as a fresh ``Packed``;
+    only it reads the keyword-only ``clip`` and ``microbatches``, which the
+    other reductions reject. The batch is cut into ``microbatches`` runs
+    of consecutive examples of equal size, each run's mean gradient is
+    scaled by ``clip_scales`` to L2 norm at most ``clip``, and the scaled
+    run gradients are summed. No per-example gradient is formed. Each
+    run's squared norm is the sum, over the weight groups, of
+    ``<A A.T, D D.T>``, the inner product of the Gram matrices of the
+    group's inputs and deltas over the run's rows, and is clamped at 0;
+    the sum is the mean reduction's matmuls over the deltas with each
+    run's rows scaled by its factor over its size.
     """
     if loss != "mae":
         raise ValueError(f"unsupported loss {loss!r}")
@@ -621,6 +648,8 @@ def backward_batch(
     if targets.shape != pred.shape:
         raise ValueError(f"targets shape {targets.shape} != predictions {pred.shape}")
     n, out = pred.shape
+    if reduce != "clip" and (clip is not None or microbatches != 1):
+        raise ValueError(f"clip and microbatches are for reduce='clip', not {reduce!r}")
     if reduce == "clip":
         if not (clip is not None and clip > 0):
             raise ValueError(f"reduce='clip' needs a positive clip, got {clip}")

@@ -15,12 +15,12 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import RngStream
-from .nn import (ModelSpec, Packed, Params, backward_batch, clip_scales, dp_key_order,
+from .nn import (ModelSpec, Packed, Params, add_in_dp_order, backward_batch, clip_scales,
                  forward_batch, pack_params)
 
 
@@ -84,17 +84,23 @@ def clip_to_norm(g: Mapping[str, np.ndarray], clip: float) -> Params:
 
 
 def dp_aggregate(
-    per_microbatch: Sequence[Mapping[str, np.ndarray]],
+    per_microbatch: Union[Sequence[Mapping[str, np.ndarray]], Packed],
     clip: float,
     noise_multiplier: float,
     rng: Union[RngStream, np.random.Generator],
-) -> Params:
+    *,
+    microbatches: Optional[int] = None,
+) -> Mapping[str, np.ndarray]:
     """Clip each microbatch gradient, sum, noise once, and average.
 
-    Returns ``(1/m) * (sum_i clip(g_i) + N(0, (noise_multiplier*clip)^2 I))``
-    with ``m = len(per_microbatch)``. The noise is added entrywise to the
-    sum, once per call, drawn in key order as one flat standard-normal
-    vector; with ``noise_multiplier == 0`` no randomness is consumed.
+    Returns ``(1/m) * (sum_i clip(g_i) + N(0, (noise_multiplier*clip)^2 I))``.
+    ``per_microbatch`` is either the m microbatch gradients, which are
+    clipped and summed here, or, with ``microbatches=m``, their clipped sum
+    as one ``nn.Packed`` (``backward_batch(reduce="clip")`` returns it),
+    which is noised and averaged in place and returned. The noise is added
+    entrywise to the sum, once per call, drawn in key order (``dp_key_order``
+    for a ``Packed``) as one flat standard-normal vector; with
+    ``noise_multiplier == 0`` no randomness is consumed.
 
     ``rng`` is an ``RngStream`` (a fresh generator is made from it) or
     anything with a ``standard_normal(size)`` method, such as a numpy
@@ -102,16 +108,38 @@ def dp_aggregate(
     clip`` in place before it is added, so it must be the caller's to
     overwrite.
     """
-    if not per_microbatch:
-        raise ValueError("per_microbatch must be nonempty")
     if clip <= 0:
         raise ValueError("clip must be positive")
+    summed = isinstance(per_microbatch, Packed)
+    if summed != (microbatches is not None) or (summed and microbatches < 1):
+        raise ValueError("a Packed clipped sum takes microbatches=m >= 1, and only it does")
+    if summed:
+        out, total, m = per_microbatch, per_microbatch.vector, microbatches
+    else:
+        out, total = _clipped_sum(per_microbatch, clip)
+        m = len(per_microbatch)
+    if noise_multiplier > 0:
+        gen = rng.generator() if isinstance(rng, RngStream) else rng
+        z = gen.standard_normal(total.size)
+        z *= noise_multiplier * clip
+        if summed:
+            add_in_dp_order(out, z)
+        else:
+            total += z  # the tensors are consecutive blocks of total, in key order
+    total /= m
+    return out
+
+
+def _clipped_sum(per_microbatch: Sequence[Mapping[str, np.ndarray]],
+                 clip: float) -> tuple[Params, np.ndarray]:
+    """The sum of the clipped gradients, as views in key order of one vector."""
+    if not per_microbatch:
+        raise ValueError("per_microbatch must be nonempty")
     first = per_microbatch[0]
     keys = list(first.keys())
     for g in per_microbatch[1:]:
         if list(g.keys()) != keys or any(g[k].shape != first[k].shape for k in keys):
             raise ValueError("inconsistent gradient shapes across microbatches")
-    m = len(per_microbatch)
     scales = clip_scales(np.array([global_norm(g) for g in per_microbatch]), clip)
     bounds = np.cumsum([0] + [first[k].size for k in keys]).tolist()
     total = np.empty(bounds[-1])
@@ -121,28 +149,7 @@ def dp_aggregate(
         np.multiply(first[k], scales[0], out=acc)
         for g, s in zip(per_microbatch[1:], scales[1:]):
             acc += g[k] * s
-    _noise_and_average(out.values(), total, m, clip, noise_multiplier, rng)
-    return out
-
-
-def _noise_and_average(views, total: np.ndarray, m: int, clip: float,
-                       noise_multiplier: float, rng) -> None:
-    """Add the DP noise to ``views`` and divide ``total``, the vector they cover, by ``m``.
-
-    The noise is one flat draw of ``total.size`` standard normals, scaled
-    by ``noise_multiplier * clip`` in place and laid over the views in
-    their order; with ``noise_multiplier == 0`` nothing is drawn.
-    """
-    if noise_multiplier > 0:
-        gen = rng.generator() if isinstance(rng, RngStream) else rng
-        z = gen.standard_normal(total.size)
-        z *= noise_multiplier * clip
-        lo = 0
-        for view in views:
-            hi = lo + view.size
-            view += z[lo:hi].reshape(view.shape)
-            lo = hi
-    total /= m
+    return out, total
 
 
 # Elements per pass of ``adam_step``: chunks of the parameter, moment,
@@ -355,12 +362,10 @@ def _dp_batch_gradient(spec, params, xb, yb, cfg: DpSgdConfig, gen):
 
     One forward and one backward over the whole batch; the backward's
     clipped reduction sums the clipped microbatch gradients without
-    forming any of them, and the noise goes on in ``dp_aggregate``'s key
-    order.
+    forming any of them, and ``dp_aggregate`` noises and averages that sum.
     """
     m, clip = cfg.num_microbatches, cfg.l2_norm_clip
     preds, tape = forward_batch(spec, params, xb)
-    grad = backward_batch(spec, params, tape, yb, reduce="clip", clip=clip, microbatches=m)
-    _noise_and_average((grad[k] for k in dp_key_order(spec)), grad.vector, m, clip,
-                       cfg.noise_multiplier, gen)
+    clipped = backward_batch(spec, params, tape, yb, reduce="clip", clip=clip, microbatches=m)
+    grad = dp_aggregate(clipped, clip, cfg.noise_multiplier, gen, microbatches=m)
     return grad, float(np.mean(np.abs(preds - yb)))

@@ -22,7 +22,8 @@ from dpforecast import (
     lstm_step,
     save_params,
 )
-from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_shapes
+from dpforecast.nn import (GATE_NAMES, Packed, add_in_dp_order, dp_key_order, pack_params,
+                           param_shapes)
 from dpforecast.optim import adam_step, init_adam_state
 
 
@@ -217,6 +218,24 @@ class TestPacked:
         got, _ = forward_batch(spec, relu, X)
         expected, _ = forward_batch(spec, dict(relu), X)
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_add_in_dp_order_lays_z_over_the_tensors_in_that_order(self, cell, bidirectional):
+        spec = ModelSpec(cell, bidirectional, 3, 2, 4, "relu")
+        packed = init_params(spec, RngStream(5))
+        z = RngStream(6).generator().standard_normal(packed.vector.size)
+        expected = {k: v.copy() for k, v in packed.items()}
+        lo = 0
+        for name in dp_key_order(spec):
+            hi = lo + expected[name].size
+            expected[name] += z[lo:hi].reshape(expected[name].shape)
+            lo = hi
+        add_in_dp_order(packed, z)
+        for name, value in expected.items():
+            assert packed[name].tobytes() == value.tobytes(), name
+        with pytest.raises(ValueError):
+            add_in_dp_order(packed, z[1:])
 
     def test_adam_refuses_a_plain_dict(self):
         spec = ModelSpec("gru", False, 2, 1, 1)

@@ -289,8 +289,44 @@ class TestClippedReduction:
             with pytest.raises(ValueError):
                 clipped_sum(spec, params, data.inputs, data.targets, clip, m)
 
+    def test_other_reductions_refuse_clip_arguments(self):
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        params = init_params(spec, RngStream(0))
+        data = random_windows(n=4, lag=3, d=3, out=2, seed=1)
+        _, tape = forward_batch(spec, params, data.inputs)
+        for reduce in ("mean", "stack"):
+            for extra in ({"clip": 1.0}, {"microbatches": 2}):
+                with pytest.raises(ValueError, match="reduce='clip'"):
+                    backward_batch(spec, params, tape, data.targets, reduce=reduce, **extra)
 
-TINY =ModelSpec("gru", False, 1, 1, 1)  # 11 parameters
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_aggregate_of_the_sum_matches_the_stacked_aggregate_with_noise(
+            self, cell, bidirectional):
+        # The noise lands on the same entries, in dp_key_order, either way.
+        spec = ModelSpec(cell, bidirectional, 4, 3, 2, "tanh")
+        params = init_params(spec, RngStream(11))
+        data = random_windows(n=4, lag=5, d=3, out=2, seed=12)
+        summed = clipped_sum(spec, params, data.inputs, data.targets, 0.1, 2)
+        got = dp_aggregate(summed, 0.1, 3.0, RngStream(5), microbatches=2)
+        assert got is summed
+        _, tape = forward_batch(spec, params, data.inputs)
+        stack = backward_batch(spec, params, tape, data.targets, reduce="stack")
+        micro = [{k: v[2 * i:2 * i + 2].mean(axis=0) for k, v in stack.items()}
+                 for i in range(2)]
+        expected = dp_aggregate(micro, 0.1, 3.0, RngStream(5))
+        for k, value in expected.items():
+            assert np.linalg.norm(got[k] - value) <= 1e-12 * np.linalg.norm(value), k
+
+    def test_aggregate_takes_microbatches_only_with_a_packed_sum(self):
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        summed = pack_params(spec)
+        for args, m in (([dict(summed)], 1), (summed, None), (summed, 0)):
+            with pytest.raises(ValueError, match="Packed clipped sum"):
+                dp_aggregate(args, 1.0, 0.0, RngStream(0), microbatches=m)
+
+
+TINY = ModelSpec("gru", False, 1, 1, 1)  # 11 parameters
 
 
 def tiny(*values):
@@ -457,6 +493,23 @@ class TestTrain:
             for name in pa:
                 np.testing.assert_allclose(pa[name], pb[name], rtol=0, atol=1e-9)
             np.testing.assert_allclose(la.epoch_mae, lb.epoch_mae, atol=1e-9)
+
+    def test_dp_steps_go_through_dp_aggregate(self, monkeypatch):
+        # Each step's clipped sum is noised and averaged by the public
+        # aggregate, so a tracer that wraps it times the DP tail.
+        calls = []
+        original = optim.dp_aggregate
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("microbatches"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "dp_aggregate", counted)
+        spec = ModelSpec("gru", True, 2, 3, 2, "relu")
+        p0 = init_params(spec, RngStream(6))
+        _, log = train(spec, p0, random_windows(n=24), DpSgdConfig(1.0, 0.5, 3, 6, 2, 0.01),
+                       RngStream(7))
+        assert calls == [3] * log.step_count == [3] * 8
 
     def test_dp_multi_example_microbatches_run(self):
         ds = random_windows(n=24)
