@@ -23,6 +23,7 @@ from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 if TYPE_CHECKING:  # pragma: no cover
     from .privacy import PrivacyRecord
@@ -359,7 +360,9 @@ def make_windows(
             raise ValueError("context must end exactly one slot before the series")
         if context.n_slots < lag:
             raise ValueError(f"context provides {context.n_slots} slots; lag={lag} needed")
-        full = np.vstack([feature_matrix(context)[-lag:], feats])
+        tail = MobilitySeries(context.timestamps[-lag:], context.counts[-lag:],
+                              context.region_labels)
+        full = np.vstack([feature_matrix(tail), feats])
         n = series.n_slots
         targets = series.counts
         target_ts = series.timestamps
@@ -372,7 +375,8 @@ def make_windows(
         n = series.n_slots - lag
         targets = series.counts[lag:]
         target_ts = series.timestamps[lag:]
-    windows = np.stack([full[i:i + lag] for i in range(n)])
+    # window i is full[i:i + lag]; copied so it owns its bytes, never a view of full
+    windows = sliding_window_view(full, lag, axis=0)[:n].transpose(0, 2, 1).copy()
     names = series.region_labels + CYCLICAL_NAMES
     return WindowedDataset(windows, np.array(targets), lag, names, np.array(target_ts))
 

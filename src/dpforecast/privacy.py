@@ -19,6 +19,15 @@ Two regimes are supported:
   to (epsilon, delta)-DP via ``eps_rdp + ln(1 / delta) / (alpha - 1)``,
   minimized over a grid of orders.
 
+  Every (alpha, k) term of a grid is formed in one numpy pass. What
+  depends on the orders alone (ln C(alpha, k) from an ``lgamma`` table,
+  k, alpha - k and k (k - 1)) is built once per orders tuple and kept in
+  a small LRU cache. Each term is computed in the order of the scalar
+  expression above, terms whose ``exp`` underflows to 0 against their
+  order's largest are dropped, and each order's remaining terms go
+  through :func:`core.logsumexp`; so every value has the bits of a
+  term-by-term loop. A single order is the one-order grid.
+
 Per-release guarantees compose sequentially: a ledger of k entries with
 budgets (eps_i, delta_i) totals (sum eps_i, sum delta_i).
 """
@@ -27,11 +36,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import RngStream, gaussian_sample, log_binomial, logsumexp
+import numpy as np
+
+from .core import RngStream, gaussian_sample, logsumexp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import MobilitySeries
@@ -115,6 +128,90 @@ def sanitize_series(
     return dataclasses.replace(series, counts=noisy, privacy=record)
 
 
+# ``math.exp`` is exactly 0.0 below this, so such a shifted term adds nothing.
+_EXP_UNDERFLOW = -746.0
+
+
+def _check_order(order) -> int:
+    """``order`` as a plain int: any integral type (``bool`` is 0 or 1), at least 2."""
+    try:
+        value = operator.index(order)
+    except TypeError:
+        value = None
+    if value is None or value < 2:
+        raise ValueError(f"order must be an integer >= 2, got {order!r}")
+    return value
+
+
+class _Grid(NamedTuple):
+    """The parts of every (order, k) term that depend on the orders alone."""
+
+    starts: np.ndarray  # index of each order's k = 0 term
+    sizes: np.ndarray  # order + 1 terms per order
+    log_binom: np.ndarray  # ln C(order, k)
+    k: np.ndarray
+    rest: np.ndarray  # order - k
+    k_pairs: np.ndarray  # k (k - 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(orders: tuple[int, ...]) -> _Grid:
+    lg = np.array([math.lgamma(n + 1) for n in range(max(orders) + 1)])
+    sizes = np.array(orders) + 1
+    starts = np.cumsum(sizes) - sizes
+    alpha = np.repeat(sizes - 1, sizes)
+    k = np.arange(alpha.size) - np.repeat(starts, sizes)
+    grid = _Grid(starts, sizes, lg[alpha] - lg[k] - lg[alpha - k],
+                 k.astype(float), (alpha - k).astype(float), (k * (k - 1)).astype(float))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
+
+
+def _rdp_values(
+    q: float, noise_multiplier: float, orders: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """(orders as ints, per-step RDP at each), the kernel of the accountant.
+
+    Arguments are checked in the order a per-order loop would meet them:
+    the first order, then the noise multiplier and the rate, then the rest
+    of the orders.
+    """
+    checked = []
+    for order in orders:
+        checked.append(_check_order(order))
+        if len(checked) == 1:
+            if noise_multiplier <= 0:
+                raise ValueError("noise_multiplier must be positive")
+            if not 0.0 <= q <= 1.0:
+                raise ValueError(f"sampling rate q must be in [0, 1], got {q}")
+            if q != 0.0 and 2.0 * (noise_multiplier * noise_multiplier) == 0.0:
+                # as dividing by 2 sigma^2 does once sigma^2 underflows to 0
+                raise ZeroDivisionError("float division by zero")
+    orders = tuple(checked)
+    if not orders or q == 0.0:
+        return orders, (0.0,) * len(orders)
+    sigma2 = noise_multiplier * noise_multiplier
+    if q == 1.0:
+        return orders, tuple(order / (2.0 * sigma2) for order in orders)
+    g = _grid(orders)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = g.log_binom + g.k * math.log(q)
+        t += g.rest * math.log1p(-q)
+        t += g.k_pairs / (2.0 * sigma2)
+        # np.maximum propagates NaN; a NaN maximum then drops no term.
+        shifted = t - np.repeat(np.maximum.reduceat(t, g.starts), g.sizes)
+        keep = ~(shifted < _EXP_UNDERFLOW)
+    kept = t[keep].tolist()
+    counts = np.add.reduceat(keep, g.starts, dtype=np.intp).tolist()
+    values = []
+    stop = 0
+    for order, count in zip(orders, counts):
+        start, stop = stop, stop + count
+        values.append(logsumexp(kept[start:stop]) / (order - 1))
+    return orders, tuple(values)
+
+
 def rdp_subsampled_gaussian(q: float, noise_multiplier: float, order: int) -> float:
     """Per-step RDP of the subsampled Gaussian mechanism at an integer order.
 
@@ -122,25 +219,7 @@ def rdp_subsampled_gaussian(q: float, noise_multiplier: float, order: int) -> fl
     ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
     ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
     """
-    if not isinstance(order, (int,)) or isinstance(order, bool) or order < 2:
-        raise ValueError(f"order must be an integer >= 2, got {order!r}")
-    if noise_multiplier <= 0:
-        raise ValueError("noise_multiplier must be positive")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"sampling rate q must be in [0, 1], got {q}")
-    if q == 0.0:
-        return 0.0
-    sigma2 = noise_multiplier * noise_multiplier
-    if q == 1.0:
-        return order / (2.0 * sigma2)
-    log_q = math.log(q)
-    log_1q = math.log1p(-q)
-    terms = []
-    for k in range(order + 1):
-        t = log_binomial(order, k) + k * log_q + (order - k) * log_1q
-        t += k * (k - 1) / (2.0 * sigma2)
-        terms.append(t)
-    return logsumexp(terms) / (order - 1)
+    return _rdp_values(q, noise_multiplier, (order,))[1][0]
 
 
 @dataclass(frozen=True)
@@ -159,8 +238,7 @@ def rdp_curve(
     q: float, noise_multiplier: float, orders: Sequence[int] = DEFAULT_ORDERS
 ) -> RdpCurve:
     """Evaluate the subsampled-Gaussian RDP at every order of the grid."""
-    values = tuple(rdp_subsampled_gaussian(q, noise_multiplier, a) for a in orders)
-    return RdpCurve(tuple(orders), values)
+    return RdpCurve(*_rdp_values(q, noise_multiplier, orders))
 
 
 def compute_epsilon(
@@ -173,9 +251,10 @@ def compute_epsilon(
     """(epsilon, best_order) after ``steps`` compositions at rate ``q``.
 
     epsilon = min over orders of
-        steps * rdp(q, noise_multiplier, order) + ln(1/delta) / (order - 1).
+        steps * rdp(q, noise_multiplier, order) + ln(1/delta) / (order - 1);
+    the first order reaching the minimum wins, and a NaN value never does.
     """
-    if not orders:
+    if len(orders) == 0:
         raise ValueError("orders must be nonempty")
     if steps < 0:
         raise ValueError("steps must be nonnegative")

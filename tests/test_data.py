@@ -514,6 +514,27 @@ class TestMakeWindows:
         with pytest.raises(ValueError, match="one slot before"):
             make_windows(test, lag=3, context=context)
 
+    @pytest.mark.parametrize("with_context", [False, True])
+    @pytest.mark.parametrize("lag", [1, 95])
+    def test_matches_stacked_slices(self, lag, with_context):
+        # 96 slots per part, so lag 95 is n_slots - 1: a single window without context
+        series = build_series(n_days=4, n_regions=3, seed=2)
+        context, part = split(series, train_days=2, test_days=2)
+        feats = feature_matrix(part)
+        if with_context:
+            full = np.vstack([feature_matrix(context)[-lag:], feats])
+            n = part.n_slots
+            w = make_windows(part, lag=lag, context=context)
+        else:
+            full, n = feats, part.n_slots - lag
+            w = make_windows(part, lag=lag)
+        expected = np.stack([full[i:i + lag] for i in range(n)])
+        assert w.inputs.shape == expected.shape
+        assert w.inputs.dtype == expected.dtype
+        assert w.inputs.tobytes() == expected.tobytes()
+        assert w.inputs.flags.c_contiguous and w.inputs.flags.owndata
+        assert w.inputs.base is None
+
     def test_feature_layout_regions_then_cycles(self):
         series = build_series(n_days=1, n_regions=3, seed=0)
         w = make_windows(series, lag=2)

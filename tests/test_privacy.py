@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dpforecast import privacy
 from dpforecast import (
     DEFAULT_ORDERS,
     BudgetLedger,
@@ -18,6 +19,8 @@ from dpforecast import (
     delta_budget_check,
     gaussian_sigma,
     ledger_total,
+    log_binomial,
+    logsumexp,
     rdp_curve,
     rdp_subsampled_gaussian,
     sanitize_series,
@@ -235,6 +238,184 @@ class TestComputeEpsilon:
             compute_epsilon(0.01, 35.0, 100, 1.0)
         with pytest.raises(ValueError):
             compute_epsilon(0.01, 35.0, -1, 1e-7)
+
+
+def reference_rdp(q, noise_multiplier, order):
+    """The term-by-term accountant that the array kernel must match bit for bit."""
+    if not isinstance(order, (int,)) or isinstance(order, bool) or order < 2:
+        raise ValueError(f"order must be an integer >= 2, got {order!r}")
+    if noise_multiplier <= 0:
+        raise ValueError("noise_multiplier must be positive")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"sampling rate q must be in [0, 1], got {q}")
+    if q == 0.0:
+        return 0.0
+    sigma2 = noise_multiplier * noise_multiplier
+    if q == 1.0:
+        return order / (2.0 * sigma2)
+    log_q = math.log(q)
+    log_1q = math.log1p(-q)
+    terms = []
+    for k in range(order + 1):
+        t = log_binomial(order, k) + k * log_q + (order - k) * log_1q
+        t += k * (k - 1) / (2.0 * sigma2)
+        terms.append(t)
+    return logsumexp(terms) / (order - 1)
+
+
+def reference_curve(q, noise_multiplier, orders):
+    return tuple(reference_rdp(q, noise_multiplier, a) for a in orders)
+
+
+def reference_epsilon(q, noise_multiplier, steps, delta, orders):
+    if not orders:
+        raise ValueError("orders must be nonempty")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    log_inv_delta = math.log(1.0 / delta)
+    best_eps = math.inf
+    best_order = orders[0]
+    for order, value in zip(orders, reference_curve(q, noise_multiplier, orders)):
+        eps = steps * value + log_inv_delta / (order - 1)
+        if eps < best_eps:
+            best_eps = eps
+            best_order = order
+    return best_eps, best_order
+
+
+def bits(values):
+    """Exact identity of floats: repr round-trips, and every NaN reads 'nan'."""
+    return [repr(float(v)) for v in values]
+
+
+UNSORTED_GRID = (64, 3, 512, 3, 2, 17, 64, 2)
+WIDE_GRID = (2, 5, 33, 128, 700, 1024)
+
+
+def seeded_cases(seed, count):
+    """(q, sigma) pairs: q log-uniform in [1e-6, 1) plus 0 and 1, sigma in [0.3, 1e3]."""
+    gen = np.random.default_rng(seed)
+    qs = [float(q) for q in 10 ** gen.uniform(-6, 0, count)] + [0.0, 1.0]
+    sigmas = [float(s) for s in 10 ** gen.uniform(math.log10(0.3), 3, count + 2)]
+    return list(zip(qs, sigmas))
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestArrayKernelMatchesScalar:
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, UNSORTED_GRID, WIDE_GRID])
+    def test_curve_bits(self, orders):
+        for q, sigma in seeded_cases(31, 18):
+            curve = rdp_curve(q, sigma, orders)
+            assert curve.orders == orders
+            assert bits(curve.rdp) == bits(reference_curve(q, sigma, orders)), (q, sigma)
+
+    def test_single_order_bits(self):
+        for q, sigma in seeded_cases(32, 40):
+            for order in (2, 3, 17, 64, 512, 1024):
+                assert bits([rdp_subsampled_gaussian(q, sigma, order)]) == bits(
+                    [reference_rdp(q, sigma, order)]
+                ), (q, sigma, order)
+
+    @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, UNSORTED_GRID, WIDE_GRID])
+    def test_epsilon_and_order(self, orders):
+        steps_choices = (0, 1, 624, 62400)
+        for i, (q, sigma) in enumerate(seeded_cases(33, 14)):
+            steps = steps_choices[i % len(steps_choices)]
+            eps, order = compute_epsilon(q, sigma, steps, 1e-7, orders)
+            ref_eps, ref_order = reference_epsilon(q, sigma, steps, 1e-7, orders)
+            assert bits([eps]) == bits([ref_eps]) and order == ref_order, (q, sigma, steps)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_term_gives_nan_that_never_wins(self):
+        # 2 sigma^2 is about 1e-303, so k (k - 1) / (2 sigma^2) overflows from k = 425 on
+        sigma, orders = 2.2e-152, (512, 2, 64, 1024)
+        curve = rdp_curve(0.01, sigma, orders)
+        assert bits(curve.rdp) == bits(reference_curve(0.01, sigma, orders))
+        assert math.isnan(curve.rdp[0]) and math.isnan(curve.rdp[3])
+        assert all(math.isfinite(v) for v in curve.rdp[1:3])
+        eps, order = compute_epsilon(0.01, sigma, 1, 1e-7, orders)
+        assert (eps, order) == reference_epsilon(0.01, sigma, 1, 1e-7, orders)
+        assert order in (2, 64) and math.isfinite(eps)
+
+    def test_alternating_grids_reuse_the_cache(self):
+        fresh = {}
+        for orders in (DEFAULT_ORDERS, WIDE_GRID):
+            privacy._grid.cache_clear()
+            fresh[orders] = bits(rdp_curve(5 / 3120, 70.0, orders).rdp)
+        privacy._grid.cache_clear()
+        for orders in (DEFAULT_ORDERS, WIDE_GRID, DEFAULT_ORDERS):
+            assert bits(rdp_curve(5 / 3120, 70.0, orders).rdp) == fresh[orders]
+        for order in range(2, 14):  # more grids than the cache holds
+            rdp_subsampled_gaussian(5 / 3120, 70.0, order)
+        assert bits(rdp_curve(5 / 3120, 70.0, DEFAULT_ORDERS).rdp) == fresh[DEFAULT_ORDERS]
+
+    @pytest.mark.parametrize(
+        "q,sigma,order",
+        [(0.01, 2.0, 1), (0.01, 2.0, 0), (0.01, 2.0, -3), (0.01, 2.0, 2.5),
+         (0.01, 2.0, 2.0), (0.01, 2.0, True), (0.01, 2.0, False), (0.01, 2.0, None),
+         (0.01, 2.0, "3"), (0.01, 2.0, np.float64(2.0)), (0.01, 2.0, np.True_),
+         (0.01, 0.0, 2), (0.01, -1.0, 2), (-0.1, 2.0, 2), (1.5, 2.0, 2),
+         (math.nan, 2.0, 2), (0.5, 1e-170, 2), (1.0, 1e-170, 2), (0.01, 0.0, 1)],
+    )
+    def test_invalid_single_order_raises_as_scalar(self, q, sigma, order):
+        expected = raised(reference_rdp, q, sigma, order)
+        assert expected is not None
+        assert raised(rdp_subsampled_gaussian, q, sigma, order) == expected
+
+    @pytest.mark.parametrize(
+        "q,sigma,orders",
+        [(0.01, 2.0, (2, 1)), (0.01, 0.0, (1, 2)), (0.01, 0.0, (2, 1)),
+         (1.5, 2.0, (2, 2.5)), (0.01, 2.0, (2, 3, 2.0)), (0.5, 1e-170, (2, 2.5)),
+         (1.0, 1e-170, (3, True)), (0.0, 1e-170, (3, True))],
+    )
+    def test_invalid_grid_raises_as_scalar(self, q, sigma, orders):
+        expected = raised(reference_curve, q, sigma, orders)
+        assert expected is not None
+        assert raised(rdp_curve, q, sigma, orders) == expected
+        assert raised(compute_epsilon, q, sigma, 10, 1e-7, orders) == expected
+
+    @pytest.mark.parametrize(
+        "steps,delta,orders",
+        [(10, 1e-7, ()), (-1, 1e-7, DEFAULT_ORDERS), (10, 1.0, DEFAULT_ORDERS),
+         (10, 0.0, DEFAULT_ORDERS), (-1, 1.0, ())],
+    )
+    def test_invalid_epsilon_arguments_raise_as_scalar(self, steps, delta, orders):
+        expected = raised(reference_epsilon, 0.01, 35.0, steps, delta, orders)
+        assert expected is not None
+        assert raised(compute_epsilon, 0.01, 35.0, steps, delta, orders) == expected
+
+    def test_empty_grid_gives_empty_curve(self):
+        assert rdp_curve(0.01, -1.0, ()) == RdpCurve((), ())
+
+
+class TestNumpyOrderGrids:
+    @pytest.mark.parametrize("make", [np.arange, lambda a, b: list(np.arange(a, b))])
+    def test_numpy_orders_give_the_tuple_grid_bits(self, make):
+        orders = make(2, 65)
+        eps, order = compute_epsilon(5 / 3120, 70.0, 62400, 1e-7, orders=orders)
+        assert (eps, order) == compute_epsilon(5 / 3120, 70.0, 62400, 1e-7, tuple(range(2, 65)))
+        assert type(order) is int
+        curve = rdp_curve(5 / 3120, 70.0, orders)
+        assert curve.orders == tuple(range(2, 65))
+        assert all(type(a) is int for a in curve.orders)
+        assert bits(curve.rdp) == bits(reference_curve(5 / 3120, 70.0, tuple(range(2, 65))))
+        assert rdp_subsampled_gaussian(5 / 3120, 70.0, np.int64(64)) == curve.rdp[-1]
+
+    @pytest.mark.parametrize("order", [True, 2.0, 2.5, np.float64(3.0), 1, np.int64(1)])
+    def test_non_integral_or_small_orders_still_refused(self, order):
+        with pytest.raises(ValueError, match="order must be an integer >= 2"):
+            rdp_subsampled_gaussian(0.01, 2.0, order)
+        with pytest.raises(ValueError, match="order must be an integer >= 2"):
+            compute_epsilon(0.01, 2.0, 10, 1e-7, orders=[4, order])
 
 
 LEDGER_CASES = [
