@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, parse_config
-from .core import RngStream
-from .data import DataFormatError, descriptive_stats, iqr_clean, load_csv
+from .core import RngStream, write_csv, write_json
+from .data import DataFormatError, descriptive_stats, format_timestamps, iqr_clean, load_csv
 from .forecast import (
     ModelConfig,
     Prepared,
@@ -81,9 +81,7 @@ def _write_manifest(out_dir: Path, inputs: list[Path], config_echo: dict, seeds)
         "config": config_echo,
         "seeds": list(seeds),
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -172,23 +170,18 @@ def cmd_stats(args) -> int:
     series, path = _dataset_series(cfg, clean=True)
     stats = descriptive_stats(series)
     out = _out_dir(args)
-    with open(out / "stats.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", *series.region_labels])
-        for name in ("min", "max", "mean", "std", "median"):
-            writer.writerow([name, *[repr(float(v)) for v in stats[name]]])
+    write_csv(out / "stats.csv", ["statistic", *series.region_labels],
+              ([name, *[repr(float(v)) for v in stats[name]]]
+               for name in ("min", "max", "mean", "std", "median")))
     _write_manifest(out, [path], cfg.echo(), [])
     print(f"wrote {out / 'stats.csv'}")
     return 0
 
 
 def _write_series_csv(series, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datetime", *series.region_labels])
-        stamps = [str(t).replace("T", " ") for t in series.timestamps.astype("datetime64[s]")]
-        for stamp, row in zip(stamps, series.counts):
-            writer.writerow([stamp, *[repr(float(v)) for v in row]])
+    write_csv(path, ["datetime", *series.region_labels],
+              ([stamp, *[repr(float(v)) for v in row]]
+               for stamp, row in zip(format_timestamps(series.timestamps), series.counts)))
 
 
 def cmd_clean(args) -> int:
@@ -215,10 +208,8 @@ def cmd_sanitize(args) -> int:
     ledger.write_csv(out / "ledger.csv")
     record = sanitized.privacy
     eps_total, delta_total = ledger.total()
-    with open(out / "privacy.json", "w") as fh:
-        json.dump(asdict(record) | {"total_epsilon": eps_total, "total_delta": delta_total},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "privacy.json",
+               asdict(record) | {"total_epsilon": eps_total, "total_delta": delta_total})
     _write_manifest(out, [path], cfg.echo(), [seed])
     print(f"wrote {out / 'sanitized.csv'} (sigma={record.sigma:.6g})")
     return 0
@@ -309,11 +300,8 @@ def cmd_evaluate(args) -> int:
     pairs = np.asarray(list(per_region.values()))  # (regions, slots, [y_true, y_pred])
     report = evaluate_forecast(pairs[..., 0].T, pairs[..., 1].T, list(per_region))
     out = _out_dir(args)
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["region", "rmse", "mae"])
-        for row in report.to_rows():
-            writer.writerow([row["region"], repr(row["rmse"]), repr(row["mae"])])
+    write_csv(out / "metrics.csv", ["region", "rmse", "mae"],
+              ([row["region"], repr(row["rmse"]), repr(row["mae"])] for row in report.to_rows()))
     print(f"wrote {out / 'metrics.csv'}")
     return 0
 
@@ -329,13 +317,12 @@ def cmd_report(args) -> int:
     dp = _summary(Path(args.run))
     ref = _summary(Path(args.reference))
     out = _out_dir(args)
-    with open(out / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "dp_value", "np_value", "utility_loss_pct"])
-        for metric in ("mean_rmse", "mean_mae"):
-            with _usage(str(args.reference)):
-                loss = utility_loss(dp[metric], ref[metric])
-            writer.writerow([metric, repr(dp[metric]), repr(ref[metric]), repr(loss)])
+    rows = []
+    for metric in ("mean_rmse", "mean_mae"):
+        with _usage(str(args.reference)):
+            loss = utility_loss(dp[metric], ref[metric])
+        rows.append([metric, repr(dp[metric]), repr(ref[metric]), repr(loss)])
+    write_csv(out / "report.csv", ["metric", "dp_value", "np_value", "utility_loss_pct"], rows)
     print(f"wrote {out / 'report.csv'}")
     return 0
 
@@ -396,13 +383,9 @@ def cmd_tune(args) -> int:
     result = run_search(space, pipeline, budget, strategy, RngStream(seed))
     out = _out_dir(args)
     write_trials_csv(result, out / "trials.csv")
-    with open(out / "best.json", "w") as fh:
-        json.dump(
-            {"config": result.best.config, "objective": result.best.objective,
-             "mean_rmse": result.best.metrics.mean_rmse, "seed": result.best.seed},
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    write_json(out / "best.json",
+               {"config": result.best.config, "objective": result.best.objective,
+                "mean_rmse": result.best.metrics.mean_rmse, "seed": result.best.seed})
     _write_manifest(out, [path], cfg.echo(), [seed])
     print(f"best objective {result.best.objective:.3f} with {result.best.config}")
     return 0

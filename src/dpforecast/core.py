@@ -3,13 +3,18 @@
 All tensors in this package are plain ``numpy.ndarray`` objects with
 ``float64`` entries; counts, privacy budgets, and Renyi exponents span
 enough orders of magnitude that 32-bit floats would be unsafe.
+
+Every text artifact a run writes goes through :func:`write_csv` or
+:func:`write_json`, so the file formats are stated once.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -102,3 +107,22 @@ def logsumexp(xs: Sequence[float]) -> float:
     if math.isinf(m) and m < 0:
         return float("-inf")
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as CSV lines ending in CRLF.
+
+    Cells are written as ``csv.writer`` writes them: ``None`` empty, any
+    other value as its ``str``. Callers pass floats as ``repr`` text.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON indented by 2 with sorted keys and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -166,6 +166,11 @@ def load_csv(path) -> MobilitySeries:
     return MobilitySeries(grid, counts, labels)
 
 
+def format_timestamps(timestamps: np.ndarray) -> list[str]:
+    """Each timestamp as ``TIME_FORMAT`` text, to the second, as :func:`load_csv` reads it."""
+    return [str(t).replace("T", " ") for t in timestamps.astype("datetime64[s]")]
+
+
 def _linear_quantile(ordered: np.ndarray, n_present: np.ndarray, q: float) -> np.ndarray:
     """``np.percentile``'s linear method along axis 1 of NaN-last sorted groups.
 

@@ -22,20 +22,19 @@ original count scale, plus their means and the across-region RMSE spread.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, write_csv, write_json
 from .data import (
     IdentityScaler,
     MinMaxScaler,
     MobilitySeries,
     WindowedDataset,
+    format_timestamps,
     make_windows,
     split,
 )
@@ -185,26 +184,16 @@ class RunArtifact:
     train_log: Optional[TrainLog] = None
 
     def write_metrics_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run_kind", "region", "rmse", "mae"])
-            for row in self.metrics.to_rows():
-                writer.writerow(
-                    [self.run_kind, row["region"], repr(row["rmse"]), repr(row["mae"])]
-                )
+        write_csv(path, ["run_kind", "region", "rmse", "mae"],
+                  ([self.run_kind, row["region"], repr(row["rmse"]), repr(row["mae"])]
+                   for row in self.metrics.to_rows()))
 
     def write_predictions_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["datetime", "region", "y_true", "y_pred"])
-            stamps = [str(t) for t in self.target_timestamps.astype("datetime64[s]")]
-            for i, stamp in enumerate(stamps):
-                for j, region in enumerate(self.region_labels):
-                    writer.writerow(
-                        [stamp.replace("T", " "), region,
-                         repr(float(self.y_true[i, j])),
-                         repr(float(self.predictions[i, j]))]
-                    )
+        write_csv(path, ["datetime", "region", "y_true", "y_pred"],
+                  ([stamp, region, repr(float(self.y_true[i, j])),
+                    repr(float(self.predictions[i, j]))]
+                   for i, stamp in enumerate(format_timestamps(self.target_timestamps))
+                   for j, region in enumerate(self.region_labels)))
 
     def summary(self) -> dict:
         out = {
@@ -233,9 +222,7 @@ class RunArtifact:
         return out
 
     def write_summary_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 @dataclass

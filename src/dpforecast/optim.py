@@ -10,7 +10,6 @@ assumes.
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
@@ -19,7 +18,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, write_csv
 from .nn import (ModelSpec, Packed, Params, add_in_dp_order, backward_batch, clip_scales,
                  forward_batch, pack_params)
 
@@ -251,14 +250,10 @@ class TrainLog:
     step_count: int = 0
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "step_count", "train_mae"])
-            steps_per_epoch = (
-                self.step_count // len(self.epoch_mae) if self.epoch_mae else 0
-            )
-            for e, mae in enumerate(self.epoch_mae):
-                writer.writerow([e, steps_per_epoch * (e + 1), repr(mae)])
+        steps_per_epoch = self.step_count // len(self.epoch_mae) if self.epoch_mae else 0
+        write_csv(path, ["epoch", "step_count", "train_mae"],
+                  ([e, steps_per_epoch * (e + 1), repr(mae)]
+                   for e, mae in enumerate(self.epoch_mae)))
 
 
 def train(

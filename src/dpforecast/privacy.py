@@ -34,7 +34,6 @@ budgets (eps_i, delta_i) totals (sum eps_i, sum delta_i).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import math
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import RngStream, gaussian_sample, logsumexp
+from .core import RngStream, gaussian_sample, logsumexp, write_csv
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import MobilitySeries
@@ -322,18 +321,15 @@ class BudgetLedger:
         return ledger
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["label", "epsilon", "delta", "cumulative_epsilon", "cumulative_delta"]
-            )
-            cum_eps = 0.0
-            cum_delta = 0.0
-            for e in self.entries:
-                cum_eps += e.epsilon
-                cum_delta += e.delta
-                writer.writerow([e.label, repr(e.epsilon), repr(e.delta),
-                                 repr(cum_eps), repr(cum_delta)])
+        rows = []
+        cum_eps = 0.0
+        cum_delta = 0.0
+        for e in self.entries:
+            cum_eps += e.epsilon
+            cum_delta += e.delta
+            rows.append([e.label, repr(e.epsilon), repr(e.delta), repr(cum_eps), repr(cum_delta)])
+        write_csv(path, ["label", "epsilon", "delta", "cumulative_epsilon", "cumulative_delta"],
+                  rows)
 
 
 def ledger_total(ledger: BudgetLedger) -> tuple[float, float]:

@@ -9,14 +9,13 @@ trials at random and then samples near the best quartile.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, write_csv
 from .forecast import MetricsReport
 
 
@@ -171,22 +170,20 @@ def run_search(
 
 
 def write_trials_csv(result: TuneResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["trial_id", "h1", "batch", "learning_rate", "clip",
-             "noise_multiplier", "epsilon", "objective", "mean_rmse", "mean_mae"]
-        )
-        for t in result.trials:
-            writer.writerow([
-                t.trial_id,
-                t.config.get("h1"),
-                t.config.get("batch_size"),
-                repr(t.config.get("learning_rate")),
-                t.config.get("l2_norm_clip", ""),
-                t.config.get("noise_multiplier", ""),
-                "" if t.epsilon is None else repr(t.epsilon),
-                repr(t.objective),
-                repr(t.metrics.mean_rmse),
-                repr(t.metrics.mean_mae),
-            ])
+    write_csv(
+        path,
+        ["trial_id", "h1", "batch", "learning_rate", "clip",
+         "noise_multiplier", "epsilon", "objective", "mean_rmse", "mean_mae"],
+        ([
+            t.trial_id,
+            t.config.get("h1"),
+            t.config.get("batch_size"),
+            repr(t.config.get("learning_rate")),
+            t.config.get("l2_norm_clip", ""),
+            t.config.get("noise_multiplier", ""),
+            "" if t.epsilon is None else repr(t.epsilon),
+            repr(t.objective),
+            repr(t.metrics.mean_rmse),
+            repr(t.metrics.mean_mae),
+        ] for t in result.trials),
+    )
