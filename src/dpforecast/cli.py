@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, finite_float, parse_config
 from .core import RngStream, write_csv, write_json
 from .data import DataFormatError, descriptive_stats, format_timestamps, iqr_clean, load_csv
 from .forecast import (
@@ -29,7 +29,10 @@ from .forecast import (
     Prepared,
     TrainConfig,
     evaluate_forecast,
+    fit_release,
+    input_release,
     prepare,
+    release_stream,
     run_baseline,
     run_gradient_perturbation,
     run_input_perturbation,
@@ -96,12 +99,9 @@ def _load_config(args) -> ExperimentConfig:
     return parse_config(args.config)
 
 
-def _dataset_series(cfg: ExperimentConfig, clean: bool = True):
+def _dataset_series(cfg: ExperimentConfig):
     path = Path(cfg.require("dataset", "path"))
-    series = load_csv(path)
-    if clean:
-        series = iqr_clean(series)
-    return series, path
+    return iqr_clean(load_csv(path)), path
 
 
 def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
@@ -167,7 +167,7 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, Prepared]:
 
 def cmd_stats(args) -> int:
     cfg = _load_config(args)
-    series, path = _dataset_series(cfg, clean=True)
+    series, path = _dataset_series(cfg)
     stats = descriptive_stats(series)
     out = _out_dir(args)
     write_csv(out / "stats.csv", ["statistic", *series.region_labels],
@@ -186,7 +186,7 @@ def _write_series_csv(series, path: Path) -> None:
 
 def cmd_clean(args) -> int:
     cfg = _load_config(args)
-    series, path = _dataset_series(cfg, clean=True)
+    series, path = _dataset_series(cfg)
     out = _out_dir(args)
     _write_series_csv(series, out / "cleaned.csv")
     _write_manifest(out, [path], cfg.echo(), [])
@@ -196,7 +196,7 @@ def cmd_clean(args) -> int:
 
 def cmd_sanitize(args) -> int:
     cfg = _load_config(args)
-    series, path = _dataset_series(cfg, clean=True)
+    series, path = _dataset_series(cfg)
     params = _privacy_params(cfg)
     seed = args.seed if args.seed is not None else 0
     sanitized = sanitize_series(series, params, RngStream(seed))
@@ -242,7 +242,7 @@ def cmd_accountant(args) -> int:
 
 def _run_pipeline(cfg: ExperimentConfig, args):
     kind = cfg.get("run", "kind", "nonprivate")
-    series, path = _dataset_series(cfg, clean=True)
+    series, path = _dataset_series(cfg)
     split_args, unscaled = _split_args(cfg, series)
     jobs = args.jobs if args.jobs else cfg.get("run", "jobs", 1)
     seeds = _seeds(cfg, args)
@@ -258,12 +258,10 @@ def _run_pipeline(cfg: ExperimentConfig, args):
         artifact = run_gradient_perturbation(
             series, model, _dp_config(cfg, train), delta, seeds, jobs=jobs, **split_args
         )
-    elif kind == "input":
+    else:
         artifact = run_input_perturbation(
             series, model, train, _privacy_params(cfg), seeds, jobs=jobs, **split_args
         )
-    else:
-        raise ConfigError(f"unknown run kind {kind!r}")
     return artifact, path, seeds
 
 
@@ -345,8 +343,10 @@ def _check_gradient_search(cfg: ExperimentConfig, space: SearchSpace, epochs: in
 
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
-    series, path = _dataset_series(cfg, clean=True)
+    series, path = _dataset_series(cfg)
     kind = cfg.get("run", "kind", "nonprivate")
+    if kind == "baseline":
+        raise ConfigError("[run] kind = baseline has no hyperparameters to tune")
     budget = cfg.get("tune", "budget", 100)
     strategy = cfg.get("tune", "strategy", "random")
     trial_epochs = cfg.get("tune", "epochs", cfg.get("train", "epochs", 100))
@@ -357,8 +357,9 @@ def cmd_tune(args) -> int:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
     split_args, unscaled = _split_args(cfg, series)
     model = _model_config(cfg)
-    delta = cfg.get("privacy", "delta", 1e-7)
+    seed = args.seed if args.seed is not None else 0
     if kind == "gradient":
+        delta = cfg.require("privacy", "delta")
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),
             noise_multiplier=cfg.get("dp", "noise_multiplier", 35.0),
@@ -366,20 +367,27 @@ def cmd_tune(args) -> int:
         _check_gradient_search(cfg, space, trial_epochs, delta, unscaled.n_train_slots)
     else:
         space = SearchSpace()
+    if kind == "input":
+        # One release for the whole search: every trial post-processes it.
+        privacy = _privacy_params(cfg)
+        release = input_release(series, privacy, release_stream(seed),
+                                split_args["train_days"], split_args["test_days"])
 
-    def pipeline(config, seed):
+    def pipeline(config, trial_seed):
         model_cfg = replace(model, hidden_size=config["h1"])
         train_cfg = TrainConfig(config["batch_size"], config["learning_rate"], trial_epochs)
-        if kind != "gradient":
-            artifact = run_nonprivate(series, model_cfg, train_cfg, [seed], **split_args)
+        if kind == "nonprivate":
+            artifact = run_nonprivate(series, model_cfg, train_cfg, [trial_seed], **split_args)
             return artifact.metrics, None
+        if kind == "input":
+            artifact = fit_release(release, model_cfg, train_cfg, [trial_seed], **split_args)
+            return artifact.metrics, privacy.epsilon
         dp_cfg = _dp_config(cfg, train_cfg, l2_norm_clip=config["l2_norm_clip"])
         artifact = run_gradient_perturbation(
-            series, model_cfg, dp_cfg, delta, [seed], **split_args
+            series, model_cfg, dp_cfg, delta, [trial_seed], **split_args
         )
         return artifact.metrics, artifact.privacy["epsilon"]
 
-    seed = args.seed if args.seed is not None else 0
     result = run_search(space, pipeline, budget, strategy, RngStream(seed))
     out = _out_dir(args)
     write_trials_csv(result, out / "trials.csv")
@@ -407,13 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sanitize", help="Gaussian-mechanism release").set_defaults(fn=cmd_sanitize)
 
     acct = sub.add_parser("accountant", help="DP-SGD epsilon for given settings")
-    acct.add_argument("--q", type=float, default=None, help="sampling rate")
+    acct.add_argument("--q", type=finite_float, default=None, help="sampling rate")
     acct.add_argument("--n", type=int, default=None, help="training set size")
     acct.add_argument("--batch", type=int, default=None, help="batch size")
-    acct.add_argument("--noise-multiplier", type=float, required=True)
+    acct.add_argument("--noise-multiplier", type=finite_float, required=True)
     acct.add_argument("--steps", type=int, default=None)
     acct.add_argument("--epochs", type=int, default=None)
-    acct.add_argument("--delta", type=float, required=True)
+    acct.add_argument("--delta", type=finite_float, required=True)
     acct.set_defaults(fn=cmd_accountant)
 
     sub.add_parser("train", help="run the configured pipeline").set_defaults(fn=cmd_train)

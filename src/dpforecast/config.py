@@ -1,13 +1,13 @@
 """Experiment configuration files: INI-style sections of key=value pairs.
 
 Unknown sections or keys are rejected so a typo cannot silently change an
-experiment, and the raw text is carried along so every run summary can
-echo its exact configuration.
+experiment, and the parsed values are echoed into every run's manifest.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,14 +22,19 @@ def _to_bool(raw: str) -> bool:
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean")
+
+
+def finite_float(raw: str) -> float:
+    """A float that is neither NaN nor infinite; config entries and CLI flags use it."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
 
 
 def _to_seeds(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
-    except ValueError:
-        raise ConfigError(f"seeds must be comma-separated integers, got {raw!r}") from None
+    return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
 
 
 _SCHEMA: dict[str, dict] = {
@@ -41,9 +46,11 @@ _SCHEMA: dict[str, dict] = {
     "model": {
         "cell": str, "bidirectional": _to_bool, "hidden_size": int, "activation": str,
     },
-    "train": {"batch_size": int, "learning_rate": float, "epochs": int},
-    "dp": {"l2_norm_clip": float, "noise_multiplier": float, "num_microbatches": int},
-    "privacy": {"epsilon": float, "delta": float, "sensitivity": float},
+    "train": {"batch_size": int, "learning_rate": finite_float, "epochs": int},
+    "dp": {
+        "l2_norm_clip": finite_float, "noise_multiplier": finite_float, "num_microbatches": int,
+    },
+    "privacy": {"epsilon": finite_float, "delta": finite_float, "sensitivity": finite_float},
     "tune": {"budget": int, "strategy": str, "epochs": int},
 }
 
@@ -52,11 +59,9 @@ _RUN_KINDS = ("baseline", "nonprivate", "gradient", "input")
 
 @dataclass
 class ExperimentConfig:
-    """Parsed configuration plus the verbatim text it came from."""
+    """Parsed configuration: section name to its key/value pairs."""
 
     values: dict[str, dict] = field(default_factory=dict)
-    raw_text: str = ""
-    path: str = ""
 
     def get(self, section: str, key: str, default=None):
         return self.values.get(section, {}).get(key, default)
@@ -96,13 +101,11 @@ def parse_config(path) -> ExperimentConfig:
             caster = section_schema[key]
             try:
                 values[section][key] = caster(raw)
-            except ConfigError:
-                raise
-            except ValueError:
+            except ValueError as exc:
                 raise ConfigError(
-                    f"{path}: bad value {raw!r} for [{section}] {key}"
+                    f"{path}: bad value {raw!r} for [{section}] {key}: {exc}"
                 ) from None
     kind = values.get("run", {}).get("kind")
     if kind is not None and kind not in _RUN_KINDS:
         raise ConfigError(f"{path}: run kind must be one of {_RUN_KINDS}, got {kind!r}")
-    return ExperimentConfig(values=values, raw_text=text, path=str(path))
+    return ExperimentConfig(values=values)

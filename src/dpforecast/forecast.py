@@ -236,7 +236,6 @@ class Prepared:
     scaler: object
     region_labels: tuple[str, ...]
     n_train_slots: int
-    last_train_counts: np.ndarray
 
 
 def prepare(
@@ -266,7 +265,6 @@ def prepare(
         scaler=scaler,
         region_labels=series.region_labels,
         n_train_slots=train_s.n_slots,
-        last_train_counts=np.array(train_s.counts[-1], subok=False),
     )
 
 
@@ -410,7 +408,7 @@ def run_gradient_perturbation(
     training log reports; the worst-case total assumes one user present in
     every training slot (sequential composition).
     """
-    if dp_cfg.noise_multiplier <= 0:
+    if not dp_cfg.noise_multiplier > 0:
         raise MechanismValidityError(
             "gradient perturbation requires noise_multiplier > 0; "
             "a zero-noise run has no finite privacy guarantee"
@@ -469,6 +467,11 @@ def input_release(
     )
 
 
+def release_stream(seed: int) -> RngStream:
+    """The stream that an input run whose first seed is ``seed`` sanitizes with."""
+    return RngStream(seed).child(_SANITIZE_STREAM)
+
+
 def run_input_perturbation(
     series: MobilitySeries,
     model_cfg: ModelConfig,
@@ -490,8 +493,7 @@ def run_input_perturbation(
     """
     split_args = _split_args(seeds, lag, train_days, test_days, scale)
     release = input_release(
-        series, privacy_params, RngStream(seeds[0]).child(_SANITIZE_STREAM),
-        train_days, test_days,
+        series, privacy_params, release_stream(seeds[0]), train_days, test_days
     )
     artifact = fit_release(release, model_cfg, train_cfg, seeds, jobs=jobs, **split_args)
     n_basis = release.n_train_slots

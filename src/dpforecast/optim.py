@@ -40,8 +40,13 @@ class NonPrivateConfig:
     learning_rate: float
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate <= 0:
-            raise ValueError("batch_size >= 1, epochs >= 0, learning_rate > 0 required")
+        _check_schedule(self.batch_size, self.epochs, self.learning_rate)
+
+
+def _check_schedule(batch_size: int, epochs: int, learning_rate: float) -> None:
+    # NaN-safe: a NaN rate fails ``0 < rate``.
+    if batch_size < 1 or epochs < 0 or not 0 < learning_rate < math.inf:
+        raise ValueError("batch_size >= 1, epochs >= 0, finite learning_rate > 0 required")
 
 
 @dataclass(frozen=True)
@@ -56,14 +61,14 @@ class DpSgdConfig:
     learning_rate: float
 
     def __post_init__(self):
-        if self.l2_norm_clip <= 0:
-            raise ValueError("l2_norm_clip must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be nonnegative")
+        if not 0 < self.l2_norm_clip < math.inf:
+            raise ValueError(f"l2_norm_clip must be positive and finite, got {self.l2_norm_clip}")
+        if not 0 <= self.noise_multiplier < math.inf:
+            raise ValueError(
+                f"noise_multiplier must be nonnegative and finite, got {self.noise_multiplier}")
         if self.num_microbatches < 1 or self.batch_size % self.num_microbatches != 0:
             raise ValueError("num_microbatches must be >= 1 and divide batch_size")
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate <= 0:
-            raise ValueError("batch_size >= 1, epochs >= 0, learning_rate > 0 required")
+        _check_schedule(self.batch_size, self.epochs, self.learning_rate)
 
 
 def global_norm(g: Mapping[str, np.ndarray]) -> float:
@@ -107,8 +112,11 @@ def dp_aggregate(
     clip`` in place before it is added, so it must be the caller's to
     overwrite.
     """
-    if clip <= 0:
-        raise ValueError("clip must be positive")
+    if not 0 < clip < math.inf:
+        raise ValueError("clip must be positive and finite")
+    if not 0 <= noise_multiplier < math.inf:
+        raise ValueError(
+            f"noise_multiplier must be nonnegative and finite, got {noise_multiplier}")
     summed = isinstance(per_microbatch, Packed)
     if summed != (microbatches is not None) or (summed and microbatches < 1):
         raise ValueError("a Packed clipped sum takes microbatches=m >= 1, and only it does")

@@ -87,8 +87,8 @@ def gaussian_sigma(l2_sensitivity: float, epsilon: float, delta: float) -> float
     The (epsilon, delta) guarantee only holds for ``epsilon in (0, 1)``;
     values outside that open interval are rejected.
     """
-    if l2_sensitivity <= 0:
-        raise ValueError("l2_sensitivity must be positive")
+    if not 0 < l2_sensitivity < math.inf:
+        raise ValueError(f"l2_sensitivity must be positive and finite, got {l2_sensitivity}")
     if not 0.0 < epsilon < 1.0:
         raise MechanismValidityError(
             f"Gaussian mechanism requires epsilon in (0, 1), got {epsilon}"
@@ -174,7 +174,8 @@ def _rdp_values(
 
     Arguments are checked in the order a per-order loop would meet them:
     the first order, then the noise multiplier and the rate, then the rest
-    of the orders.
+    of the orders. A noise multiplier must be finite, and so large that
+    2 sigma^2 does not underflow to 0 unless q is 0.
     """
     checked = []
     for order in orders:
@@ -182,11 +183,13 @@ def _rdp_values(
         if len(checked) == 1:
             if noise_multiplier <= 0:
                 raise ValueError("noise_multiplier must be positive")
+            if not math.isfinite(noise_multiplier):
+                raise ValueError(f"noise_multiplier must be finite, got {noise_multiplier}")
             if not 0.0 <= q <= 1.0:
                 raise ValueError(f"sampling rate q must be in [0, 1], got {q}")
             if q != 0.0 and 2.0 * (noise_multiplier * noise_multiplier) == 0.0:
-                # as dividing by 2 sigma^2 does once sigma^2 underflows to 0
-                raise ZeroDivisionError("float division by zero")
+                raise ValueError(
+                    f"noise_multiplier {noise_multiplier!r} is too small: its square underflows")
     orders = tuple(checked)
     if not orders or q == 0.0:
         return orders, (0.0,) * len(orders)

@@ -1,15 +1,23 @@
 """Command-line surface: exit codes, file outputs, and determinism."""
 
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpforecast import cli, evaluate_forecast, optim, utility_loss
+from dpforecast import cli, evaluate_forecast, forecast, optim, utility_loss
 from dpforecast.cli import main
 
 from conftest import build_series, write_series_csv
+from test_forecast import PoisonableArray
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -59,6 +67,18 @@ def gradient_config(dataset):
         "\n[dp]\nl2_norm_clip = 1.0\nnoise_multiplier = 2.0\nnum_microbatches = 4\n"
         "\n[privacy]\ndelta = 1e-7\n"
     )
+
+
+INPUT_PRIVACY = "\n[privacy]\nepsilon = 0.5\ndelta = 1e-6\nsensitivity = 1.0\n"
+TUNE_ONE_TRIAL = "\n[tune]\nbudget = 1\nepochs = 1\n"
+
+
+def exit_code(argv):
+    """``main``'s exit status, also where argparse refuses a flag by raising SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def config_keys(out):
@@ -178,6 +198,86 @@ class TestAccountant:
         assert "Traceback" not in err
 
 
+class TestModuleEntry:
+    @pytest.mark.parametrize("delta, status, stdout", [
+        ("1e-7", 0, "eps=0.065069 at order=512 (delta=1e-07)\n"),
+        ("1.0", 2, ""),
+    ])
+    def test_python_m_runs_the_accountant(self, delta, status, stdout):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpforecast.cli", "accountant", "--n", "3120",
+             "--batch", "5", "--noise-multiplier", "35", "--epochs", "100", "--delta", delta],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == status
+        assert proc.stdout == stdout
+        assert "Traceback" not in proc.stderr
+
+
+NON_FINITE_CONFIGS = {
+    "gradient": gradient_config,
+    "nonprivate": lambda data: BASE_CONFIG.format(data=data, kind="nonprivate"),
+    "input": lambda data: BASE_CONFIG.format(data=data, kind="input") + INPUT_PRIVACY,
+    "sanitize": lambda data: f"[dataset]\npath = {data}\n" + INPUT_PRIVACY,
+}
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("config, old, new, command, named", [
+        ("gradient", "noise_multiplier = 2.0", "noise_multiplier = nan", "train",
+         "[dp] noise_multiplier"),
+        ("gradient", "noise_multiplier = 2.0", "noise_multiplier = inf", "train",
+         "[dp] noise_multiplier"),
+        ("gradient", "l2_norm_clip = 1.0", "l2_norm_clip = nan", "train", "[dp] l2_norm_clip"),
+        ("nonprivate", "learning_rate = 0.005", "learning_rate = nan", "train",
+         "[train] learning_rate"),
+        ("sanitize", "sensitivity = 1.0", "sensitivity = nan", "sanitize",
+         "[privacy] sensitivity"),
+        ("input", "sensitivity = 1.0", "sensitivity = nan", "train", "[privacy] sensitivity"),
+        (None, "--noise-multiplier", "nan", "accountant", "--noise-multiplier"),
+        (None, "--noise-multiplier", "1e-170", "accountant", "noise_multiplier 1e-170"),
+    ])
+    def test_is_usage_error_naming_its_entry(
+        self, tmp_path, dataset, capsys, config, old, new, command, named
+    ):
+        if command == "accountant":
+            argv = ["accountant", "--n", "3120", "--batch", "5", "--epochs", "100",
+                    "--delta", "1e-7", old, new]
+        else:
+            body = NON_FINITE_CONFIGS[config](dataset)
+            assert old in body
+            cfg = write_config(tmp_path, body.replace(old, new))
+            argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), command]
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("body, named", [
+        (None, "config file not found"),
+        ("no section header\n", "exp.cfg"),
+        ("[bogus]\nx = 1\n", "unknown section [bogus]"),
+        ("[model]\nbidirectional = maybe\n", "[model] bidirectional"),
+        ("[run]\nseeds = 0,one\n", "[run] seeds"),
+        ("[train]\nepochs = two\n", "[train] epochs"),
+        ("[run]\nkind = oracle\n", "run kind must be one of"),
+        ("[run]\nkind = baseline\n", "[dataset] path"),
+    ], ids=["missing-file", "unparsable", "unknown-section", "bad-boolean", "bad-seeds",
+            "non-numeric", "unknown-kind", "missing-entry"])
+    def test_usage_error_names_file_or_section(self, tmp_path, capsys, body, named):
+        cfg = tmp_path / "exp.cfg"
+        if body is not None:
+            write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        if body is not None and "[dataset]" not in named:
+            assert str(cfg) in err
+
+
 class TestSanitize:
     def test_valid_epsilon_writes_release(self, tmp_path, dataset):
         cfg = write_config(
@@ -268,6 +368,15 @@ class TestTrainCommand:
         cfg = write_config(tmp_path, gradient_config(dataset).replace(old, new))
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         assert section in capsys.readouterr().err
+
+    def test_seeds_default_to_ten_from_the_base_seed(self, tmp_path, dataset):
+        body = BASE_CONFIG.format(data=dataset, kind="nonprivate").replace(
+            "seeds = 0,1\n", "").replace("epochs = 2", "epochs = 0")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "run"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "3", "train"]) == 0
+        assert json.loads((out / "summary.json").read_text())["seeds"] == list(range(3, 13))
+        assert json.loads((out / "manifest.json").read_text())["seeds"] == list(range(3, 13))
 
     def test_value_error_inside_training_propagates(self, tmp_path, dataset, monkeypatch):
         def broken_adam_step(*args):
@@ -406,6 +515,7 @@ class TestTuneCommand:
         ("num_microbatches = 5", "num_microbatches = 4", "[dp]"),  # 4 does not divide 5
         ("delta = 1e-7", "delta = 1.0", "[privacy]"),
         ("delta = 1e-7", "delta = 1e-3", "[privacy]"),  # fails the budget over 624 slots
+        ("delta = 1e-7\n", "", "[privacy] delta"),  # required, as `train` requires it
     ])
     def test_bad_gradient_search_value_is_usage_error(
         self, tmp_path, dataset, capsys, monkeypatch, old, new, section
@@ -421,3 +531,76 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
+
+    def test_baseline_has_nothing_to_tune(self, tmp_path, dataset, capsys):
+        body = BASE_CONFIG.format(data=dataset, kind="baseline") + TUNE_ONE_TRIAL
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        err = capsys.readouterr().err
+        assert "baseline" in err and "Traceback" not in err
+
+    def test_input_search_post_processes_one_release(self, tmp_path, dataset, monkeypatch):
+        """No trial reads the raw counts once the one release is made."""
+        load_series, make_release = cli._dataset_series, cli.input_release
+        releases = []
+
+        def poisonable_series(cfg):
+            series, path = load_series(cfg)
+            counts = np.array(series.counts).view(PoisonableArray)
+            return dataclasses.replace(series, counts=counts), path
+
+        def poisoning_release(*args, **kwargs):
+            releases.append(make_release(*args, **kwargs))
+            PoisonableArray.poisoned = True
+            return releases[-1]
+
+        monkeypatch.setattr(cli, "_dataset_series", poisonable_series)
+        monkeypatch.setattr(cli, "input_release", poisoning_release)
+        body = BASE_CONFIG.format(data=dataset, kind="input") + INPUT_PRIVACY + (
+            "\n[tune]\nbudget = 2\nepochs = 1\n")
+        cfg = write_config(tmp_path, body)
+        out = tmp_path / "tune"
+        try:
+            code = main(["--config", str(cfg), "--out", str(out), "--seed", "1", "tune"])
+        finally:
+            PoisonableArray.poisoned = False
+        assert code == 0 and len(releases) == 1
+        rows = list(csv.DictReader(open(out / "trials.csv")))
+        assert [row["epsilon"] for row in rows] == ["0.5", "0.5"]
+
+    def test_input_search_releases_as_an_input_run_of_its_seed(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        make_release, releases = forecast.input_release, []
+
+        def recorded_release(*args, **kwargs):
+            releases.append(make_release(*args, **kwargs))
+            return releases[-1]
+
+        monkeypatch.setattr(forecast, "input_release", recorded_release)
+        monkeypatch.setattr(cli, "input_release", recorded_release)
+        body = BASE_CONFIG.format(data=dataset, kind="input") + INPUT_PRIVACY + TUNE_ONE_TRIAL
+        cfg = write_config(tmp_path, body.replace("seeds = 0,1", "seeds = 4,5"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "t"), "--seed", "4",
+                     "tune"]) == 0
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "r"), "train"]) == 0
+        assert len(releases) == 2
+        assert np.array_equal(releases[0].sanitized.counts, releases[1].sanitized.counts)
+
+    @pytest.mark.parametrize("old, new", [
+        ("epsilon = 0.5", "epsilon = 1.5"),
+        ("epsilon = 0.5\n", ""),
+    ])
+    def test_bad_input_privacy_is_refused_before_any_trial(
+        self, tmp_path, dataset, capsys, monkeypatch, old, new
+    ):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "fit_release", no_trial)
+        monkeypatch.setattr(cli, "run_nonprivate", no_trial)
+        body = BASE_CONFIG.format(data=dataset, kind="input") + INPUT_PRIVACY + TUNE_ONE_TRIAL
+        cfg = write_config(tmp_path, body.replace(old, new))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        err = capsys.readouterr().err
+        assert "[privacy]" in err and "Traceback" not in err

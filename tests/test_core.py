@@ -14,6 +14,7 @@ from dpforecast import (
     log_binomial,
     logsumexp,
 )
+from dpforecast.core import write_csv, write_json
 
 
 class TestRngStream:
@@ -142,3 +143,24 @@ class TestLogSumExp:
         xs = [0.3, -1.2, 4.0]
         shifted = logsumexp([x + c for x in xs])
         assert shifted == pytest.approx(logsumexp(xs) + c, rel=1e-12, abs=1e-12)
+
+
+class TestArtifactWriters:
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["name", "value", "note"],
+                  iter([["a", repr(0.1), None], ["b,c", repr(1e-07), 3]]))
+        assert path.read_bytes() == b'name,value,note\r\na,0.1,\r\n"b,c",1e-07,3\r\n'
+
+    def test_csv_header_only(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["epoch", "step_count"], [])
+        assert path.read_bytes() == b"epoch,step_count\r\n"
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_json(path, {"b": [1, 0.1], "a": {"z": None, "y": float("nan")}})
+        assert path.read_bytes() == (
+            b'{\n  "a": {\n    "y": NaN,\n    "z": null\n  },\n'
+            b'  "b": [\n    1,\n    0.1\n  ]\n}\n'
+        )

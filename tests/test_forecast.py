@@ -119,7 +119,7 @@ class TestRecurrentForecaster:
         prepared = forecast.Prepared(
             train_windows=windows, test_inputs=X, raw_test_targets=y,
             target_timestamps=np.arange(40), scaler=IdentityScaler(),
-            region_labels=("r0", "r1"), n_train_slots=40, last_train_counts=y[-1],
+            region_labels=("r0", "r1"), n_train_slots=40,
         )
         model = ModelConfig(cell="gru", bidirectional=True, hidden_size=4, activation="relu")
         cfg = TrainConfig(batch_size=8, learning_rate=1e-3, epochs=2)
@@ -266,17 +266,22 @@ class PoisonableArray(np.ndarray):
         self._guard()
         return super().__getitem__(item)
 
+    @staticmethod
+    def _plain(arg):
+        """``arg`` with every PoisonableArray in it, also inside a list or tuple, as ndarray."""
+        if isinstance(arg, PoisonableArray):
+            return np.asarray(arg)
+        if isinstance(arg, (list, tuple)):
+            return type(arg)(PoisonableArray._plain(a) for a in arg)
+        return arg
+
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         self._guard()
-        cleaned = [np.asarray(i) if isinstance(i, PoisonableArray) else i
-                   for i in inputs]
-        return getattr(ufunc, method)(*cleaned, **kwargs)
+        return getattr(ufunc, method)(*self._plain(inputs), **kwargs)
 
     def __array_function__(self, func, types, args, kwargs):
         self._guard()
-        cleaned_args = [np.asarray(a) if isinstance(a, PoisonableArray) else a
-                        for a in args]
-        return func(*cleaned_args, **kwargs)
+        return func(*self._plain(args), **kwargs)
 
 
 PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-6, l2_sensitivity=1.0)

@@ -1,0 +1,68 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpforecast"
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that no code reads.
+
+    A name read only inside a string annotation, such as one imported
+    under ``TYPE_CHECKING``, counts as read.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+# __init__.py imports in order to re-export.
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_unused_and_counts_string_annotations():
+    source = (
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "import numpy as np\n"
+        "if TYPE_CHECKING:\n"
+        "    from .data import MobilitySeries, WindowedDataset\n"
+        "def f(s: 'MobilitySeries') -> Optional[int]:\n"
+        "    return np.zeros(1)\n"
+        "x: 'dict[str, int]' = {}\n"
+    )
+    assert unused_imports(source) == ["os", "os", "WindowedDataset"]

@@ -1,5 +1,6 @@
 """Clipping, DP aggregation, Adam, and the training loop."""
 
+import math
 import sys
 import threading
 import tracemalloc
@@ -106,10 +107,16 @@ class TestDpAggregate:
 
 
     def test_nonpositive_clip_rejected(self):
-        for clip in (0.0, -1.0):
+        for clip in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 dp_aggregate([grad_set([1.0])], clip=clip, noise_multiplier=0.0,
                              rng=RngStream(0))
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+    def test_noise_multiplier_must_be_nonnegative_and_finite(self, noise):
+        # A NaN multiplier fails ``noise_multiplier > 0`` and would skip the noise.
+        with pytest.raises(ValueError, match="noise_multiplier must be nonnegative and finite"):
+            dp_aggregate([grad_set([1.0])], clip=1.0, noise_multiplier=noise, rng=RngStream(0))
 
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -545,6 +552,24 @@ class TestTrain:
                 l2_norm_clip=1.0, noise_multiplier=1.0, num_microbatches=3,
                 batch_size=8, epochs=1, learning_rate=0.01,
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("noise_multiplier", math.nan, "noise_multiplier must be nonnegative and finite"),
+        ("noise_multiplier", math.inf, "noise_multiplier must be nonnegative and finite"),
+        ("noise_multiplier", -1.0, "noise_multiplier must be nonnegative and finite"),
+        ("l2_norm_clip", math.nan, "l2_norm_clip must be positive and finite"),
+        ("l2_norm_clip", math.inf, "l2_norm_clip must be positive and finite"),
+        ("learning_rate", math.nan, "finite learning_rate > 0"),
+        ("learning_rate", math.inf, "finite learning_rate > 0"),
+    ])
+    def test_dp_config_refuses_non_finite_values(self, field, value, message):
+        fields = dict(l2_norm_clip=1.0, noise_multiplier=1.0, num_microbatches=4,
+                      batch_size=8, epochs=1, learning_rate=0.01)
+        with pytest.raises(ValueError, match=message):
+            DpSgdConfig(**fields | {field: value})
+        if field == "learning_rate":
+            with pytest.raises(ValueError, match=message):
+                NonPrivateConfig(batch_size=8, epochs=1, learning_rate=value)
 
     def test_trainlog_csv(self, tmp_path):
         ds = random_windows()

@@ -60,6 +60,11 @@ class TestGaussianSigma:
     def test_boundary_epsilon_accepted(self):
         assert gaussian_sigma(1.0, 0.99, 1e-5) > 0
 
+    @pytest.mark.parametrize("sensitivity", [math.nan, math.inf, 0.0, -1.0])
+    def test_sensitivity_must_be_positive_and_finite(self, sensitivity):
+        with pytest.raises(ValueError, match="l2_sensitivity must be positive and finite"):
+            gaussian_sigma(sensitivity, 0.5, 1e-5)
+
 
 class TestSanitizeSeries:
     def test_noise_variance_matches_mechanism_scale(self):
@@ -239,6 +244,20 @@ class TestComputeEpsilon:
         with pytest.raises(ValueError):
             compute_epsilon(0.01, 35.0, -1, 1e-7)
 
+    @pytest.mark.parametrize("sigma, message", [
+        (math.nan, "noise_multiplier must be finite, got nan"),
+        (math.inf, "noise_multiplier must be finite, got inf"),
+        (1e-170, "noise_multiplier 1e-170 is too small: its square underflows"),
+    ])
+    def test_noise_multiplier_must_be_finite_and_square_nonzero(self, sigma, message):
+        with pytest.raises(ValueError, match=message):
+            compute_epsilon(5 / 3120, sigma, 62400, 1e-7)
+        with pytest.raises(ValueError, match=message):
+            rdp_subsampled_gaussian(1.0, sigma, 2)
+
+    def test_tiny_noise_multiplier_costs_nothing_at_zero_rate(self):
+        assert rdp_curve(0.0, 1e-170, (2, 3)).rdp == (0.0, 0.0)
+
 
 def reference_rdp(q, noise_multiplier, order):
     """The term-by-term accountant that the array kernel must match bit for bit."""
@@ -310,6 +329,17 @@ def raised(fn, *args):
     return None
 
 
+def raised_as_scalar(reference, q, sigma, *args):
+    """The scalar reference's error, except where it divides by a 2 sigma^2 that underflowed.
+
+    There the accountant refuses the noise multiplier by name instead.
+    """
+    expected = raised(reference, q, sigma, *args)
+    if expected is not None and expected[0] is ZeroDivisionError:
+        return ValueError, f"noise_multiplier {sigma!r} is too small: its square underflows"
+    return expected
+
+
 class TestArrayKernelMatchesScalar:
     @pytest.mark.parametrize("orders", [DEFAULT_ORDERS, UNSORTED_GRID, WIDE_GRID])
     def test_curve_bits(self, orders):
@@ -367,7 +397,7 @@ class TestArrayKernelMatchesScalar:
          (math.nan, 2.0, 2), (0.5, 1e-170, 2), (1.0, 1e-170, 2), (0.01, 0.0, 1)],
     )
     def test_invalid_single_order_raises_as_scalar(self, q, sigma, order):
-        expected = raised(reference_rdp, q, sigma, order)
+        expected = raised_as_scalar(reference_rdp, q, sigma, order)
         assert expected is not None
         assert raised(rdp_subsampled_gaussian, q, sigma, order) == expected
 
@@ -378,7 +408,7 @@ class TestArrayKernelMatchesScalar:
          (1.0, 1e-170, (3, True)), (0.0, 1e-170, (3, True))],
     )
     def test_invalid_grid_raises_as_scalar(self, q, sigma, orders):
-        expected = raised(reference_curve, q, sigma, orders)
+        expected = raised_as_scalar(reference_curve, q, sigma, orders)
         assert expected is not None
         assert raised(rdp_curve, q, sigma, orders) == expected
         assert raised(compute_epsilon, q, sigma, 10, 1e-7, orders) == expected
