@@ -152,11 +152,6 @@ class TestArtifactWriters:
                   iter([["a", repr(0.1), None], ["b,c", repr(1e-07), 3]]))
         assert path.read_bytes() == b'name,value,note\r\na,0.1,\r\n"b,c",1e-07,3\r\n'
 
-    def test_csv_header_only(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(path, ["epoch", "step_count"], [])
-        assert path.read_bytes() == b"epoch,step_count\r\n"
-
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "t.json"
         write_json(path, {"b": [1, 0.1], "a": {"z": None, "y": float("nan")}})
