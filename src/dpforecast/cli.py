@@ -289,9 +289,25 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"no predictions.csv under {run_dir}")
     per_region: dict[str, list[tuple[float, float]]] = {}
     with open(pred_file, newline="") as fh, _usage(str(pred_file)):
-        for row in csv.DictReader(fh):
-            per_region.setdefault(row["region"], []).append(
-                (float(row["y_true"]), float(row["y_pred"]))
+        rows = csv.reader(fh)
+        header = next(rows, [])
+        # The last column of a name wins, as in csv.DictReader.
+        column = {name: i for i, name in enumerate(header)}
+        missing = [name for name in ("region", "y_true", "y_pred") if name not in column]
+        if missing:
+            raise ValueError(
+                f"needs region, y_true and y_pred columns; missing {', '.join(missing)}"
+            )
+        region, y_true, y_pred = column["region"], column["y_true"], column["y_pred"]
+        for row in rows:
+            if not row:
+                continue
+            if len(row) < len(header):
+                raise ValueError(
+                    f"line {rows.line_num} has {len(row)} fields, the header {len(header)}"
+                )
+            per_region.setdefault(row[region], []).append(
+                (float(row[y_true]), float(row[y_pred]))
             )
     if not per_region or len({len(pairs) for pairs in per_region.values()}) > 1:
         raise ConfigError(f"{pred_file} needs the same nonzero number of rows per region")

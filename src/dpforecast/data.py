@@ -18,6 +18,7 @@ import csv
 import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Optional
@@ -33,6 +34,9 @@ logger = logging.getLogger(__name__)
 SLOT_SECONDS = 1800
 SLOTS_PER_DAY = 48
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
+# TIME_FORMAT zero-padded in ASCII digits. ``datetime.fromisoformat`` reads
+# exactly this form as ``strptime`` does, and several times faster.
+_CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 # The least integer that float() rounds past the largest finite double.
@@ -127,16 +131,24 @@ def load_csv(path) -> MobilitySeries:
             continue
         if len(row) != len(labels) + 1:
             raise DataFormatError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
+        stamp = row[0].strip()
         try:
-            ts = datetime.strptime(row[0].strip(), TIME_FORMAT)
+            if _CANONICAL_TIME.fullmatch(stamp):
+                ts = datetime.fromisoformat(stamp)
+            else:
+                ts = datetime.strptime(stamp, TIME_FORMAT)
         except ValueError:
             raise DataFormatError(
                 f"{path}:{lineno}: bad timestamp {row[0]!r}"
             ) from None
         try:
-            values.append([int(v.strip()) for v in row[1:]])
+            values.append([int(v) for v in row[1:]])
         except ValueError:
-            raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
+            # int() skips the whitespace str.strip() does, except U+001C..U+001F.
+            try:
+                values.append([int(v.strip()) for v in row[1:]])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
         if min(values[-1]) < 0:
             raise DataFormatError(f"{path}:{lineno}: negative count")
         if max(values[-1]) >= _FLOAT_OVERFLOW:

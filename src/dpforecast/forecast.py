@@ -189,11 +189,15 @@ class RunArtifact:
                    for row in self.metrics.to_rows()))
 
     def write_predictions_csv(self, path) -> None:
+        # One conversion per array; float64 first, so integer counts print as floats.
+        y_true = np.asarray(self.y_true, dtype=np.float64).tolist()
+        y_pred = np.asarray(self.predictions, dtype=np.float64).tolist()
+        stamps = format_timestamps(self.target_timestamps)
+        # A list, not a generator: csv's writerows runs faster on one.
         write_csv(path, ["datetime", "region", "y_true", "y_pred"],
-                  ([stamp, region, repr(float(self.y_true[i, j])),
-                    repr(float(self.predictions[i, j]))]
-                   for i, stamp in enumerate(format_timestamps(self.target_timestamps))
-                   for j, region in enumerate(self.region_labels)))
+                  [(stamp, region, repr(t), repr(p))
+                   for stamp, t_row, p_row in zip(stamps, y_true, y_pred, strict=True)
+                   for region, t, p in zip(self.region_labels, t_row, p_row, strict=True)])
 
     def summary(self) -> dict:
         out = {

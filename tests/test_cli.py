@@ -455,6 +455,40 @@ class TestEvaluateAndReport:
         )
         assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
 
+    @pytest.mark.parametrize("text, reason", [
+        ("datetime,region,y_true\n2020-08-24 00:00:00,R1,1.0\n",
+         "needs region, y_true and y_pred columns; missing y_pred"),
+        ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R1,1.0,2.0\n"
+         "2020-08-24 00:30:00,R1,1.0\n",
+         "line 3 has 3 fields, the header 4"),
+    ], ids=["no_y_pred_column", "short_row"])
+    def test_evaluate_malformed_predictions_is_usage_error(self, tmp_path, capsys, text,
+                                                           reason):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "predictions.csv").write_text(text)
+        assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {run_dir / 'predictions.csv'}: {reason}\n"
+
+    def test_evaluate_reads_columns_in_any_order(self, tmp_path):
+        rows = [("2020-08-24 00:00:00", "R1", "1.0", "2.5"),
+                ("2020-08-24 00:00:00", "R2", "4.0", "3.0"),
+                ("2020-08-24 00:30:00", "R1", "2.0", "2.0"),
+                ("2020-08-24 00:30:00", "R2", "5.0", "7.5")]
+        written = {}
+        for name, order in (("canonical", (0, 1, 2, 3)), ("shuffled", (3, 1, 0, 2))):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            header = ("datetime", "region", "y_true", "y_pred")
+            (run_dir / "predictions.csv").write_text("".join(
+                ",".join(line[i] for i in order) + "\n" for line in [header] + rows
+            ))
+            out = tmp_path / f"{name}_eval"
+            assert main(["--out", str(out), "evaluate", "--run", str(run_dir)]) == 0
+            written[name] = (out / "metrics.csv").read_bytes()
+        assert written["shuffled"] == written["canonical"]
+
     def test_evaluate_missing_run_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "evaluate",
                      "--run", str(tmp_path / "nope")]) == 2

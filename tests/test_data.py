@@ -2,10 +2,11 @@
 
 import logging
 import math
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dpforecast import (
     DataFormatError,
@@ -19,7 +20,7 @@ from dpforecast import (
     make_windows,
     split,
 )
-from dpforecast.data import _linear_quantile, cyclical_matrix
+from dpforecast.data import TIME_FORMAT, _linear_quantile, cyclical_matrix
 
 from conftest import SLOT, START, build_series, write_series_csv
 
@@ -185,15 +186,61 @@ class TestLoadCsv:
         assert str(err.value) == f"{path}: duplicated timestamp 2020-08-24T00:30:00"
 
     def test_strptime_forms_still_load(self, tmp_path):
-        # strptime accepts unpadded fields; the parser must keep doing so
+        # strptime accepts unpadded fields and any Unicode decimal digits;
+        # the parser must keep doing so
         path = tmp_path / "unpadded.csv"
-        path.write_text("datetime,R1\n2020-8-24 0:30:00,3\n2020-08-24 01:00:00,4\n")
+        path.write_text("datetime,R1\n2020-8-24 0:30:00,3\n2020-08-24 01:00:00,4\n"
+                        "\u0662\u0660\u0662\u0660-08-24 01:30:00,5\n", encoding="utf-8")
         series = load_csv(path)
         np.testing.assert_array_equal(
             series.timestamps,
-            np.array(["2020-08-24T00:30:00", "2020-08-24T01:00:00"], dtype="datetime64[s]"),
+            np.array(["2020-08-24T00:30:00", "2020-08-24T01:00:00", "2020-08-24T01:30:00"],
+                     dtype="datetime64[s]"),
         )
-        np.testing.assert_array_equal(series.counts, [[3.0], [4.0]])
+        np.testing.assert_array_equal(series.counts, [[3.0], [4.0], [5.0]])
+
+    @settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        start=st.datetimes(min_value=datetime(1000, 1, 1), max_value=datetime(9998, 1, 1)),
+        steps=st.lists(st.integers(1, 500), min_size=1, max_size=30),
+        padded=st.lists(st.booleans(), min_size=31, max_size=31),
+    )
+    def test_timestamps_match_strptime(self, tmp_path, start, steps, padded):
+        # canonical and unpadded rows, mixed, on the 30-minute grid
+        first = start.replace(minute=start.minute // 30 * 30, second=0, microsecond=0)
+        offsets = np.cumsum([0] + steps)
+        stamps = [first + timedelta(minutes=30 * int(k)) for k in offsets]
+        text = [
+            d.strftime(TIME_FORMAT) if pad
+            else f"{d.year}-{d.month}-{d.day} {d.hour}:{d.minute}:{d.second}"
+            for d, pad in zip(stamps, padded)
+        ]
+        path = tmp_path / "grid.csv"
+        path.write_text("datetime,R1\n" + "".join(f"{t},1\n" for t in text))
+        series = load_csv(path)
+        expected = np.array([datetime.strptime(t, TIME_FORMAT) for t in text],
+                            dtype="datetime64[s]")
+        np.testing.assert_array_equal(series.timestamps[offsets], expected)
+        assert series.n_slots == offsets[-1] + 1
+
+    @pytest.mark.parametrize("stamp", [
+        "2020-08-24T00:00:00", "2020-08-24 00:00:00.5", "2020-08-24 00:00:00+01:00",
+    ])
+    def test_isoformat_only_forms_rejected(self, tmp_path, stamp):
+        # datetime.fromisoformat reads these; strptime, and so load_csv, does not
+        path = tmp_path / "iso.csv"
+        path.write_text(f"datetime,R1\n2020-08-23 23:30:00,1\n{stamp},2\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:3: bad timestamp {stamp!r}"
+
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000", "\x1c", "\x1f"])
+    def test_counts_padded_with_whitespace_load(self, tmp_path, space):
+        # str.strip() whitespace, including U+001C..U+001F, which int() alone rejects
+        path = tmp_path / "space.csv"
+        path.write_text(f"datetime,R1\n2020-08-24 00:00:00,{space}7{space}\n",
+                        encoding="utf-8")
+        assert load_csv(path).counts[0, 0] == 7
 
 
 def reference_iqr_clean(series, log):

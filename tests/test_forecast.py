@@ -105,6 +105,26 @@ class TestPersistence:
         np.testing.assert_array_equal(a.predictions, b.predictions)
 
 
+class TestPredictionsCsv:
+    def test_text_is_repr_of_each_float(self, tmp_path):
+        labels = ("R1", "R2")
+        y_true = np.array([[3, 0], [7, 2**53 + 1]], dtype=np.int64)
+        preds = np.array([[-0.0, 5e-324], [1e300, 0.1]])
+        stamps = np.array(["2020-08-24T23:30:00", "2020-08-25T00:00:00"], dtype="datetime64[s]")
+        artifact = forecast.RunArtifact(
+            run_kind="baseline", region_labels=labels,
+            metrics=evaluate_forecast(y_true, y_true, labels), predictions=preds,
+            y_true=y_true, target_timestamps=stamps, seeds=(), best_seed=None,
+        )
+        artifact.write_predictions_csv(tmp_path / "predictions.csv")
+        expected = "datetime,region,y_true,y_pred\r\n" + "".join(
+            f"{stamp},{region},{float(y_true[i, j])!r},{float(preds[i, j])!r}\r\n"
+            for i, stamp in enumerate(["2020-08-24 23:30:00", "2020-08-25 00:00:00"])
+            for j, region in enumerate(labels)
+        )
+        assert (tmp_path / "predictions.csv").read_bytes() == expected.encode()
+
+
 MODEL = ModelConfig(cell="gru", bidirectional=True, hidden_size=8, activation="relu")
 SMOKE_TRAIN = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=15)
 
