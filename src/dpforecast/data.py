@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from itertools import islice
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -37,6 +38,12 @@ TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 # TIME_FORMAT zero-padded in ASCII digits. ``datetime.fromisoformat`` reads
 # exactly this form as ``strptime`` does, and several times faster.
 _CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
+# The same form as bytes, with the "|" that joins stamps after it: a valid
+# stamp minus this shape, as uint8, is at most 9 at a digit and 0 elsewhere.
+_STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00|", dtype=np.uint8)
+_STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+_BLOCK_ROWS = 1024
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 # The least integer that float() rounds past the largest finite double.
@@ -99,12 +106,17 @@ class MobilitySeries:
 def load_csv(path) -> MobilitySeries:
     """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps.
 
-    The file must be UTF-8 text. Each row is checked as it is read (field
-    count, timestamp, integer and nonnegative counts that a float can hold),
-    so a row-level error names the first offending line. The timestamps
-    are then checked as one column, in this order: duplicates, order, the
-    span's and then each row's alignment to the 30-minute grid; each check
-    names its first offender.
+    The file must be UTF-8 text, and its region labels nonblank and
+    distinct. Each row is checked (field count, timestamp, integer and
+    nonnegative counts that a float can hold), so a row-level error names
+    the first offending line. The timestamps are then checked as one
+    column, in this order: duplicates, order, the span's and then each
+    row's alignment to the 30-minute grid; each check names its first
+    offender.
+
+    Rows are read as columns when every one passes in bulk (see
+    :func:`_parse_columns`); otherwise each goes through :func:`_parse_row`,
+    which alone defines what a row may hold.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -124,40 +136,31 @@ def load_csv(path) -> MobilitySeries:
             f"{path}: header must be 'datetime' followed by region columns"
         )
     labels = tuple(h.strip() for h in header[1:])
-    stamps: list[int] = []  # seconds since the epoch
-    values: list[list[int]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(labels) + 1:
-            raise DataFormatError(f"{path}:{lineno}: expected {len(labels) + 1} fields")
-        stamp = row[0].strip()
-        try:
-            if _CANONICAL_TIME.fullmatch(stamp):
-                ts = datetime.fromisoformat(stamp)
-            else:
-                ts = datetime.strptime(stamp, TIME_FORMAT)
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{lineno}: bad timestamp {row[0]!r}"
-            ) from None
-        try:
-            values.append([int(v) for v in row[1:]])
-        except ValueError:
-            # int() skips the whitespace str.strip() does, except U+001C..U+001F.
-            try:
-                values.append([int(v.strip()) for v in row[1:]])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
-        if min(values[-1]) < 0:
-            raise DataFormatError(f"{path}:{lineno}: negative count")
-        if max(values[-1]) >= _FLOAT_OVERFLOW:
-            raise DataFormatError(f"{path}:{lineno}: count too large for a float")
-        stamps.append((ts - _EPOCH) // _SECOND)
-    if not stamps:
-        raise DataFormatError(f"{path}: no data rows")
+    seen = set()
+    for column, label in enumerate(labels, start=2):
+        if not label:
+            raise DataFormatError(f"{path}: blank region label in column {column}")
+        if label in seen:
+            raise DataFormatError(f"{path}: region label {label!r} repeated in column {column}")
+        seen.add(label)
+    parsed = _parse_columns(reader, len(labels))
+    if parsed is not None:
+        times, values = parsed
+    else:
+        # Read again from the top, so that the records' checks run in line order.
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
+        stamps: list[int] = []  # seconds since the epoch
+        values = []
+        for lineno, row in enumerate(reader, start=2):
+            if _is_record(row):
+                stamp, counts = _parse_row(path, lineno, row, len(labels))
+                stamps.append(stamp)
+                values.append(counts)
+        if not stamps:
+            raise DataFormatError(f"{path}: no data rows")
+        times = np.array(stamps, dtype="datetime64[s]")
 
-    times = np.array(stamps, dtype="datetime64[s]")
     steps = np.diff(times).astype(np.int64)
     bad = np.flatnonzero(steps <= 0)
     if bad.size:
@@ -176,6 +179,77 @@ def load_csv(path) -> MobilitySeries:
     counts = np.full((n, len(labels)), np.nan)
     counts[offsets // SLOT_SECONDS] = values
     return MobilitySeries(grid, counts, labels)
+
+
+def _is_record(row: list[str]) -> bool:
+    """False for a blank record, which :func:`load_csv` skips."""
+    return bool(row) and (len(row) != 1 or bool(row[0].strip()))
+
+
+def _parse_row(path, lineno: int, row: list[str], n_regions: int) -> tuple[int, list[int]]:
+    """One record's seconds since the epoch and counts, or the error on its line."""
+    if len(row) != n_regions + 1:
+        raise DataFormatError(f"{path}:{lineno}: expected {n_regions + 1} fields")
+    stamp = row[0].strip()
+    try:
+        if _CANONICAL_TIME.fullmatch(stamp):
+            ts = datetime.fromisoformat(stamp)
+        else:
+            ts = datetime.strptime(stamp, TIME_FORMAT)
+    except ValueError:
+        raise DataFormatError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
+    try:
+        values = [int(v) for v in row[1:]]
+    except ValueError:
+        # int() skips the whitespace str.strip() does, except U+001C..U+001F.
+        try:
+            values = [int(v.strip()) for v in row[1:]]
+        except ValueError:
+            raise DataFormatError(f"{path}:{lineno}: non-integer count") from None
+    if min(values) < 0:
+        raise DataFormatError(f"{path}:{lineno}: negative count")
+    if max(values) >= _FLOAT_OVERFLOW:
+        raise DataFormatError(f"{path}:{lineno}: count too large for a float")
+    return (ts - _EPOCH) // _SECOND, values
+
+
+def _parse_columns(reader, n_regions: int):
+    """Every record's times and int64 counts as two arrays, or None.
+
+    None means some record needs :func:`_parse_row`: its field count is
+    not ``n_regions + 1``; its stripped timestamp is not ``TIME_FORMAT``
+    zero-padded in ASCII digits, or is in year 0, which numpy reads and
+    ``datetime`` refuses; or a count is negative, too large for int64, or
+    refused by ``int()``. numpy reads the other timestamps as
+    ``datetime.fromisoformat`` does and the counts as ``int()`` does.
+    Rows are taken ``_BLOCK_ROWS`` at a time, so that only one block's
+    fields are alive as strings.
+    """
+    times, counts = [], []
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        # A row of two or more fields is a record; the test only saves calls.
+        records = [row for row in block if len(row) > 1 or _is_record(row)]
+        if not records:
+            continue
+        n = len(records)
+        if set(map(len, records)) != {n_regions + 1}:
+            return None
+        stamps = [row[0].strip() for row in records]
+        text = np.frombuffer(("|".join(stamps) + "|").encode(), dtype=np.uint8)
+        if text.size != n * _STAMP_SHAPE.size:
+            return None
+        if np.any(text.reshape(n, -1) - _STAMP_SHAPE > _STAMP_SLACK):
+            return None
+        try:
+            times.append(np.array(stamps, dtype="datetime64[s]"))
+            counts.append(np.array([row[1:] for row in records], dtype=np.int64))
+        except (ValueError, OverflowError):
+            return None
+        if np.any(times[-1] < _YEAR_ONE) or counts[-1].min() < 0:
+            return None
+    if not times:
+        return None
+    return np.concatenate(times), np.concatenate(counts)
 
 
 def format_timestamps(timestamps: np.ndarray) -> list[str]:

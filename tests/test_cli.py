@@ -136,6 +136,17 @@ class TestStats:
         assert f"error: {data}:2: count too large for a float" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["stats", "clean", "train"])
+    def test_repeated_region_label_is_usage_error(self, tmp_path, capsys, command):
+        # evaluate groups predictions by label, so two R1 columns would merge
+        data = tmp_path / "twice.csv"
+        data.write_text("datetime,R1,R1\n2020-08-24 00:00:00,7,8\n")
+        cfg = write_config(tmp_path, BASE_CONFIG.format(data=data, kind="baseline"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: region label 'R1' repeated in column 3" in err
+        assert "Traceback" not in err
+
 
 class TestClean:
     def test_fills_gaps_and_round_trips(self, tmp_path):

@@ -20,8 +20,10 @@ from dpforecast import (
     make_windows,
     split,
 )
+from dpforecast import data as data_module
 from dpforecast.data import TIME_FORMAT, _linear_quantile, cyclical_matrix
 
+import reference
 from conftest import SLOT, START, build_series, write_series_csv
 
 
@@ -241,6 +243,165 @@ class TestLoadCsv:
         path.write_text(f"datetime,R1\n2020-08-24 00:00:00,{space}7{space}\n",
                         encoding="utf-8")
         assert load_csv(path).counts[0, 0] == 7
+
+    @pytest.mark.parametrize("header, message", [
+        ("datetime,R1,R1, ", "region label 'R1' repeated in column 3"),
+        ("datetime,R1, ,R2", "blank region label in column 3"),
+        ("datetime,", "blank region label in column 2"),
+        ("datetime,R1,R2,R1", "region label 'R1' repeated in column 4"),
+    ])
+    def test_blank_or_repeated_label_names_its_column(self, tmp_path, header, message):
+        # two columns of one label would merge into one region downstream
+        path = tmp_path / "labels.csv"
+        width = header.count(",")
+        path.write_text(f"{header}\n2020-08-24 00:00:00{',1' * width}\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: {message}"
+
+
+def _canonical_rows(n):
+    """``n`` zero-padded rows of one region from 2020-08-24 00:00 on the
+    30-minute grid, with counts 0, 1, ..."""
+    first = datetime(2020, 8, 24)
+    return [f"{(first + timedelta(minutes=30 * i)).strftime(TIME_FORMAT)},{i}\n"
+            for i in range(n)]
+
+
+class TestLoadCsvFallback:
+    """Records that cannot be read in bulk take the per-row checks, unchanged."""
+
+    def test_canonical_rows_skip_the_row_checks(self, tmp_path, monkeypatch):
+        # blank records, here a whole trailing block of them, are skipped too
+        n = data_module._BLOCK_ROWS
+        path = tmp_path / "canonical.csv"
+        path.write_text("datetime,R1\n" + "".join(_canonical_rows(n)) + "\n \n")
+
+        def refuse(*args):
+            raise AssertionError("row checks ran on a canonical file")
+
+        monkeypatch.setattr(data_module, "_parse_row", refuse)
+        np.testing.assert_array_equal(load_csv(path).counts[:, 0], np.arange(n))
+
+    def test_year_zero_is_a_bad_timestamp_on_its_line(self, tmp_path):
+        # numpy reads year 0000; datetime, and so load_csv, does not
+        path = tmp_path / "year0.csv"
+        path.write_text("datetime,R1\n" + "".join(_canonical_rows(3))
+                        + "0000-01-01 00:00:00,1\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:5: bad timestamp '0000-01-01 00:00:00'"
+
+    def test_count_past_int64_loads_as_its_float(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("datetime,R1,R2\n2020-08-24 00:00:00,1,2\n"
+                        f"2020-08-24 00:30:00,{2**63},{2**63 - 1}\n")
+        counts = load_csv(path).counts
+        assert counts[1, 0] == float(2**63) and counts[1, 1] == float(2**63 - 1)
+
+    def test_count_behind_u001c_loads_through_strip(self, tmp_path):
+        path = tmp_path / "fs.csv"
+        path.write_text("datetime,R1\n" + "".join(_canonical_rows(4))
+                        + "2020-08-24 02:00:00,\x1c7\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_csv(path).counts[:, 0], [0, 1, 2, 3, 7])
+
+    def test_only_the_last_record_odd(self, tmp_path):
+        # the odd record sits in a later block than the first
+        n = data_module._BLOCK_ROWS + 4
+        path = tmp_path / "last.csv"
+        rows = "datetime,R1\n" + "".join(_canonical_rows(n))
+        last = datetime(2020, 8, 24) + timedelta(minutes=30 * n)
+        path.write_text(rows + f"{last.year}-{last.month}-{last.day} "
+                               f"{last.hour}:{last.minute}:{last.second},9\n")
+        series = load_csv(path)
+        assert series.timestamps[-1] == np.datetime64(last, "s")
+        np.testing.assert_array_equal(series.counts[:, 0], [*range(n), 9])
+        path.write_text(rows + f"{last:%Y-%m-%d %H:%M:%S},-9\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}:{n + 2}: negative count"
+
+
+_ODD_COUNTS = [str(v) for v in (2**53 + 1, 2**63 - 1, 2**63, 10**300)] + ["1_000", " 7", "+7"]
+_FAULTS = ("width", "timestamp", "non-integer", "negative", "too large", "duplicate",
+           "out of order", "off grid")
+
+
+@st.composite
+def mobility_csv_texts(draw):
+    """Small CSVs on the 30-minute grid: mostly canonical stamps, up to two in
+    strptime-only forms, one padded with whitespace, up to three odd counts,
+    up to two faults and at most one blank record."""
+    n_regions = draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 8))
+    start = draw(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9998, 1, 1)))
+    first = start.replace(minute=start.minute // 30 * 30, second=0, microsecond=0)
+    offsets = np.cumsum([0] + draw(st.lists(st.integers(1, 3), min_size=n_rows - 1,
+                                            max_size=n_rows - 1)))
+    times = [first + timedelta(minutes=30 * int(k)) for k in offsets]
+    unpadded = draw(st.sets(st.integers(0, n_rows - 1), max_size=2))
+    spaced = draw(st.sets(st.integers(0, n_rows - 1), max_size=1))
+    rows = []
+    for i, t in enumerate(times):
+        # strptime's %Y takes exactly four digits; the rest may go unpadded
+        stamp = (f"{t.year:04d}-{t.month}-{t.day} {t.hour}:{t.minute}:{t.second}"
+                 if i in unpadded else f"{t.year:04d}-{t:%m-%d %H:%M:%S}")
+        if i in spaced:
+            stamp = f" {stamp}\t"
+        rows.append([stamp] + [str(draw(st.integers(0, 1000))) for _ in range(n_regions)])
+    for odd in draw(st.lists(st.sampled_from(_ODD_COUNTS), max_size=3)):
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(1, n_regions))] = odd
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        i = draw(st.integers(0, n_rows - 1))
+        row = rows[i]
+        if fault == "width":
+            if draw(st.booleans()):
+                row.append("1")
+            else:
+                row.pop()
+        elif fault == "timestamp":
+            row[0] = draw(st.sampled_from([
+                "not a time", "2021-02-29 00:00:00", "0000-01-01 00:00:00",
+                "2020-08-24T00:00:00", "2020-13-01 00:00:00", "2020-08-24 24:00:00",
+            ]))
+        elif fault in ("non-integer", "negative", "too large") and len(row) > 1:
+            bad = {"non-integer": draw(st.sampled_from(["x", "5.0", "", "1e3"])),
+                   "negative": "-3", "too large": "9" * 400}[fault]
+            row[draw(st.integers(1, len(row) - 1))] = bad
+        elif fault == "off grid":
+            t = times[i] + timedelta(minutes=15)
+            row[0] = f"{t.year:04d}-{t:%m-%d %H:%M:%S}"
+        elif n_rows > 1:  # duplicate, out of order: stamp i against stamp i - 1
+            j = max(i, 1)
+            if fault == "duplicate":
+                rows[j][0] = rows[j - 1][0]
+            else:
+                rows[j][0], rows[j - 1][0] = rows[j - 1][0], rows[j][0]
+    lines = [",".join(["datetime"] + [f"R{r + 1}" for r in range(n_regions)])]
+    lines += [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  "])))
+    return "\n".join(lines) + "\n"
+
+
+def _load_outcome(load, path):
+    """What a parser makes of ``path``: the series' bytes and labels, or its error text."""
+    try:
+        series = load(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return series.timestamps.tobytes(), series.counts.tobytes(), series.region_labels
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=mobility_csv_texts(), block_rows=st.integers(1, 9))
+def test_load_csv_matches_the_per_row_parser(tmp_path, monkeypatch, text, block_rows):
+    # small blocks put records, blanks and faults on every side of a boundary
+    monkeypatch.setattr(data_module, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "case.csv"
+    path.write_text(text, encoding="utf-8")
+    assert _load_outcome(load_csv, path) == _load_outcome(reference.load_csv, path)
 
 
 def reference_iqr_clean(series, log):
