@@ -51,7 +51,14 @@ The forward pass computes ``a`` for all T steps in one matmul and keeps a
 tape per direction: the input in time-major direction order (T, n, d), the
 hidden (and LSTM cell) states stacked as (T+1, n, h), the fused gate values
 stacked as (T, n, G*h), written in place over the projection, and the
-candidate's pre-activation as (T, n, h). The backward pass runs the
+candidate's pre-activation as (T, n, h). A direction's states, gates and
+pre-activations are views of one fresh block per call, so no tape shares
+memory with another call's, and the steps of a call reuse one set of
+scratch arrays for the cell's temporaries. Step 0 has no recurrent term
+in either pass, since the initial state is zero: the forward skips
+``h U`` there (and the GRU's ``(r ⊗ h) U_c``), and the backward skips the
+t = 0 matmuls whose results would only feed the initial state, with the
+GRU's reset delta at t = 0 set to 0. The backward pass runs the
 recurrence over ``dh`` step by step, with the LSTM's gate deltas (the
 GRU's update and reset deltas) going through one fused matmul per step,
 and collects the fused gate deltas in a (T, n, G*h) array. Every weight
@@ -278,39 +285,59 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     return params
 
 
-def _gru_cell(a, h, U, act: str, a_c, out=None):
+def _gru_cell(a, h, U, act: str, a_c, out, rec, tmp, first: bool = False):
     """One GRU step, in place on the input projection ``a = x W + b`` (..., 3h).
 
     Adds the recurrent terms and applies the gates, so that ``a`` ends as
-    [z | r | c]; writes the candidate's pre-activation into ``a_c`` and
-    returns the new hidden state (into ``out`` when given).
+    [z | r | c]; writes the candidate's pre-activation into ``a_c`` and the
+    new hidden state into ``out``. ``rec`` (..., 3h) and ``tmp`` (..., h)
+    are scratch. With ``first``, ``h`` is the zero initial state, whose
+    recurrent products are +0.0 for finite ``U``, and they are skipped.
     """
     k = h.shape[-1]
     zr = a[..., :2 * k]
-    zr += h @ U[:, :2 * k]
+    if not first:
+        zr += np.matmul(h, U[:, :2 * k], out=rec[..., :2 * k])
     _sigmoid(zr, out=zr)
     z, r = zr[..., :k], zr[..., k:]
-    np.add(a[..., 2 * k:], (r * h) @ U[:, 2 * k:], out=a_c)
+    if first:
+        # Adding 0.0 where (r h) U would add +0.0: a -0.0 turns into +0.0 all the same.
+        np.add(a[..., 2 * k:], 0.0, out=a_c)
+    else:
+        rh_U = np.matmul(np.multiply(r, h, out=tmp), U[:, 2 * k:], out=rec[..., 2 * k:])
+        np.add(a[..., 2 * k:], rh_U, out=a_c)
     c = _act(a_c, act, out=a[..., 2 * k:])
-    return np.add((1.0 - z) * h, z * c, out=out)
+    # h' = z c + (1 - z) h, the two terms summed in either order (IEEE addition commutes).
+    np.multiply(z, c, out=out)
+    out += np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
+    return out
 
 
-def _lstm_cell(a, h, c, U, act: str, a_g, h_out=None, c_out=None):
+def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, tmp, first: bool = False):
     """One LSTM step, in place on the input projection ``a = x W + b`` (..., 4h).
 
     Adds ``h U`` and applies the gates, so that ``a`` ends as
-    [i | f | o | g]; writes g's pre-activation into ``a_g`` and returns
-    ``(h', c')`` (into ``h_out``/``c_out`` when given).
+    [i | f | o | g]; writes g's pre-activation into ``a_g`` and the new
+    states into ``h_out`` and ``c_out``, and returns them. ``rec`` (..., 4h)
+    and ``tmp`` (..., h) are scratch. With ``first``, ``h`` is the zero
+    initial state, whose product ``h U`` is +0.0 for finite ``U``, and it
+    is skipped.
     """
     k = h.shape[-1]
-    a += h @ U
+    if not first:
+        a += np.matmul(h, U, out=rec)
     ifo = _sigmoid(a[..., :3 * k], out=a[..., :3 * k])
-    np.copyto(a_g, a[..., 3 * k:])
+    if first:
+        # Adding 0.0 where h U would add +0.0: a -0.0 turns into +0.0 all the same.
+        np.add(a[..., 3 * k:], 0.0, out=a_g)
+    else:
+        np.copyto(a_g, a[..., 3 * k:])
     g = _act(a_g, act, out=a[..., 3 * k:])
     i, f, o = ifo[..., :k], ifo[..., k:2 * k], ifo[..., 2 * k:]
-    c_new = np.add(f * c, i * g, out=c_out)
-    h_new = np.multiply(o, _act(c_new, act), out=h_out)
-    return h_new, c_new
+    np.multiply(f, c, out=c_out)
+    c_out += np.multiply(i, g, out=tmp)
+    np.multiply(o, _act(c_out, act, out=tmp), out=h_out)
+    return h_out, c_out
 
 
 def _check_vec(x, dim: int, name: str):
@@ -332,7 +359,10 @@ def lstm_step(p: Mapping[str, np.ndarray], x_t, h_prev, c_prev, activation: str 
     a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
     h_prev, c_prev = (_check_vec(v, U.shape[0], name)
                       for name, v in (("h_prev", h_prev), ("c_prev", c_prev)))
-    return _lstm_cell(a, h_prev, c_prev, U, activation, np.empty_like(a[..., :U.shape[0]]))
+    row = a[..., :U.shape[0]]
+    return _lstm_cell(a, h_prev, c_prev, U, activation, a_g=np.empty_like(row),
+                      h_out=np.empty_like(row), c_out=np.empty_like(row),
+                      rec=np.empty_like(a), tmp=np.empty_like(row))
 
 
 def gru_step(p: Mapping[str, np.ndarray], x_t, h_prev, activation: str = "tanh"):
@@ -340,7 +370,9 @@ def gru_step(p: Mapping[str, np.ndarray], x_t, h_prev, activation: str = "tanh")
     W, U, b = _fuse(p, "gru")
     a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
     h_prev = _check_vec(h_prev, U.shape[0], "h_prev")
-    return _gru_cell(a, h_prev, U, activation, np.empty_like(a[..., :U.shape[0]]))
+    row = a[..., :U.shape[0]]
+    return _gru_cell(a, h_prev, U, activation, a_c=np.empty_like(row), out=np.empty_like(row),
+                     rec=np.empty_like(a), tmp=np.empty_like(row))
 
 
 @dataclass
@@ -352,7 +384,9 @@ class _DirectionCache:
     state and row t+1 the state after step t. ``gates`` is (T, n, G*h): the
     input projection of every step, which step t turns into its gate values
     in gate order. ``cand`` (T, n, h) holds the candidate's pre-activation
-    (a_c, a_g).
+    (a_c, a_g). ``allocate`` takes ``gates``, ``hs``, ``cand`` and ``cs`` as
+    views of one fresh block, uninitialised but for the two zero rows, so
+    a tape shares no memory with any other call's.
     """
 
     xs: np.ndarray
@@ -364,10 +398,13 @@ class _DirectionCache:
     @classmethod
     def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
         T, n, _ = xs.shape
-        width = len(GATE_NAMES[cell][0]) * hidden
-        cs = np.zeros((T + 1, n, hidden)) if cell == "lstm" else None
-        return cls(xs, np.zeros((T + 1, n, hidden)), np.empty((T, n, width)),
-                   np.empty((T, n, hidden)), cs)
+        states = ("hs", "cs") if cell == "lstm" else ("hs",)
+        shapes = {"gates": (T, n, len(GATE_NAMES[cell][0]) * hidden), "cand": (T, n, hidden)}
+        shapes.update((state, (T + 1, n, hidden)) for state in states)
+        views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+        for state in states:
+            views[state][0] = 0.0
+        return cls(xs, **views)
 
     def _block(self, arr: np.ndarray, j: int) -> np.ndarray:
         h = self.hs.shape[-1]
@@ -409,15 +446,17 @@ def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
     cache = _DirectionCache.allocate(spec.cell, xs, spec.hidden_size)
     # The input projection of every step in one matmul; each step then turns
     # its rows into gate values in place.
-    gates, hs, act = cache.gates, cache.hs, spec.activation
+    gates, hs, cs, cand, act = cache.gates, cache.hs, cache.cs, cache.cand, spec.activation
     np.matmul(xs.reshape(T * n, d), W, out=gates.reshape(T * n, -1))
     gates += b
+    # The cell's temporaries, allocated once and reused by every step.
+    rec, tmp = np.empty(gates.shape[1:]), np.empty(cand.shape[1:])
     for t in range(T):
         if spec.cell == "gru":
-            _gru_cell(gates[t], hs[t], U, act, cache.cand[t], out=hs[t + 1])
+            _gru_cell(gates[t], hs[t], U, act, cand[t], hs[t + 1], rec, tmp, first=t == 0)
         else:
-            _lstm_cell(gates[t], hs[t], cache.cs[t], U, act, cache.cand[t],
-                       h_out=hs[t + 1], c_out=cache.cs[t + 1])
+            _lstm_cell(gates[t], hs[t], cs[t], U, act, cand[t], hs[t + 1], cs[t + 1],
+                       rec, tmp, first=t == 0)
     return cache
 
 
@@ -493,8 +532,12 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
             da_z, da_r, da_c = _blocks(da[t], k)
             dh_z = dh * z
             np.multiply(dh_z, d_cand[t], out=da_c)
-            d_rh = da_c @ U_c.T
             da_z *= dh * c_minus_h[t]
+            if t == 0:
+                # h_prev[0] is the zero initial state: da_r is 0 and dh is not read.
+                da_r.fill(0.0)
+                break
+            d_rh = da_c @ U_c.T
             da_r *= d_rh * h_prev[t]
             dh = dh - dh_z + d_rh * r + da[t, :, :2 * k] @ U_zr.T
         recurrent_inputs = (h_prev, h_prev, cache.r * h_prev)
@@ -510,6 +553,8 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
             da_f *= dc_t * cache.c_prev[t]
             da_o *= dh * act_c[t]
             np.multiply(dc_t * i, d_cand[t], out=da_g)
+            if t == 0:
+                break  # dc and dh of the zero initial state are not read.
             dc = dc_t * f
             dh = da[t] @ U.T
         recurrent_inputs = (h_prev,) * 4

@@ -70,6 +70,12 @@ def gradient_config(dataset):
 
 
 INPUT_PRIVACY = "\n[privacy]\nepsilon = 0.5\ndelta = 1e-6\nsensitivity = 1.0\n"
+RUN_CONFIGS = {
+    "baseline": lambda data: BASE_CONFIG.format(data=data, kind="baseline"),
+    "nonprivate": lambda data: BASE_CONFIG.format(data=data, kind="nonprivate"),
+    "input": lambda data: BASE_CONFIG.format(data=data, kind="input") + INPUT_PRIVACY,
+    "gradient": gradient_config,
+}
 TUNE_ONE_TRIAL = "\n[tune]\nbudget = 1\nepochs = 1\n"
 
 
@@ -227,10 +233,7 @@ class TestModuleEntry:
         assert "Traceback" not in proc.stderr
 
 
-NON_FINITE_CONFIGS = {
-    "gradient": gradient_config,
-    "nonprivate": lambda data: BASE_CONFIG.format(data=data, kind="nonprivate"),
-    "input": lambda data: BASE_CONFIG.format(data=data, kind="input") + INPUT_PRIVACY,
+NON_FINITE_CONFIGS = RUN_CONFIGS | {
     "sanitize": lambda data: f"[dataset]\npath = {data}\n" + INPUT_PRIVACY,
 }
 
@@ -322,16 +325,19 @@ class TestTrainCommand:
         for name in ("metrics.csv", "predictions.csv", "summary.json", "manifest.json"):
             assert (out / name).exists()
 
-    def test_nonprivate_run_is_byte_deterministic(self, tmp_path, dataset):
-        cfg = write_config(tmp_path, BASE_CONFIG.format(data=dataset, kind="nonprivate"))
+    @pytest.mark.parametrize("kind", ["baseline", "nonprivate", "input", "gradient"])
+    def test_every_run_kind_is_byte_deterministic(self, tmp_path, dataset, kind):
+        cfg = write_config(tmp_path, RUN_CONFIGS[kind](dataset))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["--config", str(cfg), "--out", str(out_a), "train"]) == 0
         assert main(["--config", str(cfg), "--out", str(out_b), "train"]) == 0
-        assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
-        assert (out_a / "predictions.csv").read_bytes() == \
-            (out_b / "predictions.csv").read_bytes()
-        assert (out_a / "params.npz").exists() and (out_a / "trainlog.csv").exists()
-        assert config_keys(out_a) == SPLIT_KEYS | MODEL_KEYS | TRAIN_KEYS
+        names = sorted(p.name for p in out_a.iterdir())
+        assert names == sorted(p.name for p in out_b.iterdir())
+        assert ("params.npz" in names) == ("trainlog.csv" in names) == (kind != "baseline")
+        for name in names:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+        if kind == "nonprivate":
+            assert config_keys(out_a) == SPLIT_KEYS | MODEL_KEYS | TRAIN_KEYS
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, dataset, capsys):
         cfg = write_config(

@@ -476,6 +476,94 @@ class TestBackward:
         with pytest.raises(StaleTapeError):
             backward(spec, other, tape, np.zeros(1))
 
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_tape_is_untouched_by_a_later_forward(self, cell):
+        spec = ModelSpec(cell, True, 7, 3, 2, "relu")
+        params = init_params(spec, RngStream(30))
+        gen = RngStream(31).generator()
+        X_a, X_b = gen.standard_normal((2, 4, 6, 3))
+        y = gen.standard_normal((4, 2))
+
+        def tape_bytes(tape):
+            arrays = [tape.prediction, tape.h_cat]
+            for cache in tape.caches.values():
+                arrays += [cache.xs, cache.hs, cache.gates, cache.cand]
+                arrays += [] if cache.cs is None else [cache.cs]
+            return [a.tobytes() for a in arrays]
+
+        def grad_bytes(tape):
+            mean = backward_batch(spec, params, tape, y)
+            clipped = backward_batch(spec, params, tape, y, reduce="clip", clip=0.5,
+                                     microbatches=2)
+            return [mean.vector.tobytes(), clipped.vector.tobytes()]
+
+        _, tape_a = forward_batch(spec, params, X_a)
+        before, grads_before = tape_bytes(tape_a), grad_bytes(tape_a)
+        forward_batch(spec, params, X_b)
+        assert tape_bytes(tape_a) == before
+        assert grad_bytes(tape_a) == grads_before
+
+
+def direction_params(params, direction):
+    """One direction's per-gate tensors, keyed as ``gru_step``/``lstm_step`` read them."""
+    prefix = f"{direction}_"
+    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+
+
+class TestZeroInitialState:
+    """Step 0 skips the recurrent matmuls on the zero state; the step API still runs them."""
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("lag", [1, 6])
+    def test_forward_matches_chained_steps(self, cell, activation, bidirectional, lag):
+        spec = ModelSpec(cell, bidirectional, 7, 4, 2, activation)
+        params = init_params(spec, RngStream(40))
+        gen = RngStream(41).generator()
+        for value in params.values():
+            value += 0.1 * gen.standard_normal(value.shape)  # nonzero biases too
+        X = gen.standard_normal((3, lag, 4))
+        pred, tape = forward_batch(spec, params, X)
+        finals = []
+        for direction in spec.directions:
+            p = direction_params(params, direction)
+            xs = X.transpose(1, 0, 2)
+            xs = xs if direction == "fw" else xs[::-1]
+            h = c = np.zeros((3, 7))
+            for t in range(lag):
+                if cell == "gru":
+                    h = gru_step(p, xs[t], h, activation=activation)
+                else:
+                    h, c = lstm_step(p, xs[t], h, c, activation=activation)
+                np.testing.assert_allclose(tape.caches[direction].hs[t + 1], h,
+                                           rtol=1e-13, atol=0)
+            finals.append(h)
+        expected = np.concatenate(finals, axis=1) @ params["out_W"] + params["out_b"]
+        np.testing.assert_allclose(pred, expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_one_step_windows_have_zero_recurrent_gradients(self, cell, bidirectional):
+        # With lag 1 every step is step 0, so the whole pass is the shortcut.
+        spec = ModelSpec(cell, bidirectional, 7, 4, 2, "tanh")
+        params = init_params(spec, RngStream(42))
+        gen = RngStream(43).generator()
+        X = gen.standard_normal((3, 1, 4))
+        y = gen.standard_normal((3, 2))
+        _, tape = forward_batch(spec, params, X)
+        mean_g = backward_batch(spec, params, tape, y, reduce="mean")
+        stacked = backward_batch(spec, params, tape, y, reduce="stack")
+        names_W, names_U, names_b = GATE_NAMES[cell]
+        for direction in spec.directions:
+            for name in names_U:
+                key = f"{direction}_{name}"
+                assert np.all(mean_g[key] == 0.0) and np.all(stacked[key] == 0.0), key
+            for name in names_W + names_b:
+                key = f"{direction}_{name}"
+                np.testing.assert_allclose(stacked[key].mean(axis=0), mean_g[key],
+                                           rtol=1e-12, atol=1e-17)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
