@@ -7,14 +7,13 @@ accountant, a sequential-composition budget ledger, and an evaluation
 harness built around a persistence baseline and per-region RMSE/MAE.
 """
 
-from .core import RngStream, finite_diff_grad, gaussian_sample, l2_norm, log_binomial, logsumexp
+from .core import RngStream, finite_diff_grad, gaussian_sample, log_binomial, logsumexp
 from .data import (
     DataFormatError,
     IdentityScaler,
     MinMaxScaler,
     MobilitySeries,
     WindowedDataset,
-    cyclical_features,
     descriptive_stats,
     feature_matrix,
     iqr_clean,
@@ -43,14 +42,10 @@ from .forecast import (
 from .nn import (
     ModelSpec,
     StaleTapeError,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
-    gru_step,
     init_params,
     load_params,
-    lstm_step,
     save_params,
 )
 from .optim import (
@@ -60,7 +55,6 @@ from .optim import (
     TrainLog,
     TrainingDiverged,
     adam_step,
-    clip_to_norm,
     dp_aggregate,
     global_norm,
     train,
@@ -96,21 +90,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "BudgetError", "BudgetLedger", "DEFAULT_ORDERS",
     "DataFormatError", "DpSgdConfig", "IdentityScaler", "InputRelease",
-    "MechanismValidityError", "MetricsReport", "MinMaxScaler", "MobilitySeries",
-    "ModelConfig", "ModelSpec", "NonPrivateConfig", "PrivacyParams",
-    "PrivacyRecord", "RdpCurve", "RngStream", "RunArtifact",
+    "MechanismValidityError", "MetricsReport", "MinMaxScaler",
+    "MobilitySeries", "ModelConfig", "ModelSpec", "NonPrivateConfig",
+    "PrivacyParams", "PrivacyRecord", "RdpCurve", "RngStream", "RunArtifact",
     "SearchFailed", "SearchSpace", "StaleTapeError", "TrainConfig", "TrainLog",
-    "TrainingDiverged", "Trial", "TuneResult", "WindowedDataset",
-    "adam_step", "backward", "backward_batch", "clip_to_norm",
-    "compute_epsilon", "cyclical_features", "delta_budget_check",
+    "TrainingDiverged", "Trial", "TuneResult", "WindowedDataset", "adam_step",
+    "backward_batch", "compute_epsilon", "delta_budget_check",
     "descriptive_stats", "dp_aggregate", "evaluate_forecast", "feature_matrix",
-    "finite_diff_grad", "fit_release", "forward", "forward_batch",
-    "gaussian_sample", "gaussian_sigma", "global_norm", "gru_step",
-    "init_params", "input_release", "iqr_clean", "l2_norm", "ledger_total",
-    "load_csv", "load_params", "log_binomial", "logsumexp", "lstm_step",
-    "mae", "make_windows", "objective_nonprivate", "objective_private",
-    "persistence_forecast", "rdp_curve", "rdp_subsampled_gaussian", "rmse",
-    "run_baseline",
+    "finite_diff_grad", "fit_release", "forward_batch", "gaussian_sample",
+    "gaussian_sigma", "global_norm", "init_params", "input_release",
+    "iqr_clean", "ledger_total", "load_csv", "load_params", "log_binomial",
+    "logsumexp", "mae", "make_windows", "objective_nonprivate",
+    "objective_private", "persistence_forecast", "rdp_curve",
+    "rdp_subsampled_gaussian", "rmse", "run_baseline",
     "run_gradient_perturbation", "run_input_perturbation", "run_nonprivate",
     "run_search", "sanitize_series", "save_params", "split", "train",
     "utility_loss",

@@ -112,6 +112,17 @@ def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
     return tuple(range(base, base + 10))
 
 
+def _jobs(cfg: ExperimentConfig, args) -> int:
+    """Worker processes for the seeds: ``--jobs``, else ``[run] jobs``, else 1."""
+    if args.jobs is not None:
+        source, jobs = "--jobs", args.jobs
+    else:
+        source, jobs = "[run] jobs", cfg.get("run", "jobs", 1)
+    if jobs < 1:
+        raise ConfigError(f"{source} must be >= 1, got {jobs}")
+    return jobs
+
+
 def _model_config(cfg: ExperimentConfig) -> ModelConfig:
     model = ModelConfig(**cfg.section("model"))
     with _usage("[model]"):
@@ -242,9 +253,9 @@ def cmd_accountant(args) -> int:
 
 def _run_pipeline(cfg: ExperimentConfig, args):
     kind = cfg.get("run", "kind", "nonprivate")
+    jobs = _jobs(cfg, args)
     series, path = _dataset_series(cfg)
     split_args, unscaled = _split_args(cfg, series)
-    jobs = args.jobs if args.jobs else cfg.get("run", "jobs", 1)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
         split_args.pop("scale")

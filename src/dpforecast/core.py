@@ -60,12 +60,6 @@ def gaussian_sample(shape: Sequence[int], sigma: float, rng: RngStream) -> np.nd
     return sigma * z
 
 
-def l2_norm(t: np.ndarray) -> float:
-    """Euclidean norm over all entries of ``t``."""
-    flat = np.asarray(t, dtype=np.float64).ravel()
-    return math.sqrt(float(np.dot(flat, flat)))
-
-
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float
 ) -> np.ndarray:

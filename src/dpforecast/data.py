@@ -350,17 +350,13 @@ def iqr_clean(series: MobilitySeries) -> MobilitySeries:
     return MobilitySeries(series.timestamps, cleaned, series.region_labels, series.privacy)
 
 
-def cyclical_features(ts) -> np.ndarray:
-    """[sin, cos] pairs for the daily and weekly phase of a timestamp.
-
-    Phase zero is midnight for the day pair and Monday 00:00 for the week
-    pair, so ``cyclical_features(ts) == cyclical_features(ts + 7 days)``.
-    """
-    return cyclical_matrix(np.array([ts], dtype="datetime64[s]"))[0]
-
-
 def cyclical_matrix(timestamps: np.ndarray) -> np.ndarray:
-    """One :func:`cyclical_features` row per timestamp."""
+    """[sin, cos] pairs for the daily and weekly phase, one row per timestamp.
+
+    Columns are day sin, day cos, week sin, week cos. Phase zero is
+    midnight for the day pair and Monday 00:00 for the week pair, so a
+    timestamp and the same time 7 days later get the same row.
+    """
     secs = np.asarray(timestamps, dtype="datetime64[s]").astype(np.int64)
     minutes_day = (secs % 86400) / 60.0
     days = secs // 86400
@@ -540,15 +536,6 @@ class MinMaxScaler:
             "target_min": self.target_min_.tolist(),
             "target_max": self.target_max_.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxScaler":
-        scaler = cls()
-        scaler.input_min_ = np.asarray(d["input_min"], dtype=np.float64)
-        scaler.input_max_ = np.asarray(d["input_max"], dtype=np.float64)
-        scaler.target_min_ = np.asarray(d["target_min"], dtype=np.float64)
-        scaler.target_max_ = np.asarray(d["target_max"], dtype=np.float64)
-        return scaler
 
 
 class IdentityScaler:

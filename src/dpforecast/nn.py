@@ -106,7 +106,7 @@ GATE_NAMES = {
 
 
 class StaleTapeError(RuntimeError):
-    """Raised when backward() is given a tape from different parameters."""
+    """Raised when backward_batch() gets a tape forward_batch() made from other parameters."""
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     return params
 
 
-def _gru_cell(a, h, U, act: str, a_c, out, rec, tmp, first: bool = False):
+def _gru_cell(a, h, U, act: str, a_c, out, rec, tmp, first: bool):
     """One GRU step, in place on the input projection ``a = x W + b`` (..., 3h).
 
     Adds the recurrent terms and applies the gates, so that ``a`` ends as
@@ -313,7 +313,7 @@ def _gru_cell(a, h, U, act: str, a_c, out, rec, tmp, first: bool = False):
     return out
 
 
-def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, tmp, first: bool = False):
+def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, tmp, first: bool):
     """One LSTM step, in place on the input projection ``a = x W + b`` (..., 4h).
 
     Adds ``h U`` and applies the gates, so that ``a`` ends as
@@ -338,41 +338,6 @@ def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, tmp, first: bool = 
     c_out += np.multiply(i, g, out=tmp)
     np.multiply(o, _act(c_out, act, out=tmp), out=h_out)
     return h_out, c_out
-
-
-def _check_vec(x, dim: int, name: str):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dim:
-        raise ValueError(f"{name} has trailing dimension {x.shape[-1]}, expected {dim}")
-    return x
-
-
-def _fuse(p: Mapping[str, np.ndarray], cell: str) -> tuple[np.ndarray, ...]:
-    """One direction's (W, U, b), fused from its per-gate tensors."""
-    return tuple(np.concatenate([np.asarray(p[n], dtype=np.float64) for n in names], axis=-1)
-                 for names in GATE_NAMES[cell])
-
-
-def lstm_step(p: Mapping[str, np.ndarray], x_t, h_prev, c_prev, activation: str = "tanh"):
-    """One LSTM step; returns (h_t, c_t). Accepts (d,)/(h,) or batched rows."""
-    W, U, b = _fuse(p, "lstm")
-    a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
-    h_prev, c_prev = (_check_vec(v, U.shape[0], name)
-                      for name, v in (("h_prev", h_prev), ("c_prev", c_prev)))
-    row = a[..., :U.shape[0]]
-    return _lstm_cell(a, h_prev, c_prev, U, activation, a_g=np.empty_like(row),
-                      h_out=np.empty_like(row), c_out=np.empty_like(row),
-                      rec=np.empty_like(a), tmp=np.empty_like(row))
-
-
-def gru_step(p: Mapping[str, np.ndarray], x_t, h_prev, activation: str = "tanh"):
-    """One GRU step; returns h_t. Accepts (d,)/(h,) or batched rows."""
-    W, U, b = _fuse(p, "gru")
-    a = _check_vec(x_t, W.shape[0], "x_t") @ W + b
-    h_prev = _check_vec(h_prev, U.shape[0], "h_prev")
-    row = a[..., :U.shape[0]]
-    return _gru_cell(a, h_prev, U, activation, a_c=np.empty_like(row), out=np.empty_like(row),
-                     rec=np.empty_like(a), tmp=np.empty_like(row))
 
 
 @dataclass
@@ -422,7 +387,7 @@ class _DirectionCache:
 
 @dataclass
 class ForwardTape:
-    """Intermediates retained by forward() for exact backpropagation.
+    """Intermediates forward_batch() retains for backward_batch()'s exact backpropagation.
 
     ``weights`` holds the fused tensors the pass read. For a packed
     parameter set they are views, so update the parameters in place only
@@ -435,10 +400,6 @@ class ForwardTape:
     caches: dict[str, _DirectionCache]
     h_cat: np.ndarray
     prediction: np.ndarray
-
-    @property
-    def direction_finals(self) -> dict[str, np.ndarray]:
-        return {d: c.final for d, c in self.caches.items()}
 
 
 def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
@@ -488,15 +449,6 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     h_cat = np.concatenate(finals, axis=1) if len(finals) > 1 else finals[0]
     prediction = h_cat @ weights["out_W"] + weights["out_b"]
     return prediction, ForwardTape(spec, params, weights, caches, h_cat, prediction)
-
-
-def forward(spec: ModelSpec, params: Mapping[str, np.ndarray], window: np.ndarray):
-    """Single-window forward pass; returns ``(prediction (output,), tape)``."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ValueError(f"window must be 2-d (lag, d), got shape {window.shape}")
-    pred, tape = forward_batch(spec, params, window[None])
-    return pred[0], tape
 
 
 def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool, out: np.ndarray) -> np.ndarray:
@@ -656,9 +608,8 @@ def backward_batch(
     params: Mapping[str, np.ndarray],
     tape: ForwardTape,
     targets: np.ndarray,
-    loss: str = "mae",
-    reduce: str = "mean",
     *,
+    reduce: str = "mean",
     clip: float | None = None,
     microbatches: int = 1,
 ) -> Mapping[str, np.ndarray]:
@@ -671,8 +622,8 @@ def backward_batch(
     ``fw_`` and ``bw_`` tensors in ``param_shapes`` order.
 
     ``reduce="clip"`` returns DP-SGD's clipped sum as a fresh ``Packed``;
-    only it reads the keyword-only ``clip`` and ``microbatches``, which the
-    other reductions reject. The batch is cut into ``microbatches`` runs
+    only it reads ``clip`` and ``microbatches``, which the other reductions
+    reject. The batch is cut into ``microbatches`` runs
     of consecutive examples of equal size, each run's mean gradient is
     scaled by ``clip_scales`` to L2 norm at most ``clip``, and the scaled
     run gradients are summed. No per-example gradient is formed. Each
@@ -682,8 +633,6 @@ def backward_batch(
     the sum is the mean reduction's matmuls over the deltas with each
     run's rows scaled by its factor over its size.
     """
-    if loss != "mae":
-        raise ValueError(f"unsupported loss {loss!r}")
     if reduce not in ("mean", "stack", "clip"):
         raise ValueError(f"reduce must be 'mean', 'stack' or 'clip', got {reduce!r}")
     if tape.params is not params:
@@ -735,20 +684,6 @@ def backward_batch(
     if not per_example:
         return outs
     return {name: outs[name] for name in dp_key_order(spec)}
-
-
-def backward(
-    spec: ModelSpec,
-    params: Mapping[str, np.ndarray],
-    tape: ForwardTape,
-    target: np.ndarray,
-    loss: str = "mae",
-) -> Packed:
-    """Single-example gradient of MAE; ``tape`` must come from forward()."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim == 1:
-        target = target[None]
-    return backward_batch(spec, params, tape, target, loss=loss, reduce="mean")
 
 
 def save_params(path, params: Mapping[str, np.ndarray]) -> None:

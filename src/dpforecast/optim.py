@@ -76,17 +76,6 @@ def global_norm(g: Mapping[str, np.ndarray]) -> float:
     return math.sqrt(math.fsum(float(np.vdot(v, v)) for v in g.values()))
 
 
-def clip_to_norm(g: Mapping[str, np.ndarray], clip: float) -> Params:
-    """Scale ``g`` down to global norm ``clip`` when it exceeds it."""
-    if clip <= 0:
-        raise ValueError("clip must be positive")
-    norm = global_norm(g)
-    if norm <= clip:
-        return dict(g)
-    scale = clip / norm
-    return {k: v * scale for k, v in g.items()}
-
-
 def dp_aggregate(
     per_microbatch: Union[Sequence[Mapping[str, np.ndarray]], Packed],
     clip: float,

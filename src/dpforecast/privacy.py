@@ -102,21 +102,17 @@ def sanitize_series(
     series: "MobilitySeries",
     params: PrivacyParams,
     rng: RngStream,
-    clamp_nonnegative: bool = False,
 ) -> "MobilitySeries":
     """Add independent Gaussian noise to every count of ``series``.
 
     Timestamps are untouched. The returned series carries an immutable
     :class:`PrivacyRecord`; downstream code treats it as the only visible
-    data. ``clamp_nonnegative`` optionally floors the noisy counts at zero
-    for publication (post-processing, so the record is unchanged); the
-    default keeps the noise unbiased for training.
+    data. The noisy counts are not floored at zero, so the noise stays
+    unbiased for training.
     """
     sigma = gaussian_sigma(params.l2_sensitivity, params.epsilon, params.delta)
     noise = gaussian_sample(series.counts.shape, sigma, rng)
     noisy = series.counts + noise
-    if clamp_nonnegative:
-        noisy = noisy.clip(min=0.0)
     record = PrivacyRecord(
         mechanism="gaussian",
         epsilon=params.epsilon,

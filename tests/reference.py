@@ -1,5 +1,10 @@
 """Reference implementations that the library must match.
 
+``cell_step`` is one LSTM or GRU step written gate by gate from the
+equations in ``dpforecast.nn``, with the exp form of the sigmoid and no
+fused tensors, scratch buffers or zero-state shortcut; ``network_forward``
+chains it over a batch of windows.
+
 ``load_csv`` is the per-row CSV parser as it stood before ``data.load_csv``
 read canonical rows as columns: every record goes through the field-count,
 timestamp and count checks in line order. The library's result, or its
@@ -22,6 +27,55 @@ _CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 _FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def cell_step(cell, p, x, h, c=None, activation="tanh"):
+    """One step of ``cell`` from input rows ``x`` and states ``h`` (and ``c``).
+
+    ``p`` holds one direction's per-gate tensors under their names without
+    the direction prefix (``W_z``, ``U_z``, ``b_z``, ... for the GRU;
+    ``W_xi``, ``W_hi``, ``b_i``, ... for the LSTM). Returns ``h_t`` for the
+    GRU and ``(h_t, c_t)`` for the LSTM.
+    """
+    act = np.tanh if activation == "tanh" else (lambda a: np.maximum(a, 0.0))
+    if cell == "gru":
+        z = _sigmoid(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+        r = _sigmoid(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+        cand = act(x @ p["W_c"] + (r * h) @ p["U_c"] + p["b_c"])
+        return (1.0 - z) * h + z * cand
+    i, f, o = (_sigmoid(x @ p[f"W_x{g}"] + h @ p[f"W_h{g}"] + p[f"b_{g}"]) for g in "ifo")
+    g = act(x @ p["W_xg"] + h @ p["W_hg"] + p["b_g"])
+    c = f * c + i * g
+    return o * act(c), c
+
+
+def network_forward(spec, params, windows):
+    """``cell_step`` over windows (n, lag, d) from zero states, then the dense layer.
+
+    The ``bw`` direction reads each window reversed, and the final hidden
+    states are concatenated in direction order. Returns the predictions
+    (n, output) and, per direction, the hidden states after each step.
+    """
+    n, lag, _ = windows.shape
+    states = {}
+    for direction in spec.directions:
+        prefix = f"{direction}_"
+        p = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+        xs = windows if direction == "fw" else windows[:, ::-1]
+        h = c = np.zeros((n, spec.hidden_size))
+        states[direction] = []
+        for t in range(lag):
+            if spec.cell == "gru":
+                h = cell_step("gru", p, xs[:, t], h, activation=spec.activation)
+            else:
+                h, c = cell_step("lstm", p, xs[:, t], h, c, activation=spec.activation)
+            states[direction].append(h)
+    h_cat = np.concatenate([hs[-1] for hs in states.values()], axis=1)
+    return h_cat @ params["out_W"] + params["out_b"], states
 
 
 def load_csv(path) -> MobilitySeries:

@@ -386,6 +386,21 @@ class TestTrainCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         assert section in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, run_jobs, named", [
+        (["--jobs", "0"], "jobs = 2\n", "--jobs must be >= 1, got 0"),
+        (["--jobs", "-1"], "", "--jobs must be >= 1, got -1"),
+        ([], "jobs = 0\n", "[run] jobs must be >= 1, got 0"),
+    ], ids=["flag-zero", "flag-negative", "config-zero"])
+    def test_fewer_than_one_job_is_usage_error(
+        self, tmp_path, dataset, capsys, flags, run_jobs, named
+    ):
+        body = BASE_CONFIG.format(data=dataset, kind="nonprivate")
+        cfg = write_config(tmp_path, body.replace("[run]\n", "[run]\n" + run_jobs))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), *flags, "train"]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seeds_default_to_ten_from_the_base_seed(self, tmp_path, dataset):
         body = BASE_CONFIG.format(data=dataset, kind="nonprivate").replace(
             "seeds = 0,1\n", "").replace("epochs = 2", "epochs = 0")

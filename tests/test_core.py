@@ -10,7 +10,6 @@ from dpforecast import (
     RngStream,
     finite_diff_grad,
     gaussian_sample,
-    l2_norm,
     log_binomial,
     logsumexp,
 )
@@ -55,28 +54,6 @@ class TestGaussianSample:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             gaussian_sample([2], -0.1, RngStream(0))
-
-
-class TestL2Norm:
-    def test_zeros(self):
-        assert l2_norm(np.zeros(3)) == 0.0
-
-    def test_pythagorean(self):
-        assert l2_norm(np.array([3.0, 4.0])) == pytest.approx(5.0, abs=0)
-
-    def test_matches_elementwise_loop_oracle(self):
-        gen = np.random.default_rng(11)
-        t = gen.standard_normal(100)
-        acc = 0.0
-        for v in t:
-            acc += float(v) * float(v)
-        assert l2_norm(t) == pytest.approx(math.sqrt(acc), rel=1e-12)
-
-    @given(st.floats(-1e3, 1e3), st.integers(1, 30))
-    def test_absolute_homogeneity(self, a, n):
-        gen = np.random.default_rng(n)
-        t = gen.standard_normal(n)
-        assert l2_norm(a * t) == pytest.approx(abs(a) * l2_norm(t), rel=1e-12, abs=1e-12)
 
 
 class TestFiniteDiffGrad:

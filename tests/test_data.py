@@ -12,7 +12,6 @@ from dpforecast import (
     DataFormatError,
     MinMaxScaler,
     MobilitySeries,
-    cyclical_features,
     descriptive_stats,
     feature_matrix,
     iqr_clean,
@@ -624,31 +623,32 @@ class TestIqrCleanMatchesReference:
 
 class TestCyclicalFeatures:
     def test_monday_midnight_phase_zero(self):
-        feats = cyclical_features(datetime(2020, 8, 24, 0, 0, 0))
+        feats = cyclical_matrix([datetime(2020, 8, 24, 0, 0, 0)])[0]
         np.testing.assert_allclose(feats, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
 
     def test_quarter_day(self):
-        feats = cyclical_features(datetime(2020, 8, 26, 6, 0, 0))
+        feats = cyclical_matrix([datetime(2020, 8, 26, 6, 0, 0)])[0]
         np.testing.assert_allclose(feats[:2], [1.0, 0.0], atol=1e-12)
 
     def test_thursday_noon_is_half_week(self):
-        feats = cyclical_features(datetime(2020, 8, 27, 12, 0, 0))
+        feats = cyclical_matrix([datetime(2020, 8, 27, 12, 0, 0)])[0]
         np.testing.assert_allclose(feats[2:], [0.0, -1.0], atol=1e-12)
 
     def test_weekly_periodicity_exact(self):
         ts = np.datetime64("2020-09-02T17:30:00", "s")
         week = np.timedelta64(7 * 86400, "s")
-        np.testing.assert_array_equal(
-            cyclical_features(ts), cyclical_features(ts + week)
-        )
+        first, later = cyclical_matrix([ts, ts + week])
+        np.testing.assert_array_equal(first, later)
 
-    def test_matrix_matches_scalar(self):
+    def test_matches_calendar_oracle(self):
         series = build_series(n_days=2, seed=0)
         mat = cyclical_matrix(series.timestamps)
-        for i in (0, 17, 48, 95):
-            np.testing.assert_allclose(
-                mat[i], cyclical_features(series.timestamps[i]), atol=1e-12
-            )
+        for i, ts in enumerate(series.timestamps.tolist()):
+            minutes = ts.hour * 60 + ts.minute
+            day, week = minutes / 1440, (ts.weekday() * 1440 + minutes) / 10080
+            expected = [math.sin(2 * math.pi * day), math.cos(2 * math.pi * day),
+                        math.sin(2 * math.pi * week), math.cos(2 * math.pi * week)]
+            np.testing.assert_allclose(mat[i], expected, atol=1e-12)
 
 
 class TestSplit:
@@ -785,13 +785,13 @@ class TestMinMaxScaler:
         assert np.all(scaled.targets == 0.0)
         assert any("constant" in rec.message for rec in caplog.records)
 
-    def test_state_round_trip(self):
+    def test_state_lists_the_fitted_bounds(self):
         series = build_series(n_days=1, n_regions=2, seed=1)
         w = make_windows(series, lag=2)
         scaler = MinMaxScaler().fit(w)
-        clone = MinMaxScaler.from_dict(scaler.to_dict())
-        np.testing.assert_array_equal(clone.input_min_, scaler.input_min_)
-        np.testing.assert_array_equal(clone.target_max_, scaler.target_max_)
+        state = scaler.to_dict()
+        for key in ("input_min", "input_max", "target_min", "target_max"):
+            assert state[key] == getattr(scaler, f"{key}_").tolist()
 
 
 class TestDescriptiveStats:

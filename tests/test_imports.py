@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and the package exports them."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import dpforecast
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dpforecast"
 
@@ -51,6 +54,18 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_exactly_the_names_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    sources = {alias.asname or alias.name: node.module
+               for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
+    assert len(set(dpforecast.__all__)) == len(dpforecast.__all__)
+    assert set(dpforecast.__all__) == set(sources)
+    for name, module in sources.items():
+        owner = importlib.import_module(f"dpforecast.{module}")
+        assert getattr(dpforecast, name) is getattr(owner, name), name
 
 
 def test_checker_finds_unused_and_counts_string_annotations():

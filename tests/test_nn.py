@@ -11,24 +11,30 @@ from dpforecast import (
     ModelSpec,
     RngStream,
     StaleTapeError,
-    backward,
     backward_batch,
     finite_diff_grad,
-    forward,
     forward_batch,
-    gru_step,
     init_params,
     load_params,
-    lstm_step,
     save_params,
 )
 from dpforecast.nn import (GATE_NAMES, Packed, add_in_dp_order, dp_key_order, pack_params,
                            param_shapes)
 from dpforecast.optim import adam_step, init_adam_state
 
+from reference import cell_step, network_forward
+
 
 def zero_params(spec):
     return {k: np.zeros(s) for k, s in param_shapes(spec).items()}
+
+
+def lstm_dir_params(**values):
+    """One LSTM direction with one unit: zero tensors but for ``values``."""
+    names = ("W_xi", "W_xf", "W_xo", "W_xg", "W_hi", "W_hf", "W_ho", "W_hg",
+             "b_i", "b_f", "b_o", "b_g")
+    return {k: np.array([[values.get(k, 0.0)]]) if k.startswith("W")
+            else np.array([values.get(k, 0.0)]) for k in names}
 
 
 def gru_dir_params(W_z=0.0, U_z=0.0, b_z=0.0, W_r=0.0, U_r=0.0, b_r=0.0,
@@ -140,34 +146,10 @@ class TestPackedLayout:
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     def test_fused_forward_matches_per_gate_reference(self, cell):
-        # The cell equations written gate by gate, with the exp sigmoid.
         spec = ModelSpec(cell, True, 5, 3, 2, "relu")
         params = init_params(spec, RngStream(11))
         X = RngStream(12).generator().standard_normal((4, 6, 3))
-
-        def sig(a):
-            return 1.0 / (1.0 + np.exp(-a))
-
-        def run(p, xs):
-            h = c = np.zeros((xs.shape[0], 5))
-            for t in range(xs.shape[1]):
-                x = xs[:, t]
-                if cell == "gru":
-                    z = sig(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
-                    r = sig(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
-                    cand = np.maximum(x @ p["W_c"] + (r * h) @ p["U_c"] + p["b_c"], 0.0)
-                    h = (1.0 - z) * h + z * cand
-                else:
-                    i, f, o = (sig(x @ p[f"W_x{g}"] + h @ p[f"W_h{g}"] + p[f"b_{g}"])
-                               for g in "ifo")
-                    g = np.maximum(x @ p["W_xg"] + h @ p["W_hg"] + p["b_g"], 0.0)
-                    c = f * c + i * g
-                    h = o * np.maximum(c, 0.0)
-            return h
-
-        finals = [run({k[3:]: v for k, v in params.items() if k.startswith(d)}, xs)
-                  for d, xs in (("fw_", X), ("bw_", X[:, ::-1]))]
-        expected = np.concatenate(finals, axis=1) @ params["out_W"] + params["out_b"]
+        expected, _ = network_forward(spec, params, X)
         got, _ = forward_batch(spec, params, X)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
 
@@ -175,8 +157,8 @@ class TestPackedLayout:
         spec = ModelSpec("lstm", True, 4, 3, 2, "tanh")
         params = init_params(spec, RngStream(5))
         loose = {k: v.copy() for k, v in params.items()}
-        window = RngStream(6).generator().standard_normal((4, 3))
-        assert np.array_equal(forward(spec, params, window)[0], forward(spec, loose, window)[0])
+        X = RngStream(6).generator().standard_normal((1, 4, 3))
+        assert np.array_equal(forward_batch(spec, params, X)[0], forward_batch(spec, loose, X)[0])
 
 
 class TestPacked:
@@ -246,52 +228,39 @@ class TestPacked:
 
 
 class TestLstmStep:
+    """Hand-evaluated LSTM steps pin the reference ``cell_step``."""
+
     def test_zero_fixed_point(self):
-        p = {k: np.zeros((1, 1)) if k.startswith("W") else np.zeros(1)
-             for k in ("W_xi", "W_xf", "W_xo", "W_xg", "W_hi", "W_hf", "W_ho", "W_hg",
-                        "b_i", "b_f", "b_o", "b_g")}
-        h, c = lstm_step(p, np.zeros(1), np.zeros(1), np.zeros(1), activation="tanh")
+        h, c = cell_step("lstm", lstm_dir_params(), np.zeros(1), np.zeros(1), np.zeros(1))
         assert np.all(h == 0.0) and np.all(c == 0.0)
 
     def test_hand_evaluated_gate_equations(self):
         # All weights and biases zero except b_g = 10: gates are 0.5, the
         # candidate saturates to tanh(10), so c = 0.5*tanh(10) and
         # h = 0.5*tanh(c).
-        p = {k: np.zeros((1, 1)) if k.startswith("W") else np.zeros(1)
-             for k in ("W_xi", "W_xf", "W_xo", "W_xg", "W_hi", "W_hf", "W_ho", "W_hg",
-                        "b_i", "b_f", "b_o", "b_g")}
-        p["b_g"] = np.array([10.0])
-        h, c = lstm_step(p, np.zeros(1), np.zeros(1), np.zeros(1), activation="tanh")
+        p = lstm_dir_params(b_g=10.0)
+        h, c = cell_step("lstm", p, np.zeros(1), np.zeros(1), np.zeros(1), activation="tanh")
         assert c[0] == pytest.approx(0.49999999793884636, abs=1e-12)
         assert h[0] == pytest.approx(0.2310585778195101, abs=1e-12)
 
     def test_relu_kills_candidate(self):
-        p = {k: np.zeros((1, 1)) if k.startswith("W") else np.zeros(1)
-             for k in ("W_xi", "W_xf", "W_xo", "W_xg", "W_hi", "W_hf", "W_ho", "W_hg",
-                        "b_i", "b_f", "b_o", "b_g")}
-        p["b_g"] = np.array([-4.0])
+        p = lstm_dir_params(b_g=-4.0)
         c_prev = np.array([0.8])
-        h, c = lstm_step(p, np.zeros(1), np.zeros(1), c_prev, activation="relu")
+        h, c = cell_step("lstm", p, np.zeros(1), np.zeros(1), c_prev, activation="relu")
         # f = 0.5 exactly, g = relu(-4) = 0, so c = f * c_prev exactly
         assert c[0] == 0.5 * 0.8
 
-    def test_shape_mismatch_rejected(self):
-        p = {k: np.zeros((2, 3)) if k.startswith("W_x") else
-             (np.zeros((3, 3)) if k.startswith("W_h") else np.zeros(3))
-             for k in ("W_xi", "W_xf", "W_xo", "W_xg", "W_hi", "W_hf", "W_ho", "W_hg",
-                        "b_i", "b_f", "b_o", "b_g")}
-        with pytest.raises(ValueError):
-            lstm_step(p, np.zeros(5), np.zeros(3), np.zeros(3))
-
 
 class TestGruStep:
+    """Hand-evaluated GRU steps pin the reference ``cell_step``."""
+
     def test_zero_fixed_point(self):
-        h = gru_step(gru_dir_params(), np.zeros(1), np.zeros(1), activation="tanh")
+        h = cell_step("gru", gru_dir_params(), np.zeros(1), np.zeros(1), activation="tanh")
         assert np.all(h == 0.0)
 
     def test_halving_with_zero_weights(self):
         v = np.array([0.62])
-        h = gru_step(gru_dir_params(), np.zeros(1), v, activation="tanh")
+        h = cell_step("gru", gru_dir_params(), np.zeros(1), v, activation="tanh")
         # z = r = 0.5 and the candidate is act(0) = 0, so h = (1-z) v = v/2
         assert h[0] == pytest.approx(0.31, abs=1e-15)
 
@@ -299,7 +268,7 @@ class TestGruStep:
         # W_z = W_c = 1, everything else 0, x = 2, h_prev = 0.7:
         # z = sigmoid(2), r = 0.5, c = tanh(2), h = (1-z)*0.7 + z*c.
         p = gru_dir_params(W_z=1.0, W_c=1.0)
-        h = gru_step(p, np.array([2.0]), np.array([0.7]), activation="tanh")
+        h = cell_step("gru", p, np.array([2.0]), np.array([0.7]), activation="tanh")
         z = 0.8807970779778823
         expected = (1 - z) * 0.7 + z * 0.9640275800758169
         assert h[0] == pytest.approx(expected, abs=1e-12)
@@ -308,8 +277,21 @@ class TestGruStep:
     def test_gate_convention_keeps_history_when_update_closed(self):
         # Strongly negative update-gate bias forces z ~ 0 and h ~ h_prev.
         p = gru_dir_params(b_z=-30.0, W_c=1.0)
-        h = gru_step(p, np.array([2.0]), np.array([0.7]), activation="tanh")
+        h = cell_step("gru", p, np.array([2.0]), np.array([0.7]), activation="tanh")
         assert h[0] == pytest.approx(0.7, abs=1e-9)
+
+
+class TestForwardBatchInputChecks:
+    @pytest.mark.parametrize("shape, message", [
+        ((6, 3), "windows must be 3-d"),
+        ((2, 0, 3), "at least one step"),
+        ((2, 6, 4), "feature size 4 != spec input_size 3"),
+    ], ids=["2-d", "zero-lag", "feature-size"])
+    def test_bad_windows_rejected(self, shape, message):
+        spec = ModelSpec("lstm", True, 3, 3, 2)
+        params = init_params(spec, RngStream(0))
+        with pytest.raises(ValueError, match=message):
+            forward_batch(spec, params, np.zeros(shape))
 
 
 class TestForward:
@@ -317,8 +299,8 @@ class TestForward:
         spec = ModelSpec("gru", True, 3, 2, 2, "relu")
         params = zero_params(spec)
         params["out_b"] = np.array([1.5, -2.0])
-        pred, _ = forward(spec, params, np.ones((4, 2)))
-        np.testing.assert_allclose(pred, [1.5, -2.0], atol=0)
+        pred, _ = forward_batch(spec, params, np.ones((1, 4, 2)))
+        np.testing.assert_allclose(pred, [[1.5, -2.0]], atol=0)
 
     def test_palindromic_window_symmetry(self):
         spec = ModelSpec("gru", True, 3, 2, 2, "tanh")
@@ -327,9 +309,8 @@ class TestForward:
             if name.startswith("bw_"):
                 params[name][...] = params["fw_" + name[3:]]
         window = np.array([[0.1, -0.4], [1.0, 0.2], [0.1, -0.4]])
-        _, tape = forward(spec, params, window)
-        finals = tape.direction_finals
-        np.testing.assert_allclose(finals["fw"], finals["bw"], atol=1e-15)
+        _, tape = forward_batch(spec, params, window[None])
+        np.testing.assert_allclose(tape.caches["fw"].final, tape.caches["bw"].final, atol=1e-15)
 
     def test_matches_chained_gru_steps(self):
         spec = ModelSpec("gru", False, 1, 1, 1, "tanh")
@@ -341,46 +322,42 @@ class TestForward:
         window = np.array([[0.4], [-1.2]])
         h = np.zeros(1)
         for t in range(2):
-            h = gru_step(dirp, window[t], h, activation="tanh")
+            h = cell_step("gru", dirp, window[t], h, activation="tanh")
         expected = h @ params["out_W"] + params["out_b"]
-        pred, _ = forward(spec, params, window)
-        np.testing.assert_allclose(pred, expected, atol=1e-15)
+        pred, _ = forward_batch(spec, params, window[None])
+        np.testing.assert_allclose(pred[0], expected, atol=1e-15)
 
     def test_reversal_swaps_direction_finals(self):
         spec = ModelSpec("lstm", True, 3, 2, 1, "tanh")
         params = init_params(spec, RngStream(8))
         gen = RngStream(8).generator()
-        window = gen.standard_normal((5, 2))
-        _, tape = forward(spec, params, window)
+        X = gen.standard_normal((1, 5, 2))
+        _, tape = forward_batch(spec, params, X)
         swapped = dict(params)
         for name in params:
             if name.startswith("fw_"):
                 swapped[name] = params["bw_" + name[3:]]
             elif name.startswith("bw_"):
                 swapped[name] = params["fw_" + name[3:]]
-        _, tape_rev = forward(spec, swapped, window[::-1])
-        np.testing.assert_allclose(
-            tape.direction_finals["fw"], tape_rev.direction_finals["bw"], atol=0
-        )
-        np.testing.assert_allclose(
-            tape.direction_finals["bw"], tape_rev.direction_finals["fw"], atol=0
-        )
+        _, tape_rev = forward_batch(spec, swapped, X[:, ::-1])
+        for a, b in (("fw", "bw"), ("bw", "fw")):
+            np.testing.assert_allclose(tape.caches[a].final, tape_rev.caches[b].final, atol=0)
 
     def test_deterministic(self):
         spec = ModelSpec("lstm", False, 4, 3, 2, "relu")
         params = init_params(spec, RngStream(2))
-        window = RngStream(2).generator().standard_normal((6, 3))
-        a, _ = forward(spec, params, window)
-        b, _ = forward(spec, params, window)
+        X = RngStream(2).generator().standard_normal((1, 6, 3))
+        a, _ = forward_batch(spec, params, X)
+        b, _ = forward_batch(spec, params, X)
         assert np.array_equal(a, b)
 
     def test_gate_boundedness_tanh(self):
         spec = ModelSpec("gru", False, 4, 2, 1, "tanh")
         params = init_params(spec, RngStream(4))
         gen = RngStream(5).generator()
-        window = 3.0 * gen.standard_normal((10, 2))
-        _, tape = forward(spec, params, window)
-        assert np.all(np.abs(tape.direction_finals["fw"]) <= 1.0)
+        X = 3.0 * gen.standard_normal((1, 10, 2))
+        _, tape = forward_batch(spec, params, X)
+        assert np.all(np.abs(tape.caches["fw"].final) <= 1.0)
         for z in tape.caches["fw"].z:
             assert np.all((z > 0) & (z < 1))
 
@@ -399,22 +376,20 @@ class TestBackward:
     def test_zero_gradients_when_prediction_matches_target(self):
         spec = ModelSpec("gru", False, 2, 1, 1, "tanh")
         params = init_params(spec, RngStream(0))
-        window = np.array([[0.3], [0.1]])
-        pred, tape = forward(spec, params, window)
-        grads = backward(spec, params, tape, pred)
+        X = np.array([[[0.3], [0.1]]])
+        pred, tape = forward_batch(spec, params, X)
+        grads = backward_batch(spec, params, tape, pred)
         for g in grads.values():
             assert np.all(g == 0.0)
 
     def test_dense_bias_gradient_is_sign_over_output_size(self):
         spec = ModelSpec("gru", False, 2, 1, 3, "tanh")
         params = init_params(spec, RngStream(1))
-        window = np.array([[0.5], [-0.2]])
-        pred, tape = forward(spec, params, window)
+        X = np.array([[[0.5], [-0.2]]])
+        pred, tape = forward_batch(spec, params, X)
         target = pred + np.array([1.0, -2.0, 0.5])
-        grads = backward(spec, params, tape, target)
-        np.testing.assert_allclose(
-            grads["out_b"], np.sign(pred - target) / 3.0, atol=0
-        )
+        grads = backward_batch(spec, params, tape, target)
+        np.testing.assert_allclose(grads["out_b"], np.sign(pred - target)[0] / 3.0, atol=0)
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     @pytest.mark.parametrize("bidirectional", [False, True])
@@ -451,7 +426,7 @@ class TestBackward:
             )
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
-    def test_stack_row_equals_single_window_backward(self, cell):
+    def test_stack_row_equals_one_window_batch_backward(self, cell):
         spec = ModelSpec(cell, True, 4, 3, 2, "relu")
         params = init_params(spec, RngStream(21))
         gen = RngStream(22).generator()
@@ -461,8 +436,8 @@ class TestBackward:
         stacked = backward_batch(spec, params, tape, y, reduce="stack")
         assert set(stacked) == set(params)
         for i in range(X.shape[0]):
-            _, tape_i = forward(spec, params, X[i])
-            single = backward(spec, params, tape_i, y[i])
+            _, tape_i = forward_batch(spec, params, X[i:i + 1])
+            single = backward_batch(spec, params, tape_i, y[i:i + 1])
             for name, g in single.items():
                 assert stacked[name][i].shape == g.shape
                 err = np.linalg.norm(stacked[name][i] - g)
@@ -471,10 +446,10 @@ class TestBackward:
     def test_stale_tape_rejected(self):
         spec = ModelSpec("gru", False, 2, 1, 1, "tanh")
         params = init_params(spec, RngStream(0))
-        _, tape = forward(spec, params, np.ones((2, 1)))
+        _, tape = forward_batch(spec, params, np.ones((1, 2, 1)))
         other = {k: v.copy() for k, v in params.items()}
         with pytest.raises(StaleTapeError):
-            backward(spec, other, tape, np.zeros(1))
+            backward_batch(spec, other, tape, np.zeros((1, 1)))
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     def test_tape_is_untouched_by_a_later_forward(self, cell):
@@ -504,14 +479,8 @@ class TestBackward:
         assert grad_bytes(tape_a) == grads_before
 
 
-def direction_params(params, direction):
-    """One direction's per-gate tensors, keyed as ``gru_step``/``lstm_step`` read them."""
-    prefix = f"{direction}_"
-    return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-
-
 class TestZeroInitialState:
-    """Step 0 skips the recurrent matmuls on the zero state; the step API still runs them."""
+    """Step 0 skips the recurrent matmuls on the zero state; the reference still runs them."""
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -525,21 +494,11 @@ class TestZeroInitialState:
             value += 0.1 * gen.standard_normal(value.shape)  # nonzero biases too
         X = gen.standard_normal((3, lag, 4))
         pred, tape = forward_batch(spec, params, X)
-        finals = []
-        for direction in spec.directions:
-            p = direction_params(params, direction)
-            xs = X.transpose(1, 0, 2)
-            xs = xs if direction == "fw" else xs[::-1]
-            h = c = np.zeros((3, 7))
-            for t in range(lag):
-                if cell == "gru":
-                    h = gru_step(p, xs[t], h, activation=activation)
-                else:
-                    h, c = lstm_step(p, xs[t], h, c, activation=activation)
+        expected, states = network_forward(spec, params, X)
+        for direction, hs in states.items():
+            for t, h in enumerate(hs):
                 np.testing.assert_allclose(tape.caches[direction].hs[t + 1], h,
                                            rtol=1e-13, atol=0)
-            finals.append(h)
-        expected = np.concatenate(finals, axis=1) @ params["out_W"] + params["out_b"]
         np.testing.assert_allclose(pred, expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
@@ -589,7 +548,7 @@ class TestSerialization:
         np.savez(path, **{k: np.ascontiguousarray(v) for k, v in params.items()})
         loaded = load_params(path)
         assert list(loaded) == list(params)
-        window = RngStream(35).generator().standard_normal((6, 3))
-        expected, _ = forward(spec, params, window)
-        got, _ = forward(spec, loaded, window)
+        X = RngStream(35).generator().standard_normal((1, 6, 3))
+        expected, _ = forward_batch(spec, params, X)
+        got, _ = forward_batch(spec, loaded, X)
         assert got.tobytes() == expected.tobytes()

@@ -20,7 +20,6 @@ from dpforecast import (
     TrainingDiverged,
     adam_step,
     backward_batch,
-    clip_to_norm,
     dp_aggregate,
     forward_batch,
     global_norm,
@@ -29,7 +28,7 @@ from dpforecast import (
     train,
 )
 from dpforecast import optim
-from dpforecast.nn import Packed, pack_params, param_shapes
+from dpforecast.nn import Packed, clip_scales, pack_params, param_shapes
 from dpforecast.optim import _dp_batch_gradient, _NoiseAhead, init_adam_state
 
 from conftest import SLOT, START
@@ -39,31 +38,47 @@ def grad_set(*arrays):
     return {f"t{i}": np.asarray(a, dtype=np.float64) for i, a in enumerate(arrays)}
 
 
-class TestClipToNorm:
-    def test_scales_down_to_bound(self):
-        g = grad_set([3.0, 4.0])  # norm 5
-        clipped = clip_to_norm(g, 2.0)
-        np.testing.assert_allclose(clipped["t0"], [1.2, 1.6], rtol=1e-15)
-        assert global_norm(clipped) == pytest.approx(2.0, rel=1e-12)
+class TestGlobalNorm:
+    def test_zeros(self):
+        assert global_norm(grad_set(np.zeros(3), np.zeros((2, 2)))) == 0.0
 
-    def test_leaves_small_gradients_alone(self):
-        g = grad_set([0.6, 0.8])
-        clipped = clip_to_norm(g, 2.0)
-        assert np.array_equal(clipped["t0"], g["t0"])
+    def test_pythagorean_across_tensors(self):
+        assert global_norm(grad_set([3.0], [[4.0]])) == 5.0
 
-    def test_post_norm_is_min_of_bound_and_norm(self):
-        gen = np.random.default_rng(0)
-        for _ in range(20):
-            g = grad_set(gen.standard_normal(7), gen.standard_normal((2, 3)))
-            before = global_norm(g)
-            after = global_norm(clip_to_norm(g, 1.0))
-            assert after == pytest.approx(min(1.0, before), rel=1e-12)
+    def test_matches_elementwise_loop_oracle(self):
+        gen = np.random.default_rng(11)
+        g = grad_set(gen.standard_normal(100), gen.standard_normal((3, 4)))
+        acc = 0.0
+        for v in g.values():
+            for x in v.ravel():
+                acc += float(x) * float(x)
+        assert global_norm(g) == pytest.approx(math.sqrt(acc), rel=1e-12)
 
-    @given(st.integers(0, 1000))
-    def test_clip_bound_invariant(self, seed):
-        gen = np.random.default_rng(seed)
-        g = grad_set(gen.standard_normal(5) * gen.uniform(0, 10))
-        assert global_norm(clip_to_norm(g, 1.0)) <= 1.0 + 1e-9
+    @given(st.floats(-1e3, 1e3), st.integers(1, 30))
+    def test_absolute_homogeneity(self, a, n):
+        gen = np.random.default_rng(n)
+        g = grad_set(gen.standard_normal(n), gen.standard_normal(2))
+        scaled = {k: a * v for k, v in g.items()}
+        assert global_norm(scaled) == pytest.approx(abs(a) * global_norm(g), rel=1e-12,
+                                                    abs=1e-12)
+
+
+class TestClipScales:
+    def test_clip_over_norm_above_the_clip_and_one_at_or_below(self):
+        norms = np.array([5.0, 2.5, 2.0, 1.0])
+        assert clip_scales(norms, 2.0).tolist() == [2.0 / 5.0, 2.0 / 2.5, 1.0, 1.0]
+
+    def test_zero_norm_gives_one_and_nan_norm_gives_nan(self):
+        with np.errstate(all="raise"):
+            scales = clip_scales(np.array([0.0, np.nan]), 1.0)
+        assert scales[0] == 1.0 and np.isnan(scales[1])
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8), st.floats(1e-3, 1e3))
+    def test_scaled_norm_is_min_of_clip_and_norm(self, values, clip):
+        g = np.array(values)
+        norm = np.linalg.norm(g)
+        scale = clip_scales(np.array([norm]), clip)[0]
+        assert np.linalg.norm(scale * g) == pytest.approx(min(clip, norm), rel=1e-12)
 
 
 class TestDpAggregate:
@@ -148,7 +163,7 @@ class TestDpAggregate:
 
 
 def reference_dp_gradient(spec, params, xb, yb, cfg, gen):
-    """Microbatch by microbatch: mean backward, clip_to_norm, sum, per-key noise, / m."""
+    """Microbatch by microbatch: mean backward, clip, sum, per-key noise, / m."""
     m = cfg.num_microbatches
     size = cfg.batch_size // m
     total, maes, norms = None, [], []
@@ -157,7 +172,8 @@ def reference_dp_gradient(spec, params, xb, yb, cfg, gen):
         preds, tape = forward_batch(spec, params, xb[sl])
         g = backward_batch(spec, params, tape, yb[sl], reduce="mean")
         norms.append(global_norm(g))
-        clipped = clip_to_norm(g, cfg.l2_norm_clip)
+        scale = min(1.0, cfg.l2_norm_clip / norms[-1])
+        clipped = {k: v * scale for k, v in g.items()}
         total = clipped if total is None else {k: total[k] + clipped[k] for k in total}
         maes.append(np.mean(np.abs(preds - yb[sl])))
     # The noise is drawn key by key in the order of the per-example
