@@ -336,8 +336,16 @@ def cmd_report(args) -> int:
         summary_file = Path(path) / "summary.json"
         if not summary_file.exists():
             raise ConfigError(f"no summary.json under {path}")
-        with open(summary_file) as fh:
-            return json.load(fh)
+        with open(summary_file, "rb") as fh, _usage(str(summary_file)):
+            # An integer too large for a float reads as inf, and so is refused.
+            summary = json.load(fh, parse_int=float)
+            if not isinstance(summary, dict):
+                raise ValueError("expected a JSON object")
+            for metric in ("mean_rmse", "mean_mae"):
+                value = summary.get(metric)
+                if type(value) is not float or not np.isfinite(value):
+                    raise ValueError(f"{metric} must be a finite number, got {value!r}")
+        return summary
 
     dp = _summary(Path(args.run))
     ref = _summary(Path(args.reference))

@@ -18,7 +18,6 @@ import csv
 import io
 import logging
 import math
-import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from itertools import islice
@@ -35,11 +34,9 @@ logger = logging.getLogger(__name__)
 SLOT_SECONDS = 1800
 SLOTS_PER_DAY = 48
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-# TIME_FORMAT zero-padded in ASCII digits. ``datetime.fromisoformat`` reads
-# exactly this form as ``strptime`` does, and several times faster.
-_CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
-# The same form as bytes, with the "|" that joins stamps after it: a valid
-# stamp minus this shape, as uint8, is at most 9 at a digit and 0 elsewhere.
+# TIME_FORMAT zero-padded in ASCII digits, as bytes, with the "|" that joins
+# stamps after it: a stamp of this form minus this shape, as uint8, is at
+# most 9 at a digit and 0 elsewhere.
 _STAMP_SHAPE = np.frombuffer(b"0000-00-00 00:00:00|", dtype=np.uint8)
 _STAMP_SLACK = np.where(_STAMP_SHAPE == ord("0"), 9, 0).astype(np.uint8)
 _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
@@ -114,9 +111,10 @@ def load_csv(path) -> MobilitySeries:
     row's alignment to the 30-minute grid; each check names its first
     offender.
 
-    Rows are read as columns when every one passes in bulk (see
-    :func:`_parse_columns`); otherwise each goes through :func:`_parse_row`,
-    which alone defines what a row may hold.
+    The file is read once, ``_BLOCK_ROWS`` rows at a time. A block is read
+    as columns when all its records pass in bulk (:func:`_parse_block`);
+    otherwise its records go through :func:`_parse_row`, which alone
+    defines what a row may hold, so row errors still come in line order.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -143,23 +141,23 @@ def load_csv(path) -> MobilitySeries:
         if label in seen:
             raise DataFormatError(f"{path}: region label {label!r} repeated in column {column}")
         seen.add(label)
-    parsed = _parse_columns(reader, len(labels))
-    if parsed is not None:
-        times, values = parsed
-    else:
-        # Read again from the top, so that the records' checks run in line order.
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
-        stamps: list[int] = []  # seconds since the epoch
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if _is_record(row):
-                stamp, counts = _parse_row(path, lineno, row, len(labels))
-                stamps.append(stamp)
-                values.append(counts)
-        if not stamps:
-            raise DataFormatError(f"{path}: no data rows")
-        times = np.array(stamps, dtype="datetime64[s]")
+    times, values = [], []
+    lineno = 2  # of the block's first row
+    while block := list(islice(reader, _BLOCK_ROWS)):
+        first, lineno = lineno, lineno + len(block)
+        parsed = _parse_block(block, len(labels))
+        if parsed is None:
+            rows = [_parse_row(path, i, row, len(labels))
+                    for i, row in enumerate(block, start=first) if _is_record(row)]
+            if not rows:
+                continue
+            stamps, counts = zip(*rows)  # seconds since the epoch; Python ints
+            parsed = np.array(stamps, dtype="datetime64[s]"), np.array(counts, dtype=np.float64)
+        times.append(parsed[0])
+        values.append(parsed[1])
+    if not times:
+        raise DataFormatError(f"{path}: no data rows")
+    times, values = np.concatenate(times), np.concatenate(values)
 
     steps = np.diff(times).astype(np.int64)
     bad = np.flatnonzero(steps <= 0)
@@ -190,12 +188,8 @@ def _parse_row(path, lineno: int, row: list[str], n_regions: int) -> tuple[int, 
     """One record's seconds since the epoch and counts, or the error on its line."""
     if len(row) != n_regions + 1:
         raise DataFormatError(f"{path}:{lineno}: expected {n_regions + 1} fields")
-    stamp = row[0].strip()
     try:
-        if _CANONICAL_TIME.fullmatch(stamp):
-            ts = datetime.fromisoformat(stamp)
-        else:
-            ts = datetime.strptime(stamp, TIME_FORMAT)
+        ts = datetime.strptime(row[0].strip(), TIME_FORMAT)
     except ValueError:
         raise DataFormatError(f"{path}:{lineno}: bad timestamp {row[0]!r}") from None
     try:
@@ -213,43 +207,36 @@ def _parse_row(path, lineno: int, row: list[str], n_regions: int) -> tuple[int, 
     return (ts - _EPOCH) // _SECOND, values
 
 
-def _parse_columns(reader, n_regions: int):
-    """Every record's times and int64 counts as two arrays, or None.
+def _parse_block(block: list[list[str]], n_regions: int):
+    """One block's times and int64 counts as two arrays, or None.
 
-    None means some record needs :func:`_parse_row`: its field count is
-    not ``n_regions + 1``; its stripped timestamp is not ``TIME_FORMAT``
-    zero-padded in ASCII digits, or is in year 0, which numpy reads and
-    ``datetime`` refuses; or a count is negative, too large for int64, or
-    refused by ``int()``. numpy reads the other timestamps as
-    ``datetime.fromisoformat`` does and the counts as ``int()`` does.
-    Rows are taken ``_BLOCK_ROWS`` at a time, so that only one block's
-    fields are alive as strings.
+    None means some record needs :func:`_parse_row`, or that the block has
+    no records: a record's field count is not ``n_regions + 1``; its
+    stripped timestamp is not ``TIME_FORMAT`` zero-padded in ASCII digits,
+    or is in year 0, which numpy reads and ``datetime`` refuses; or a count
+    is negative, too large for int64, or refused by ``int()``. numpy reads
+    the other timestamps as ``strptime`` does and the counts as ``int()``
+    does.
     """
-    times, counts = [], []
-    while block := list(islice(reader, _BLOCK_ROWS)):
-        # A row of two or more fields is a record; the test only saves calls.
-        records = [row for row in block if len(row) > 1 or _is_record(row)]
-        if not records:
-            continue
-        n = len(records)
-        if set(map(len, records)) != {n_regions + 1}:
-            return None
-        stamps = [row[0].strip() for row in records]
-        text = np.frombuffer(("|".join(stamps) + "|").encode(), dtype=np.uint8)
-        if text.size != n * _STAMP_SHAPE.size:
-            return None
-        if np.any(text.reshape(n, -1) - _STAMP_SHAPE > _STAMP_SLACK):
-            return None
-        try:
-            times.append(np.array(stamps, dtype="datetime64[s]"))
-            counts.append(np.array([row[1:] for row in records], dtype=np.int64))
-        except (ValueError, OverflowError):
-            return None
-        if np.any(times[-1] < _YEAR_ONE) or counts[-1].min() < 0:
-            return None
-    if not times:
+    # A row of two or more fields is a record; the test only saves calls.
+    records = [row for row in block if len(row) > 1 or _is_record(row)]
+    n = len(records)
+    if set(map(len, records)) != {n_regions + 1}:
         return None
-    return np.concatenate(times), np.concatenate(counts)
+    stamps = [row[0].strip() for row in records]
+    text = np.frombuffer(("|".join(stamps) + "|").encode(), dtype=np.uint8)
+    if text.size != n * _STAMP_SHAPE.size:
+        return None
+    if np.any(text.reshape(n, -1) - _STAMP_SHAPE > _STAMP_SLACK):
+        return None
+    try:
+        times = np.array(stamps, dtype="datetime64[s]")
+        counts = np.array([row[1:] for row in records], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if np.any(times < _YEAR_ONE) or counts.min() < 0:
+        return None
+    return times, counts
 
 
 def format_timestamps(timestamps: np.ndarray) -> list[str]:

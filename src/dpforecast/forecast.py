@@ -41,7 +41,6 @@ from .data import (
 from .nn import ModelSpec, forward_batch, init_params
 from .optim import DpSgdConfig, NonPrivateConfig, TrainLog, train
 from .privacy import (
-    BudgetLedger,
     MechanismValidityError,
     PrivacyParams,
     compute_epsilon,
@@ -333,12 +332,14 @@ def _fit_best_seed(
 
 
 def _privacy_block(mechanism: str, epsilon: float, delta: float, n_basis: int) -> dict:
-    """The privacy keys of both private runs; the ledger charges every training slot."""
-    ledger = BudgetLedger.uniform(epsilon, delta, count=n_basis, n_population=n_basis)
-    eps_total, delta_total = ledger.total()
+    """The privacy keys of both private runs; every training slot is charged.
+
+    ``n_basis * epsilon`` is the correctly rounded sum of ``n_basis`` equal
+    terms, the bits a ``BudgetLedger`` of them totals to.
+    """
     return {
         "mechanism": mechanism, "epsilon": epsilon, "delta": delta,
-        "epsilon_total": eps_total, "delta_total": delta_total, "n_basis": n_basis,
+        "epsilon_total": n_basis * epsilon, "delta_total": n_basis * delta, "n_basis": n_basis,
     }
 
 

@@ -20,10 +20,11 @@ from .forecast import MetricsReport
 
 
 class SearchFailed(RuntimeError):
-    """Every trial of a search raised; carries the per-trial errors."""
+    """Every trial of a search raised; carries the per-trial errors and names the first."""
 
     def __init__(self, errors: list[tuple[int, Exception]]):
-        super().__init__(f"all {len(errors)} trials failed")
+        first = errors[0][1]
+        super().__init__(f"all {len(errors)} trials failed, first {type(first).__name__}: {first}")
         self.errors = errors
 
 

@@ -459,6 +459,26 @@ class TestEvaluateAndReport:
         expected = utility_loss(dp_summary["mean_rmse"], np_summary["mean_rmse"])
         assert float(rows["mean_rmse"][2]) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("text", [
+        '{"mean_rmse": 2.0',
+        '{"mean_rmse": 2.0}',
+        '{"mean_rmse": 2.0, "mean_mae": NaN}',
+        '{"mean_rmse": 2.0, "mean_mae": "1.0"}',
+        '{"mean_rmse": 2.0, "mean_mae": 1' + "0" * 400 + '}',
+        '[2.0, 1.0]',
+    ], ids=["truncated", "no-mae", "nan", "string", "past-float", "array"])
+    def test_report_refuses_a_malformed_summary(self, tmp_path, capsys, text):
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        good.mkdir()
+        bad.mkdir()
+        (good / "summary.json").write_text('{"mean_rmse": 2.0, "mean_mae": 1}')
+        (bad / "summary.json").write_text(text)
+        for run, reference in [(bad, good), (good, bad)]:
+            assert main(["--out", str(tmp_path / "rep"), "report", "--run", str(run),
+                         "--reference", str(reference)]) == 2
+            assert f"error: {bad / 'summary.json'}: " in capsys.readouterr().err
+        assert not (tmp_path / "rep").exists()
+
     def test_evaluate_writes_library_metrics_in_file_order(self, tmp_path, dataset):
         run_dir = self._run(tmp_path, dataset, "baseline", "base")
         rows = list(csv.DictReader(open(run_dir / "predictions.csv")))

@@ -282,6 +282,22 @@ class TestLoadCsvFallback:
         monkeypatch.setattr(data_module, "_parse_row", refuse)
         np.testing.assert_array_equal(load_csv(path).counts[:, 0], np.arange(n))
 
+    def test_an_odd_record_sends_only_its_block_to_the_row_checks(self, tmp_path, monkeypatch):
+        n = data_module._BLOCK_ROWS
+        path = tmp_path / "first.csv"
+        path.write_text("datetime,R1\n2020-8-24 0:0:0,0\n"
+                        + "".join(_canonical_rows(n + 1)[1:]))
+        checked = []
+        parse_row = data_module._parse_row
+
+        def counted(path, lineno, row, n_regions):
+            checked.append(lineno)
+            return parse_row(path, lineno, row, n_regions)
+
+        monkeypatch.setattr(data_module, "_parse_row", counted)
+        np.testing.assert_array_equal(load_csv(path).counts[:, 0], np.arange(n + 1))
+        assert checked == list(range(2, n + 2))
+
     def test_year_zero_is_a_bad_timestamp_on_its_line(self, tmp_path):
         # numpy reads year 0000; datetime, and so load_csv, does not
         path = tmp_path / "year0.csv"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dpforecast import (
     BudgetError,
+    BudgetLedger,
     DpSgdConfig,
     MechanismValidityError,
     MobilitySeries,
@@ -16,6 +17,7 @@ from dpforecast import (
     evaluate_forecast,
     fit_release,
     input_release,
+    ledger_total,
     mae,
     persistence_forecast,
     rmse,
@@ -328,6 +330,14 @@ class TestRunInputPerturbation:
         assert run.privacy["epsilon_total"] == pytest.approx(
             n_train * PRIVACY.epsilon, rel=1e-12
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(epsilon=st.floats(0, 1e6), delta=st.floats(0, 1), n_basis=st.integers(1, 5000))
+    def test_privacy_totals_are_the_ledger_totals(self, epsilon, delta, n_basis):
+        # the product is the correctly rounded sum of n_basis equal terms, as fsum's
+        block = forecast._privacy_block("laplace", epsilon, delta, n_basis)
+        ledger = BudgetLedger.uniform(epsilon, delta, count=n_basis, n_population=n_basis)
+        assert (block["epsilon_total"], block["delta_total"]) == ledger_total(ledger)
 
     def test_privacy_record_independent_of_model(self, sine_series):
         small = ModelConfig("gru", True, 4, "relu")

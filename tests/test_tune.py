@@ -144,6 +144,16 @@ class TestRunSearch:
             run_search(SearchSpace(), broken, budget=3, rng=RngStream(9))
         assert len(err.value.errors) == 3
 
+    def test_search_failed_names_the_first_trial_error(self):
+        failures = iter([ValueError("first cause"), KeyError("later")])
+
+        def broken(config, seed):
+            raise next(failures)
+
+        with pytest.raises(SearchFailed) as err:
+            run_search(SearchSpace(), broken, budget=2, rng=RngStream(9))
+        assert str(err.value) == "all 2 trials failed, first ValueError: first cause"
+
     def test_partial_failures_are_skipped(self):
         calls = {"n": 0}
 
