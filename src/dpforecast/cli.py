@@ -106,7 +106,7 @@ def _dataset_series(cfg: ExperimentConfig):
 
 def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
     seeds = cfg.get("run", "seeds")
-    if seeds:
+    if seeds is not None:
         return seeds
     base = args.seed if args.seed is not None else 0
     return tuple(range(base, base + 10))

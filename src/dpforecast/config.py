@@ -34,7 +34,12 @@ def finite_float(raw: str) -> float:
 
 
 def _to_seeds(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
+    seeds = tuple(int(part) for part in raw.replace(" ", "").split(",") if part)
+    if not seeds:
+        raise ValueError("expected one or more comma-separated seeds")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("a seed is repeated")
+    return seeds
 
 
 _SCHEMA: dict[str, dict] = {

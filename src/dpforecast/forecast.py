@@ -30,6 +30,7 @@ import numpy as np
 
 from .core import RngStream, write_csv, write_json
 from .data import (
+    SLOTS_PER_DAY,
     IdentityScaler,
     MinMaxScaler,
     MobilitySeries,
@@ -528,8 +529,18 @@ def fit_release(
     scale: bool = True,
     jobs: int = 1,
 ) -> RunArtifact:
-    """Train and score on an :class:`InputRelease`; never sees raw data."""
+    """Train and score on an :class:`InputRelease`; never sees raw data.
+
+    ``train_days`` and ``test_days`` must be the split the release was made
+    with; another split is refused before any training.
+    """
     split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    released = (release.n_train_slots, release.raw_test_counts.shape[0])
+    if (train_days * SLOTS_PER_DAY, test_days * SLOTS_PER_DAY) != released:
+        raise ValueError(
+            f"the release holds {released[0]} training and {released[1]} test slots; "
+            f"train_days={train_days} and test_days={test_days} would fit "
+            f"{train_days * SLOTS_PER_DAY} and score {test_days * SLOTS_PER_DAY}")
     prepared = prepare(release.sanitized, **split_args)
     prepared.raw_test_targets = release.raw_test_counts
     return _fit_best_seed(

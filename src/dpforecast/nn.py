@@ -64,12 +64,12 @@ GRU's update and reset deltas) going through one fused matmul per step,
 and collects the fused gate deltas in a (T, n, G*h) array. Every weight
 gradient is a sum over rows of ``a.T @ delta``, with ``a`` the input of
 its tensor (``xs``, ``h_prev`` or, for the GRU's candidate, ``r ⊗ h_prev``;
-a bias's input is a column of ones). Three reductions share the
+a bias's input is a column of ones). Two reductions share the
 recurrence, each forming a gate tensor's gradient in one reduction:
 
 - the batch mean, a (k, T*n) @ (T*n, h) matmul written straight into the
-  packed gradient vector;
-- per-example gradients, a batched (n, k, T) @ (n, T, h) matmul;
+  packed gradient vector; per-example gradients (``reduce="stack"``) are
+  this reduction run on one batch row at a time;
 - DP-SGD's clipped sum, which never forms a per-example gradient. A
   microbatch's gradient is ``A.T @ D`` over its rows, so its squared
   norm is ``<A A.T, D D.T>``: the inner product of two (s*T, s*T) Gram
@@ -451,16 +451,12 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     return prediction, ForwardTape(spec, params, weights, caches, h_cat, prediction)
 
 
-def _sum_outer(a: np.ndarray, da: np.ndarray, per_example: bool, out: np.ndarray) -> np.ndarray:
-    """Write into ``out`` the sum over steps t of ``a[t].T @ da[t]``.
+def _sum_outer(a: np.ndarray, da: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the sum over steps t and rows of ``a[t].T @ da[t]``.
 
-    ``a`` is (T, n, k) and ``da`` (T, n, m). Without ``per_example`` the
-    (k, m) sum over steps and batch rows is one matmul over T*n rows; with
-    it the (n, k, m) per-row sums are one batched (n, k, T) @ (n, T, m)
-    matmul.
+    ``a`` is (T, n, k) and ``da`` (T, n, m); the (k, m) sum is one matmul
+    over T*n rows.
     """
-    if per_example:
-        return np.matmul(a.transpose(1, 2, 0), da.transpose(1, 0, 2), out=out)
     T, n, k = a.shape
     return np.matmul(a.reshape(T * n, k).T, da.reshape(T * n, -1), out=out)
 
@@ -513,20 +509,27 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
     return da, recurrent_inputs
 
 
-def _reduce_direction(spec: ModelSpec, direction: str, cache: _DirectionCache, da, inputs,
-                      per_example: bool, outs: Mapping[str, np.ndarray]) -> None:
-    """Write one direction's gradients, from its deltas ``da``, into ``outs``."""
+def _reduce(spec: ModelSpec, xs: Mapping[str, np.ndarray], h_cat: np.ndarray,
+            dpred: np.ndarray, deltas, outs: Mapping[str, np.ndarray]) -> None:
+    """Write every gradient, summed over the batch rows, into ``outs`` (name -> array).
+
+    ``xs`` and ``deltas`` map each direction to its input (T, n, d) and to
+    its fused gate deltas with their recurrent inputs.
+    """
+    dpred.sum(axis=0, out=outs["out_b"])
+    _sum_outer(h_cat[None], dpred[None], outs["out_W"])
     # One reduction per gate tensor: with T*n = 30 rows (T = 6 per example)
     # OpenBLAS forms h-wide products faster than one fused G*h-wide product.
-    deltas = _blocks(da, spec.hidden_size)
-    names_W, names_U, names_b = (
-        [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
-    for name, delta in zip(names_W, deltas):
-        _sum_outer(cache.xs, delta, per_example, outs[name])
-    for name, a, delta in zip(names_U, inputs, deltas):
-        _sum_outer(a, delta, per_example, outs[name])
-    for name, delta in zip(names_b, deltas):
-        delta.sum(axis=0 if per_example else (0, 1), out=outs[name])
+    for direction, (da, inputs) in deltas.items():
+        names_W, names_U, names_b = (
+            [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
+        blocks = _blocks(da, spec.hidden_size)
+        for name, delta in zip(names_W, blocks):
+            _sum_outer(xs[direction], delta, outs[name])
+        for name, a, delta in zip(names_U, inputs, blocks):
+            _sum_outer(a, delta, outs[name])
+        for name, delta in zip(names_b, blocks):
+            delta.sum(axis=(0, 1), out=outs[name])
 
 
 def _grams(a: np.ndarray, m: int) -> np.ndarray:
@@ -572,37 +575,6 @@ def clip_scales(norms: np.ndarray, clip: float) -> np.ndarray:
     return np.divide(clip, norms, out=np.ones(norms.shape), where=~(norms <= clip))
 
 
-@lru_cache(maxsize=64)
-def dp_key_order(spec: ModelSpec) -> tuple[str, ...]:
-    """Tensor names in the DP noise's draw order: ``out_W, out_b``, then ``param_shapes``."""
-    names = [name for name, _ in _named_shapes(spec)]
-    return tuple(names[-2:] + names[:-2])
-
-
-def add_in_dp_order(packed: Packed, z: np.ndarray) -> None:
-    """Add ``z`` to ``packed`` in place, ``z`` holding its tensors in ``dp_key_order``.
-
-    ``z`` is flat and covers every tensor once, each a row-major block, one
-    after another. A direction's gate blocks of one group, (G, rows, h) in
-    ``z``, go into their fused (rows, G*h) tensor in one add, and the dense
-    layer's, first in ``z`` and last in the vector, in another.
-    """
-    spec, h = packed.spec, packed.spec.hidden_size
-    if z.shape != packed.vector.shape:
-        raise ValueError(f"z has shape {z.shape}, expected {packed.vector.shape}")
-    dense = packed.fused["out_W"].size + packed.fused["out_b"].size
-    packed.vector[-dense:] += z[:dense]
-    lo = dense
-    for direction in spec.directions:
-        for group in "WUb":
-            fused = packed.fused[f"{direction}_{group}"]
-            rows, gates = fused.size // fused.shape[-1], fused.shape[-1] // h
-            hi = lo + fused.size
-            view = fused.reshape(rows, gates, h)
-            view += z[lo:hi].reshape(gates, rows, h).transpose(1, 0, 2)
-            lo = hi
-
-
 def backward_batch(
     spec: ModelSpec,
     params: Mapping[str, np.ndarray],
@@ -618,8 +590,8 @@ def backward_batch(
     ``reduce="mean"`` returns the average gradient over the batch as a
     fresh :class:`Packed`, in ``param_shapes`` order. ``reduce="stack"``
     returns per-example gradients, one array with a leading batch axis per
-    tensor, keyed in ``dp_key_order``: ``out_W, out_b`` and then the
-    ``fw_`` and ``bw_`` tensors in ``param_shapes`` order.
+    tensor, keyed in ``param_shapes`` order: the mean reduction's matmuls
+    run on each batch row in turn and write into that row of the output.
 
     ``reduce="clip"`` returns DP-SGD's clipped sum as a fresh ``Packed``;
     only it reads ``clip`` and ``microbatches``, which the other reductions
@@ -650,7 +622,6 @@ def backward_batch(
         if not (microbatches >= 1 and n % microbatches == 0):
             raise ValueError(f"microbatches must be >= 1 and divide the batch of {n}, "
                              f"got {microbatches}")
-    per_example = reduce == "stack"
     h = spec.hidden_size
 
     # The mean's 1/n rides on dpred, which every gradient is linear in.
@@ -668,22 +639,20 @@ def backward_batch(
         dpred *= rows
         for da, _ in deltas.values():
             da *= rows
-    if per_example:
-        # Each tensor's per-example gradients are one contiguous block of
-        # one buffer: one allocation per call, and BLAS writes dense rows.
-        shapes = {k: (n,) + shape for k, shape in param_shapes(spec).items()}
-        outs = _views(np.empty(n * param_count(spec)), shapes)
-        outs["out_b"][...] = dpred
-    else:
-        outs = Packed(spec, np.empty(param_count(spec)))
-        dpred.sum(axis=0, out=outs["out_b"])
-    _sum_outer(tape.h_cat[None], dpred[None], per_example, outs["out_W"])
-    for direction, (da, inputs) in deltas.items():
-        _reduce_direction(spec, direction, tape.caches[direction], da, inputs,
-                          per_example, outs)
-    if not per_example:
-        return outs
-    return {name: outs[name] for name in dp_key_order(spec)}
+    xs = {direction: tape.caches[direction].xs for direction in spec.directions}
+    if reduce != "stack":
+        grads = Packed(spec, np.empty(param_count(spec)))
+        _reduce(spec, xs, tape.h_cat, dpred, deltas, grads)
+        return grads
+    stack = {name: np.empty((n,) + shape) for name, shape in param_shapes(spec).items()}
+    for i in range(n):
+        row = slice(i, i + 1)
+        row_deltas = {direction: (da[:, row], tuple(a[:, row] for a in inputs))
+                      for direction, (da, inputs) in deltas.items()}
+        _reduce(spec, {direction: x[:, row] for direction, x in xs.items()},
+                tape.h_cat[row], dpred[row], row_deltas,
+                {name: value[i] for name, value in stack.items()})
+    return stack
 
 
 def save_params(path, params: Mapping[str, np.ndarray]) -> None:

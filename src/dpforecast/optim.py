@@ -19,8 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .core import RngStream, write_csv
-from .nn import (ModelSpec, Packed, Params, add_in_dp_order, backward_batch, clip_scales,
-                 forward_batch, pack_params)
+from .nn import ModelSpec, Packed, Params, backward_batch, clip_scales, forward_batch, pack_params
 
 
 class TrainingDiverged(RuntimeError):
@@ -90,9 +89,10 @@ def dp_aggregate(
     ``per_microbatch`` is either the m microbatch gradients, which are
     clipped and summed here, or, with ``microbatches=m``, their clipped sum
     as one ``nn.Packed`` (``backward_batch(reduce="clip")`` returns it),
-    which is noised and averaged in place and returned. The noise is added
-    entrywise to the sum, once per call, drawn in key order (``dp_key_order``
-    for a ``Packed``) as one flat standard-normal vector; with
+    which is noised and averaged in place and returned. The noise is one
+    flat standard-normal vector, drawn once per call and added entrywise
+    over the sum's flat layout: the packed ``vector`` for a ``Packed``,
+    the tensors one after another in key order for the list form. With
     ``noise_multiplier == 0`` no randomness is consumed.
 
     ``rng`` is an ``RngStream`` (a fresh generator is made from it) or
@@ -118,10 +118,7 @@ def dp_aggregate(
         gen = rng.generator() if isinstance(rng, RngStream) else rng
         z = gen.standard_normal(total.size)
         z *= noise_multiplier * clip
-        if summed:
-            add_in_dp_order(out, z)
-        else:
-            total += z  # the tensors are consecutive blocks of total, in key order
+        total += z
     total /= m
     return out
 

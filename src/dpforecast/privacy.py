@@ -320,15 +320,42 @@ class BudgetLedger:
         return ledger
 
     def write_csv(self, path) -> None:
-        rows = []
-        cum_eps = 0.0
-        cum_delta = 0.0
-        for e in self.entries:
-            cum_eps += e.epsilon
-            cum_delta += e.delta
-            rows.append([e.label, repr(e.epsilon), repr(e.delta), repr(cum_eps), repr(cum_delta)])
+        """One row per entry; each cumulative is its prefix's ``math.fsum``, as in ``total``."""
+        cum_eps = _running_fsums(e.epsilon for e in self.entries)
+        cum_delta = _running_fsums(e.delta for e in self.entries)
+        rows = ([e.label, repr(e.epsilon), repr(e.delta), repr(ce), repr(cd)]
+                for e, ce, cd in zip(self.entries, cum_eps, cum_delta))
         write_csv(path, ["label", "epsilon", "delta", "cumulative_epsilon", "cumulative_delta"],
                   rows)
+
+
+def _running_fsums(values) -> list[float]:
+    """``math.fsum`` of every prefix of ``values``, in one pass.
+
+    The prefix sum is kept exactly as a few non-overlapping partials
+    (Shewchuk 1997, as ``math.fsum`` does), so each result is correctly
+    rounded. Non-finite values are kept apart for ``math.fsum`` to sum.
+    """
+    partials: list[float] = []
+    specials: list[float] = []
+    sums = []
+    for x in values:
+        if not math.isfinite(x):
+            specials.append(x)
+        else:
+            i = 0
+            for y in partials:
+                if abs(x) < abs(y):
+                    x, y = y, x
+                hi = x + y
+                lo = y - (hi - x)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                x = hi
+            partials[i:] = [x]
+        sums.append(math.fsum(partials + specials))
+    return sums
 
 
 def ledger_total(ledger: BudgetLedger) -> tuple[float, float]:

@@ -291,6 +291,15 @@ class TestConfigFile:
         if named != "[dataset] path":  # a missing entry names its section, not the file
             assert str(cfg) in err
 
+    @pytest.mark.parametrize("seeds", ["", "3,3", "0, 1, 0"], ids=["empty", "3-twice", "0-twice"])
+    def test_empty_or_repeated_seeds_are_usage_errors(self, tmp_path, capsys, dataset, seeds):
+        body = BASE_CONFIG.format(data=dataset, kind="baseline")
+        cfg = write_config(tmp_path, body.replace("seeds = 0,1", f"seeds = {seeds}"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"]) == 2
+        err = capsys.readouterr().err
+        assert "[run] seeds" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSanitize:
     def test_valid_epsilon_writes_release(self, tmp_path, dataset):

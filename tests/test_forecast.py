@@ -378,6 +378,19 @@ class TestRunInputPerturbation:
             PoisonableArray.poisoned = False
         assert np.isfinite(artifact.metrics.mean_rmse)
 
+    @pytest.mark.parametrize("train_days, test_days", [(13, 1), (12, 2), (11, 3)])
+    def test_refuses_another_split_before_training(self, sine_series, monkeypatch,
+                                                   train_days, test_days):
+        release = input_release(sine_series, PRIVACY, RngStream(1), 13, 2)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a mismatched split")
+
+        monkeypatch.setattr(forecast, "train", no_training)
+        with pytest.raises(ValueError, match="the release holds 624 training and 96 test"):
+            fit_release(release, MODEL, TrainConfig(32, 5e-3, 2), [0],
+                        train_days=train_days, test_days=test_days)
+
 
 class TestPublishedShapeRehearsal:
     """The dataset-gated acceptance paths, exercised at full data shape."""

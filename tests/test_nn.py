@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,8 @@ from dpforecast import (
     load_params,
     save_params,
 )
-from dpforecast.nn import (GATE_NAMES, Packed, add_in_dp_order, dp_key_order, pack_params,
-                           param_shapes)
-from dpforecast.optim import adam_step, init_adam_state
+from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_shapes
+from dpforecast.optim import adam_step, dp_aggregate, init_adam_state
 
 from reference import cell_step, network_forward
 
@@ -112,11 +112,8 @@ class TestPackedLayout:
         assert isinstance(grads, Packed) and grads.spec == spec
         assert list(grads) == list(params) == list(param_shapes(spec))
         assert not np.shares_memory(grads.vector, params.vector)
-        # The per-example gradients keep the dense layer first: the DP noise
-        # is drawn in their key order.
-        names = list(params)
         stacked = backward_batch(spec, params, tape, targets, reduce="stack")
-        assert list(stacked) == names[-2:] + names[:-2]
+        assert list(stacked) == list(param_shapes(spec))
 
     def test_init_draws_per_gate_tensors_in_key_order(self):
         spec = ModelSpec("lstm", True, 5, 3, 2)
@@ -203,21 +200,13 @@ class TestPacked:
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_add_in_dp_order_lays_z_over_the_tensors_in_that_order(self, cell, bidirectional):
+    def test_dp_noise_is_laid_over_the_packed_vector(self, cell, bidirectional):
         spec = ModelSpec(cell, bidirectional, 3, 2, 4, "relu")
-        packed = init_params(spec, RngStream(5))
-        z = RngStream(6).generator().standard_normal(packed.vector.size)
-        expected = {k: v.copy() for k, v in packed.items()}
-        lo = 0
-        for name in dp_key_order(spec):
-            hi = lo + expected[name].size
-            expected[name] += z[lo:hi].reshape(expected[name].shape)
-            lo = hi
-        add_in_dp_order(packed, z)
-        for name, value in expected.items():
-            assert packed[name].tobytes() == value.tobytes(), name
-        with pytest.raises(ValueError):
-            add_in_dp_order(packed, z[1:])
+        summed = pack_params(spec)
+        got = dp_aggregate(summed, 1.5, 2.0, RngStream(6), microbatches=1)
+        expected = 3.0 * RngStream(6).generator().standard_normal(summed.vector.size)
+        assert got is summed
+        assert got.vector.tobytes() == expected.tobytes()
 
     def test_adam_refuses_a_plain_dict(self):
         spec = ModelSpec("gru", False, 2, 1, 1)
@@ -442,6 +431,24 @@ class TestBackward:
                 assert stacked[name][i].shape == g.shape
                 err = np.linalg.norm(stacked[name][i] - g)
                 assert err <= 1e-12 * max(np.linalg.norm(g), 1e-300), (name, i)
+
+    def test_paper_shape_stack_allocates_little_beyond_its_output(self):
+        # The paper's BiGRU at batch 5: 5 * 197,406 float64s of per-example
+        # gradients, written row by row into the output.
+        spec = ModelSpec("gru", True, 175, 10, 6, "relu")
+        params = init_params(spec, RngStream(1))
+        gen = RngStream(2).generator()
+        y = gen.standard_normal((5, 6))
+        _, tape = forward_batch(spec, params, gen.standard_normal((5, 6, 10)))
+        tracemalloc.start()
+        try:
+            stacked = backward_batch(spec, params, tape, y, reduce="stack")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(v.nbytes for v in stacked.values())
+        assert out_bytes == 5 * params.vector.nbytes
+        assert peak <= 1.3 * out_bytes, (peak, out_bytes)
 
     def test_stale_tape_rejected(self):
         spec = ModelSpec("gru", False, 2, 1, 1, "tanh")

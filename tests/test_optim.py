@@ -176,14 +176,12 @@ def reference_dp_gradient(spec, params, xb, yb, cfg, gen):
         clipped = {k: v * scale for k, v in g.items()}
         total = clipped if total is None else {k: total[k] + clipped[k] for k in total}
         maes.append(np.mean(np.abs(preds - yb[sl])))
-    # The noise is drawn key by key in the order of the per-example
-    # gradients: out_W and out_b first, then the parameter order.
-    names = list(param_shapes(spec))
-    order = names[-2:] + names[:-2]
+    # The noise is one draw laid over the packed vector.
     if cfg.noise_multiplier > 0:
+        total = pack_params(spec, total)
         scale = cfg.noise_multiplier * cfg.l2_norm_clip
-        total = {k: total[k] + scale * gen.standard_normal(size=total[k].shape) for k in order}
-    return {k: total[k] / m for k in order}, float(np.mean(maes)), norms
+        total.vector += scale * gen.standard_normal(total.vector.size)
+    return {k: total[k] / m for k in param_shapes(spec)}, float(np.mean(maes)), norms
 
 
 class TestDpBatchGradient:
@@ -324,22 +322,26 @@ class TestClippedReduction:
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_aggregate_of_the_sum_matches_the_stacked_aggregate_with_noise(
-            self, cell, bidirectional):
-        # The noise lands on the same entries, in dp_key_order, either way.
+    def test_each_form_adds_the_noise_over_its_own_flat_layout(self, cell, bidirectional):
+        # sigma * C * z lands on the packed vector for the clipped sum, and on
+        # the tensors one after another in key order for the list form.
         spec = ModelSpec(cell, bidirectional, 4, 3, 2, "tanh")
         params = init_params(spec, RngStream(11))
         data = random_windows(n=4, lag=5, d=3, out=2, seed=12)
         summed = clipped_sum(spec, params, data.inputs, data.targets, 0.1, 2)
+        z = 3.0 * 0.1 * RngStream(5).generator().standard_normal(summed.vector.size)
+        expected = (summed.vector + z) / 2
         got = dp_aggregate(summed, 0.1, 3.0, RngStream(5), microbatches=2)
-        assert got is summed
+        assert got is summed and got.vector.tobytes() == expected.tobytes()
         _, tape = forward_batch(spec, params, data.inputs)
         stack = backward_batch(spec, params, tape, data.targets, reduce="stack")
         micro = [{k: v[2 * i:2 * i + 2].mean(axis=0) for k, v in stack.items()}
                  for i in range(2)]
-        expected = dp_aggregate(micro, 0.1, 3.0, RngStream(5))
-        for k, value in expected.items():
-            assert np.linalg.norm(got[k] - value) <= 1e-12 * np.linalg.norm(value), k
+        _, total = optim._clipped_sum(micro, 0.1)
+        got = dp_aggregate(micro, 0.1, 3.0, RngStream(5))
+        assert list(got) == list(param_shapes(spec))
+        flat = np.concatenate([v.ravel() for v in got.values()])
+        assert flat.tobytes() == ((total + z) / 2).tobytes()
 
     def test_aggregate_takes_microbatches_only_with_a_packed_sum(self):
         spec = ModelSpec("gru", False, 2, 3, 2, "tanh")

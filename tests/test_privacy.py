@@ -1,5 +1,6 @@
 """Gaussian mechanism, RDP accountant, ledger, and budget guards."""
 
+import csv
 import math
 
 import mpmath as mp
@@ -477,6 +478,39 @@ class TestBudgetLedger:
         last = lines[-1].split(",")
         assert last[0] == "b"
         assert float(last[3]) == pytest.approx(0.3, rel=1e-12)
+
+    def test_csv_cumulatives_are_correctly_rounded_prefix_sums(self, tmp_path):
+        # A naive running sum ends at 137.8944000000039 here.
+        ledger = BudgetLedger.uniform(0.0399, 1e-7, count=3456, n_population=3456)
+        gen = np.random.default_rng(3)
+        for i, (eps, delta) in enumerate(zip(gen.exponential(0.05, 500),
+                                             gen.exponential(1e-7, 500))):
+            ledger.add(f"mixed-{i}", float(eps), float(delta))
+        path = tmp_path / "ledger.csv"
+        ledger.write_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(ledger.entries)
+        eps, delta = [], []
+        for row, entry in zip(rows, ledger.entries):
+            eps.append(entry.epsilon)
+            delta.append(entry.delta)
+            assert row["cumulative_epsilon"] == repr(math.fsum(eps)), row["label"]
+            assert row["cumulative_delta"] == repr(math.fsum(delta)), row["label"]
+        assert rows[3455]["cumulative_epsilon"] == "137.8944"
+        assert rows[3455]["cumulative_delta"] == "0.0003456"
+        total_eps, total_delta = ledger.total()
+        assert rows[-1]["cumulative_epsilon"] == repr(total_eps)
+        assert rows[-1]["cumulative_delta"] == repr(total_delta)
+
+    def test_csv_cumulatives_carry_a_non_finite_entry(self, tmp_path):
+        ledger = BudgetLedger(n_population=3)
+        for label, eps in (("a", 0.1), ("b", math.inf), ("c", 0.2)):
+            ledger.add(label, eps, 0.0)
+        path = tmp_path / "ledger.csv"
+        ledger.write_csv(path)
+        cumulative = [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+        assert cumulative == ["0.1", "inf", "inf"]
 
 
 class TestDeltaBudgetCheck:
