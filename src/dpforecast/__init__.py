@@ -7,7 +7,7 @@ accountant, a sequential-composition budget ledger, and an evaluation
 harness built around a persistence baseline and per-region RMSE/MAE.
 """
 
-from .core import RngStream, finite_diff_grad, gaussian_sample, log_binomial, logsumexp
+from .core import RngStream, finite_diff_grad, gaussian_sample, logsumexp
 from .data import (
     DataFormatError,
     IdentityScaler,
@@ -99,8 +99,8 @@ __all__ = [
     "descriptive_stats", "dp_aggregate", "evaluate_forecast", "feature_matrix",
     "finite_diff_grad", "fit_release", "forward_batch", "gaussian_sample",
     "gaussian_sigma", "global_norm", "init_params", "input_release",
-    "iqr_clean", "ledger_total", "load_csv", "load_params", "log_binomial",
-    "logsumexp", "mae", "make_windows", "objective_nonprivate",
+    "iqr_clean", "ledger_total", "load_csv", "load_params", "logsumexp",
+    "mae", "make_windows", "objective_nonprivate",
     "objective_private", "persistence_forecast", "rdp_curve",
     "rdp_subsampled_gaussian", "rmse", "run_baseline",
     "run_gradient_perturbation", "run_input_perturbation", "run_nonprivate",

@@ -52,7 +52,7 @@ from .privacy import (
     require_delta_budget,
     sanitize_series,
 )
-from .tune import SearchSpace, run_search, write_trials_csv
+from .tune import BATCH_CHOICES, LR_RANGE, SearchSpace, run_search, write_trials_csv
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -139,16 +139,13 @@ def _train_config(cfg: ExperimentConfig, n_windows: int) -> TrainConfig:
     return train
 
 
+_DP_DEFAULTS = {"l2_norm_clip": 1.0, "noise_multiplier": 35.0, "num_microbatches": 5}
+
+
 def _dp_config(cfg: ExperimentConfig, train: TrainConfig, **trial) -> DpSgdConfig:
     """``[dp]`` over ``train``; a tune trial overrides the clip it searches."""
-    dp = cfg.section("dp")
-    fields = {
-        "l2_norm_clip": dp.get("l2_norm_clip", 1.0),
-        "noise_multiplier": dp.get("noise_multiplier", 35.0),
-        "num_microbatches": dp.get("num_microbatches", 5),
-    } | asdict(train) | trial
     with _usage("[dp]"):
-        return DpSgdConfig(**fields)
+        return DpSgdConfig(**_DP_DEFAULTS | cfg.section("dp") | asdict(train) | trial)
 
 
 def _privacy_params(cfg: ExperimentConfig) -> PrivacyParams:
@@ -366,9 +363,9 @@ def _check_gradient_search(cfg: ExperimentConfig, space: SearchSpace, epochs: in
     with _usage("[dp]"):
         # The accountant's check of the noise multiplier; the rate does not enter it.
         rdp_curve(1.0, space.noise_multiplier)
-    for batch in space.batch_choices():
+    for batch in BATCH_CHOICES:
         try:
-            _dp_config(cfg, TrainConfig(batch, space.lr_range[0], epochs),
+            _dp_config(cfg, TrainConfig(batch, LR_RANGE[0], epochs),
                        l2_norm_clip=space.clip_choices[0])
         except ConfigError as exc:
             raise ConfigError(f"{exc} (tune searches batch size {batch})") from None
@@ -397,7 +394,7 @@ def cmd_tune(args) -> int:
         delta = cfg.require("privacy", "delta")
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),
-            noise_multiplier=cfg.get("dp", "noise_multiplier", 35.0),
+            noise_multiplier=cfg.get("dp", "noise_multiplier", _DP_DEFAULTS["noise_multiplier"]),
         )
         _check_gradient_search(cfg, space, trial_epochs, delta, unscaled.n_train_slots)
     else:

@@ -37,9 +37,10 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        return np.random.Generator(
-            np.random.Philox(key=[self.seed & _MASK64, self.stream & _MASK64])
-        )
+        # A uint64 array: from a list, numpy would make a key with one part of
+        # 2**63 or more and one below it float64, and round it.
+        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream; distinct indices give distinct streams."""
@@ -83,13 +84,6 @@ def finite_diff_grad(
             raise ValueError(f"non-finite function value near coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad.reshape(x.shape)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma; exact to float precision for small n."""
-    if k < 0 or n < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def logsumexp(xs: Sequence[float]) -> float:

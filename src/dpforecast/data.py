@@ -95,10 +95,6 @@ class MobilitySeries:
     def n_regions(self) -> int:
         return self.counts.shape[1]
 
-    @property
-    def is_sanitized(self) -> bool:
-        return self.privacy is not None
-
 
 def load_csv(path) -> MobilitySeries:
     """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps.
@@ -360,6 +356,9 @@ def split(
     series: MobilitySeries, train_days: int = 65, test_days: int = 7
 ) -> tuple[MobilitySeries, MobilitySeries]:
     """Contiguous train/test split over the final ``train+test`` days."""
+    if train_days < 1 or test_days < 1:
+        raise ValueError(
+            f"train_days and test_days must be >= 1, got {train_days} and {test_days}")
     need = (train_days + test_days) * SLOTS_PER_DAY
     if series.n_slots < need:
         raise ValueError(
@@ -390,7 +389,6 @@ class WindowedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    lag: int
     feature_names: tuple[str, ...]
     target_timestamps: np.ndarray
 
@@ -452,7 +450,7 @@ def make_windows(
     # window i is full[i:i + lag]; copied so it owns its bytes, never a view of full
     windows = sliding_window_view(full, lag, axis=0)[:n].transpose(0, 2, 1).copy()
     names = series.region_labels + CYCLICAL_NAMES
-    return WindowedDataset(windows, np.array(targets), lag, names, np.array(target_ts))
+    return WindowedDataset(windows, np.array(targets), names, np.array(target_ts))
 
 
 class MinMaxScaler:
@@ -501,10 +499,7 @@ class MinMaxScaler:
         self._check_fitted()
         inputs = self._scale(windows.inputs, self.input_min_, self.input_max_)
         targets = self._scale(windows.targets, self.target_min_, self.target_max_)
-        return WindowedDataset(
-            inputs, targets, windows.lag, windows.feature_names,
-            windows.target_timestamps,
-        )
+        return WindowedDataset(inputs, targets, windows.feature_names, windows.target_timestamps)
 
     def transform_inputs(self, inputs: np.ndarray) -> np.ndarray:
         self._check_fitted()

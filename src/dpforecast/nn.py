@@ -371,17 +371,12 @@ class _DirectionCache:
             views[state][0] = 0.0
         return cls(xs, **views)
 
-    def _block(self, arr: np.ndarray, j: int) -> np.ndarray:
-        h = self.hs.shape[-1]
-        return arr[..., j * h:(j + 1) * h]
-
     h_prev = property(lambda self: self.hs[:-1])
     final = property(lambda self: self.hs[-1])
     c_prev = property(lambda self: self.cs[:-1])
     c_t = property(lambda self: self.cs[1:])
     # The GRU's gates are [z | r | c].
-    z = property(lambda self: self._block(self.gates, 0))
-    r = property(lambda self: self._block(self.gates, 1))
+    r = property(lambda self: _blocks(self.gates, self.hs.shape[-1])[1])
     a_c = a_g = property(lambda self: self.cand)
 
 
@@ -394,7 +389,6 @@ class ForwardTape:
     after the backward pass.
     """
 
-    spec: ModelSpec
     params: Mapping[str, np.ndarray]
     weights: Params
     caches: dict[str, _DirectionCache]
@@ -448,7 +442,7 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     finals = [cache.final for cache in caches.values()]
     h_cat = np.concatenate(finals, axis=1) if len(finals) > 1 else finals[0]
     prediction = h_cat @ weights["out_W"] + weights["out_b"]
-    return prediction, ForwardTape(spec, params, weights, caches, h_cat, prediction)
+    return prediction, ForwardTape(params, weights, caches, h_cat, prediction)
 
 
 def _sum_outer(a: np.ndarray, da: np.ndarray, out: np.ndarray) -> np.ndarray:

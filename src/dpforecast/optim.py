@@ -149,6 +149,7 @@ def _clipped_sum(per_microbatch: Sequence[Mapping[str, np.ndarray]],
 # gradient and work vectors stay in a core's L2 cache through the update.
 # On a 2 MB L2, 32768 beat 16384 and 65536, and whole vectors by a fifth.
 _ADAM_CHUNK = 32768
+_BETA1, _BETA2, _EPS_HAT = 0.9, 0.999, 1e-7
 
 
 @dataclass
@@ -163,9 +164,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-7
     _work: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -200,8 +198,9 @@ def adam_step(
     the DP step return it, is read in place, and any other is first
     copied into a fresh one.
 
-    With bias corrections bc1 = 1 - beta1**t and bc2 = 1 - beta2**t, the
-    update ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps_hat)`` is computed
+    With beta1 = 0.9, beta2 = 0.999, eps_hat = 1e-7 and the bias
+    corrections bc1 = 1 - beta1**t and bc2 = 1 - beta2**t, the update
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps_hat)`` is computed
     as ``lr * sqrt(bc2) / bc1 * m / (sqrt(v) + eps_hat * sqrt(bc2))``:
     twelve in-place vector operations per chunk, through one work vector.
     """
@@ -212,9 +211,9 @@ def adam_step(
         g = pack_params(params.spec, g)
     grad = g.vector
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = _BETA1, _BETA2
     bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
-    eps = state.eps_hat * math.sqrt(bc2)
+    eps = _EPS_HAT * math.sqrt(bc2)
     rate = learning_rate * math.sqrt(bc2) / bc1
     for lo in range(0, p.size, _ADAM_CHUNK):
         chunk = slice(lo, lo + _ADAM_CHUNK)

@@ -311,12 +311,12 @@ class BudgetLedger:
 
     @classmethod
     def uniform(
-        cls, epsilon: float, delta: float, count: int, n_population: int,
-        label: str = "release",
+        cls, epsilon: float, delta: float, count: int, n_population: int
     ) -> "BudgetLedger":
+        """``count`` releases of (epsilon, delta), labelled ``release-0`` onwards."""
         ledger = cls(n_population=n_population)
         for i in range(count):
-            ledger.add(f"{label}-{i}", epsilon, delta)
+            ledger.add(f"release-{i}", epsilon, delta)
         return ledger
 
     def write_csv(self, path) -> None:
@@ -332,29 +332,21 @@ class BudgetLedger:
 def _running_fsums(values) -> list[float]:
     """``math.fsum`` of every prefix of ``values``, in one pass.
 
-    The prefix sum is kept exactly as a few non-overlapping partials
-    (Shewchuk 1997, as ``math.fsum`` does), so each result is correctly
-    rounded. Non-finite values are kept apart for ``math.fsum`` to sum.
+    The finite values are summed exactly as a ``Fraction``, which is rounded
+    once per prefix, as ``math.fsum`` rounds. Non-finite values are kept
+    apart for ``math.fsum`` to sum.
     """
-    partials: list[float] = []
-    specials: list[float] = []
-    sums = []
+    # Imported here: ``fractions`` imports ``decimal``, and only a ledger
+    # write needs it.
+    from fractions import Fraction
+
+    exact, specials, sums = Fraction(0), [], []
     for x in values:
-        if not math.isfinite(x):
-            specials.append(x)
+        if math.isfinite(x):
+            exact += Fraction(x)
         else:
-            i = 0
-            for y in partials:
-                if abs(x) < abs(y):
-                    x, y = y, x
-                hi = x + y
-                lo = y - (hi - x)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                x = hi
-            partials[i:] = [x]
-        sums.append(math.fsum(partials + specials))
+            specials.append(x)
+        sums.append(math.fsum([float(exact), *specials]))
     return sums
 
 

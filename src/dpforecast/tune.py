@@ -2,7 +2,9 @@
 
 The search objective for non-private campaigns is mean RMSE plus the
 across-region RMSE spread; private campaigns multiply it by exp(epsilon)
-to penalize loose guarantees. Two strategies are provided behind one
+to penalize loose guarantees. The grid is fixed: hidden size 25-500 in
+steps of 25, batch size 5-40 in steps of 5, and a learning rate
+log-uniform in [1e-5, 3e-3]. Two strategies are provided behind one
 interface: plain random search and "tpe-lite", which spends the first 20
 trials at random and then samples near the best quartile.
 """
@@ -28,38 +30,31 @@ class SearchFailed(RuntimeError):
         self.errors = errors
 
 
+H1_CHOICES = tuple(range(25, 501, 25))
+BATCH_CHOICES = tuple(range(5, 41, 5))
+LR_RANGE = (1e-5, 3e-3)
+# tpe-lite's trials drawn at random before it samples near the best quartile.
+_N_RANDOM = 20
+
+
 @dataclass(frozen=True)
 class SearchSpace:
-    """Hyperparameter grid: stepped integer axes plus a log-uniform rate.
+    """The fixed hyperparameter grid, plus what a private campaign adds.
 
     ``clip_choices`` and ``noise_multiplier`` are only set for private
     campaigns; the noise multiplier is fixed per campaign rather than
     searched.
     """
 
-    h1_range: tuple[int, int] = (25, 500)
-    h1_step: int = 25
-    batch_range: tuple[int, int] = (5, 40)
-    batch_step: int = 5
-    lr_range: tuple[float, float] = (1e-5, 3e-3)
     clip_choices: Optional[tuple[float, ...]] = None
     noise_multiplier: Optional[float] = None
 
-    def _grid(self, lo: int, hi: int, step: int) -> list[int]:
-        return list(range(lo, hi + 1, step))
-
-    def h1_choices(self) -> list[int]:
-        return self._grid(*self.h1_range, self.h1_step)
-
-    def batch_choices(self) -> list[int]:
-        return self._grid(*self.batch_range, self.batch_step)
-
     def sample(self, gen: np.random.Generator) -> dict:
         config = {
-            "h1": int(gen.choice(self.h1_choices())),
-            "batch_size": int(gen.choice(self.batch_choices())),
+            "h1": int(gen.choice(H1_CHOICES)),
+            "batch_size": int(gen.choice(BATCH_CHOICES)),
             "learning_rate": float(
-                np.exp(gen.uniform(math.log(self.lr_range[0]), math.log(self.lr_range[1])))
+                np.exp(gen.uniform(math.log(LR_RANGE[0]), math.log(LR_RANGE[1])))
             ),
         }
         if self.clip_choices is not None:
@@ -70,16 +65,13 @@ class SearchSpace:
 
     def neighbor(self, config: dict, gen: np.random.Generator) -> dict:
         """Jitter a config by at most one grid step per axis, clamped."""
-        h1s, batches = self.h1_choices(), self.batch_choices()
         out = dict(config)
-        out["h1"] = _step_neighbor(config["h1"], h1s, gen)
-        out["batch_size"] = _step_neighbor(config["batch_size"], batches, gen)
+        out["h1"] = _step_neighbor(config["h1"], H1_CHOICES, gen)
+        out["batch_size"] = _step_neighbor(config["batch_size"], BATCH_CHOICES, gen)
         lr = config["learning_rate"] * math.exp(gen.normal(0.0, 0.5))
-        out["learning_rate"] = float(min(max(lr, self.lr_range[0]), self.lr_range[1]))
+        out["learning_rate"] = float(min(max(lr, LR_RANGE[0]), LR_RANGE[1]))
         if self.clip_choices is not None:
-            out["l2_norm_clip"] = _step_neighbor(
-                config["l2_norm_clip"], list(self.clip_choices), gen
-            )
+            out["l2_norm_clip"] = _step_neighbor(config["l2_norm_clip"], self.clip_choices, gen)
         return out
 
 
@@ -127,7 +119,6 @@ def run_search(
     budget: int = 100,
     strategy: str = "random",
     rng: RngStream = RngStream(0),
-    n_random: int = 20,
 ) -> TuneResult:
     """Sample ``budget`` configs, evaluate them, and return the argmin.
 
@@ -144,7 +135,7 @@ def run_search(
     result = TuneResult()
     errors: list[tuple[int, Exception]] = []
     for trial_id in range(budget):
-        if strategy == "random" or trial_id < n_random or not result.trials:
+        if strategy == "random" or trial_id < _N_RANDOM or not result.trials:
             config = space.sample(gen)
         else:
             ranked = sorted(result.trials, key=lambda t: t.objective)

@@ -5,6 +5,9 @@ equations in ``dpforecast.nn``, with the exp form of the sigmoid and no
 fused tensors, scratch buffers or zero-state shortcut; ``network_forward``
 chains it over a batch of windows.
 
+``log_binomial`` is ln C(n, k) from log-gamma, as the term-by-term RDP
+oracle in ``test_privacy`` writes each term.
+
 ``load_csv`` is the per-row CSV parser as it stood before ``data.load_csv``
 read canonical rows as columns: every record goes through the field-count,
 timestamp and count checks in line order. The library's result, or its
@@ -14,6 +17,7 @@ nonblank and distinct.
 
 import csv
 import io
+import math
 import re
 from datetime import datetime, timedelta
 
@@ -27,6 +31,13 @@ _CANONICAL_TIME = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9
 _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 _FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def log_binomial(n: int, k: int) -> float:
+    """ln C(n, k) via log-gamma; exact to float precision for small n."""
+    if k < 0 or n < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _sigmoid(a):

@@ -385,6 +385,8 @@ class TestTrainCommand:
         ("cell = gru", "cell = rnn", "train", "[model]"),
         ("num_microbatches = 4", "num_microbatches = 3", "train", "[dp]"),
         ("train_days = 13", "train_days = 40", "train", "[run]"),
+        ("test_days = 2", "test_days = 0", "train", "[run]"),
+        ("test_days = 2", "test_days = -1", "tune", "[run]"),
         ("batch_size = 4", "batch_size = 1000", "train", "[train]"),
         ("epochs = 2\n", "epochs = 2\n\n[tune]\nstrategy = grid\n", "tune", "[tune]"),
     ])

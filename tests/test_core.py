@@ -1,6 +1,7 @@
 """Numeric-core operations checked against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from dpforecast import (
     RngStream,
     finite_diff_grad,
     gaussian_sample,
-    log_binomial,
     logsumexp,
 )
 from dpforecast.core import write_csv, write_json
+
+from reference import log_binomial
 
 
 class TestRngStream:
@@ -32,6 +34,18 @@ class TestRngStream:
         kids = {base.child(i) for i in range(100)}
         assert len(kids) == 100
         assert base not in kids
+
+    @pytest.mark.parametrize("streams", [
+        [RngStream(-1), RngStream(-2), RngStream(0)],
+        [RngStream(-1).child(1), RngStream(-2).child(1), RngStream(0).child(1)],
+        [RngStream(0, 2**63 + 1), RngStream(0, 2**63 + 2)],
+    ], ids=["negative-seeds", "their-children", "large-stream-ids"])
+    def test_keys_with_one_part_past_2_63_stay_exact(self, streams):
+        # Each part of the Philox key is a full 64-bit word; none is rounded.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {gaussian_sample([4], 1.0, rng).tobytes() for rng in streams}
+        assert len(draws) == len(streams)
 
 
 class TestGaussianSample:

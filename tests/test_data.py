@@ -675,6 +675,12 @@ class TestSplit:
         assert test.n_slots == 336
         assert train.timestamps[-1] + SLOT == test.timestamps[0]
 
+    @pytest.mark.parametrize("train_days, test_days", [(13, 0), (13, -1), (0, 2), (-1, 2)])
+    def test_fewer_than_one_day_is_refused(self, train_days, test_days):
+        series = build_series(n_days=15, seed=0)
+        with pytest.raises(ValueError, match="must be >= 1"):
+            split(series, train_days, test_days)
+
     def test_short_series_rejected_with_requirement(self):
         series = build_series(n_days=10, seed=0)
         with pytest.raises(ValueError, match="3456"):

@@ -136,7 +136,7 @@ class TestRecurrentForecaster:
         gen = np.random.default_rng(0)
         X = gen.uniform(0, 1, (40, 4, 3))
         y = gen.uniform(0, 1, (40, 2))
-        windows = WindowedDataset(X, y, lag=4, feature_names=("a", "b", "c"),
+        windows = WindowedDataset(X, y, feature_names=("a", "b", "c"),
                                   target_timestamps=np.arange(40))
         prepared = forecast.Prepared(
             train_windows=windows, test_inputs=X, raw_test_targets=y,

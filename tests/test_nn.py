@@ -347,7 +347,7 @@ class TestForward:
         X = 3.0 * gen.standard_normal((1, 10, 2))
         _, tape = forward_batch(spec, params, X)
         assert np.all(np.abs(tape.caches["fw"].final) <= 1.0)
-        for z in tape.caches["fw"].z:
+        for z in tape.caches["fw"].gates[..., :4]:
             assert np.all((z > 0) & (z < 1))
 
 

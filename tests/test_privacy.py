@@ -20,7 +20,6 @@ from dpforecast import (
     delta_budget_check,
     gaussian_sigma,
     ledger_total,
-    log_binomial,
     logsumexp,
     rdp_curve,
     rdp_subsampled_gaussian,
@@ -28,6 +27,7 @@ from dpforecast import (
 )
 
 from conftest import SLOT, START, build_series
+from reference import log_binomial
 
 
 class TestGaussianSigma:
@@ -93,7 +93,7 @@ class TestSanitizeSeries:
 
     def test_epsilon_validity_edge(self):
         series = build_series(n_days=1)
-        assert sanitize_series(series, PrivacyParams(0.99, 1e-6), RngStream(0)).is_sanitized
+        assert sanitize_series(series, PrivacyParams(0.99, 1e-6), RngStream(0)).privacy is not None
         with pytest.raises(MechanismValidityError):
             sanitize_series(series, PrivacyParams(1.0, 1e-6), RngStream(0))
 
