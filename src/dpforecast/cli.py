@@ -35,7 +35,6 @@ from .forecast import (
     release_stream,
     run_baseline,
     run_gradient_perturbation,
-    run_input_perturbation,
     run_nonprivate,
     utility_loss,
 )
@@ -248,7 +247,39 @@ def cmd_accountant(args) -> int:
     return 0
 
 
-def _run_pipeline(cfg: ExperimentConfig, args):
+def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_basis: int,
+                 release_seed: int):
+    """``fit(model, train, seeds, jobs=1, **trial)``, the run ``train`` and ``tune`` make.
+
+    A campaign's privacy settings are checked here, before any model
+    trains; an input campaign makes its one release from ``release_seed``.
+    A gradient ``trial`` overrides the ``[dp]`` values a search varies.
+    """
+    if kind == "nonprivate":
+        def fit(model, train, seeds, jobs=1):
+            return run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
+    elif kind == "gradient":
+        delta = cfg.require("privacy", "delta")
+        with _usage("[dp]"):
+            # The accountant's check of the noise multiplier; the rate does not enter it.
+            rdp_curve(1.0, cfg.get("dp", "noise_multiplier", _DP_DEFAULTS["noise_multiplier"]))
+        with _usage("[privacy]"):
+            require_delta_budget(delta, n_basis)
+
+        def fit(model, train, seeds, jobs=1, **trial):
+            return run_gradient_perturbation(series, model, _dp_config(cfg, train, **trial),
+                                             delta, seeds, jobs=jobs, **split_args)
+    else:
+        release = input_release(series, _privacy_params(cfg), release_stream(release_seed),
+                                split_args["train_days"], split_args["test_days"])
+
+        def fit(model, train, seeds, jobs=1):
+            return fit_release(release, model, train, seeds, jobs=jobs, **split_args)
+    return fit
+
+
+def cmd_train(args) -> int:
+    cfg = _load_config(args)
     kind = cfg.get("run", "kind", "nonprivate")
     jobs = _jobs(cfg, args)
     series, path = _dataset_series(cfg)
@@ -256,26 +287,12 @@ def _run_pipeline(cfg: ExperimentConfig, args):
     seeds = _seeds(cfg, args)
     if kind == "baseline":
         split_args.pop("scale")
-        return run_baseline(series, **split_args), path, seeds
-    model = _model_config(cfg)
-    train = _train_config(cfg, unscaled.train_windows.n_samples)
-    if kind == "nonprivate":
-        artifact = run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
-    elif kind == "gradient":
-        delta = cfg.require("privacy", "delta")
-        artifact = run_gradient_perturbation(
-            series, model, _dp_config(cfg, train), delta, seeds, jobs=jobs, **split_args
-        )
+        artifact = run_baseline(series, **split_args)
     else:
-        artifact = run_input_perturbation(
-            series, model, train, _privacy_params(cfg), seeds, jobs=jobs, **split_args
-        )
-    return artifact, path, seeds
-
-
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    artifact, path, seeds = _run_pipeline(cfg, args)
+        model = _model_config(cfg)
+        train = _train_config(cfg, unscaled.train_windows.n_samples)
+        fit = _trained_run(cfg, kind, series, split_args, unscaled.n_train_slots, seeds[0])
+        artifact = fit(model, train, seeds, jobs=jobs)
     out = _out_dir(args)
     artifact.write_metrics_csv(out / "metrics.csv")
     artifact.write_predictions_csv(out / "predictions.csv")
@@ -357,22 +374,6 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _check_gradient_search(cfg: ExperimentConfig, space: SearchSpace, epochs: int,
-                           delta: float, n_basis: int) -> None:
-    """The ``[dp]`` and ``[privacy]`` values of every gradient trial, checked before any trains."""
-    with _usage("[dp]"):
-        # The accountant's check of the noise multiplier; the rate does not enter it.
-        rdp_curve(1.0, space.noise_multiplier)
-    for batch in BATCH_CHOICES:
-        try:
-            _dp_config(cfg, TrainConfig(batch, LR_RANGE[0], epochs),
-                       l2_norm_clip=space.clip_choices[0])
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} (tune searches batch size {batch})") from None
-    with _usage("[privacy]"):
-        require_delta_budget(delta, n_basis)
-
-
 def cmd_tune(args) -> int:
     cfg = _load_config(args)
     series, path = _dataset_series(cfg)
@@ -390,35 +391,27 @@ def cmd_tune(args) -> int:
     split_args, unscaled = _split_args(cfg, series)
     model = _model_config(cfg)
     seed = args.seed if args.seed is not None else 0
+    fit = _trained_run(cfg, kind, series, split_args, unscaled.n_train_slots, seed)
     if kind == "gradient":
-        delta = cfg.require("privacy", "delta")
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),
             noise_multiplier=cfg.get("dp", "noise_multiplier", _DP_DEFAULTS["noise_multiplier"]),
         )
-        _check_gradient_search(cfg, space, trial_epochs, delta, unscaled.n_train_slots)
+        for batch in BATCH_CHOICES:  # only a search varies the batch size
+            try:
+                _dp_config(cfg, TrainConfig(batch, LR_RANGE[0], trial_epochs),
+                           l2_norm_clip=space.clip_choices[0])
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} (tune searches batch size {batch})") from None
     else:
         space = SearchSpace()
-    if kind == "input":
-        # One release for the whole search: every trial post-processes it.
-        privacy = _privacy_params(cfg)
-        release = input_release(series, privacy, release_stream(seed),
-                                split_args["train_days"], split_args["test_days"])
 
     def pipeline(config, trial_seed):
-        model_cfg = replace(model, hidden_size=config["h1"])
-        train_cfg = TrainConfig(config["batch_size"], config["learning_rate"], trial_epochs)
-        if kind == "nonprivate":
-            artifact = run_nonprivate(series, model_cfg, train_cfg, [trial_seed], **split_args)
-            return artifact.metrics, None
-        if kind == "input":
-            artifact = fit_release(release, model_cfg, train_cfg, [trial_seed], **split_args)
-            return artifact.metrics, privacy.epsilon
-        dp_cfg = _dp_config(cfg, train_cfg, l2_norm_clip=config["l2_norm_clip"])
-        artifact = run_gradient_perturbation(
-            series, model_cfg, dp_cfg, delta, [trial_seed], **split_args
-        )
-        return artifact.metrics, artifact.privacy["epsilon"]
+        trial = {"l2_norm_clip": config["l2_norm_clip"]} if "l2_norm_clip" in config else {}
+        artifact = fit(replace(model, hidden_size=config["h1"]),
+                       TrainConfig(config["batch_size"], config["learning_rate"], trial_epochs),
+                       [trial_seed], **trial)
+        return artifact.metrics, None if artifact.privacy is None else artifact.privacy["epsilon"]
 
     result = run_search(space, pipeline, budget, strategy, RngStream(seed))
     out = _out_dir(args)

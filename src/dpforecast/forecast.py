@@ -9,8 +9,9 @@ Four run kinds share one evaluation harness:
 * ``input``      — the whole series is sanitized once with the Gaussian
   mechanism, training sees only the noisy data, and evaluation compares
   predictions against the raw test targets. Its two halves are public:
-  :func:`input_release` is the one touch of the raw data and
-  :func:`fit_release` trains on what it returns.
+  :func:`input_release` is the one touch of the raw data, and
+  :func:`fit_release` trains on what it returns and reports the privacy
+  block of that release.
 
 The three trained runs differ only in where the noise enters: they share
 one seed loop, one choice of the best seed (lowest mean RMSE, ties to the
@@ -501,21 +502,7 @@ def run_input_perturbation(
     release = input_release(
         series, privacy_params, release_stream(seeds[0]), train_days, test_days
     )
-    artifact = fit_release(release, model_cfg, train_cfg, seeds, jobs=jobs, **split_args)
-    n_basis = release.n_train_slots
-    artifact.privacy = _privacy_block(
-        "gaussian-input", privacy_params.epsilon, privacy_params.delta, n_basis
-    ) | {
-        "l2_sensitivity": privacy_params.l2_sensitivity,
-        "sigma": release.sanitized.privacy.sigma,
-        "n_releases": n_basis,
-    }
-    artifact.config["privacy"] = {
-        "epsilon": privacy_params.epsilon,
-        "delta": privacy_params.delta,
-        "sensitivity": privacy_params.l2_sensitivity,
-    }
-    return artifact
+    return fit_release(release, model_cfg, train_cfg, seeds, jobs=jobs, **split_args)
 
 
 def fit_release(
@@ -532,9 +519,14 @@ def fit_release(
     """Train and score on an :class:`InputRelease`; never sees raw data.
 
     ``train_days`` and ``test_days`` must be the split the release was made
-    with; another split is refused before any training.
+    with; another split, or a series with no ``PrivacyRecord``, is refused
+    before any training. The artifact's ``privacy`` block and
+    ``config["privacy"]`` come from the release's own record.
     """
     split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    record = release.sanitized.privacy
+    if record is None:
+        raise ValueError("the release's series has no PrivacyRecord; make it with input_release")
     released = (release.n_train_slots, release.raw_test_counts.shape[0])
     if (train_days * SLOTS_PER_DAY, test_days * SLOTS_PER_DAY) != released:
         raise ValueError(
@@ -543,7 +535,14 @@ def fit_release(
             f"{train_days * SLOTS_PER_DAY} and score {test_days * SLOTS_PER_DAY}")
     prepared = prepare(release.sanitized, **split_args)
     prepared.raw_test_targets = release.raw_test_counts
-    return _fit_best_seed(
+    privacy = {"epsilon": record.epsilon, "delta": record.delta,
+               "sensitivity": record.l2_sensitivity}
+    artifact = _fit_best_seed(
         "input", prepared, model_cfg, train_cfg, seeds, jobs,
-        {"train": asdict(train_cfg)} | split_args,
+        {"train": asdict(train_cfg)} | split_args | {"privacy": privacy},
     )
+    n_basis = release.n_train_slots
+    artifact.privacy = _privacy_block("gaussian-input", record.epsilon, record.delta, n_basis) | {
+        "l2_sensitivity": record.l2_sensitivity, "sigma": record.sigma, "n_releases": n_basis,
+    }
+    return artifact

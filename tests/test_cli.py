@@ -252,6 +252,8 @@ class TestNonFiniteValues:
         ("input", "sensitivity = 1.0", "sensitivity = nan", "train", "[privacy] sensitivity"),
         (None, "--noise-multiplier", "nan", "accountant", "--noise-multiplier"),
         (None, "--noise-multiplier", "1e-170", "accountant", "noise_multiplier 1e-170"),
+        ("gradient", "noise_multiplier = 2.0", "noise_multiplier = 1e-170", "train",
+         "noise_multiplier 1e-170"),
     ])
     def test_is_usage_error_naming_its_entry(
         self, tmp_path, dataset, capsys, config, old, new, command, named
@@ -614,18 +616,20 @@ class TestTuneCommand:
         ("delta = 1e-7", "delta = 1e-3", "[privacy]"),  # fails the budget over 624 slots
         ("delta = 1e-7\n", "", "[privacy] delta"),  # required, as `train` requires it
     ])
+    @pytest.mark.parametrize("command", ["tune", "train"])
     def test_bad_gradient_search_value_is_usage_error(
-        self, tmp_path, dataset, capsys, monkeypatch, old, new, section
+        self, tmp_path, dataset, capsys, monkeypatch, old, new, section, command
     ):
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(cli, "run_gradient_perturbation", no_trial)
-        body = gradient_config(dataset).replace(
+        # A batch of 5 in 5 microbatches: `train` runs it, and 5 divides every searched batch.
+        body = gradient_config(dataset).replace("batch_size = 4", "batch_size = 5").replace(
             "num_microbatches = 4", "num_microbatches = 5"
         ).replace(old, new) + "\n[tune]\nbudget = 1\nepochs = 1\n"
         cfg = write_config(tmp_path, body)
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
 

@@ -378,6 +378,30 @@ class TestRunInputPerturbation:
             PoisonableArray.poisoned = False
         assert np.isfinite(artifact.metrics.mean_rmse)
 
+    def test_fit_release_reports_the_privacy_of_its_release(self, sine_series):
+        run = run_input_perturbation(
+            sine_series, MODEL, SMOKE_IP_TRAIN, PRIVACY, [3], train_days=13, test_days=2,
+        )
+        release = input_release(sine_series, PRIVACY, forecast.release_stream(3), 13, 2)
+        artifact = fit_release(release, MODEL, SMOKE_IP_TRAIN, [3], train_days=13, test_days=2)
+        assert artifact.privacy == run.privacy
+        assert artifact.privacy["mechanism"] == "gaussian-input"
+        assert artifact.privacy["sigma"] == release.sanitized.privacy.sigma
+        assert artifact.config["privacy"] == run.config["privacy"] == {
+            "epsilon": 0.5, "delta": 1e-6, "sensitivity": 1.0}
+
+    def test_refuses_an_unsanitized_series_before_training(self, sine_series, monkeypatch):
+        _, raw_test = split(sine_series, 13, 2)
+        release = forecast.InputRelease(sine_series, np.array(raw_test.counts), 13 * 48)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on an unsanitized series")
+
+        monkeypatch.setattr(forecast, "train", no_training)
+        with pytest.raises(ValueError, match="no PrivacyRecord"):
+            fit_release(release, MODEL, TrainConfig(32, 5e-3, 2), [0],
+                        train_days=13, test_days=2)
+
     @pytest.mark.parametrize("train_days, test_days", [(13, 1), (12, 2), (11, 3)])
     def test_refuses_another_split_before_training(self, sine_series, monkeypatch,
                                                    train_days, test_days):
