@@ -23,7 +23,6 @@ original count scale, plus their means and the across-region RMSE spread.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -311,6 +310,9 @@ def _fit_best_seed(
         raise ValueError("the training or test windows contain NaN or Inf")
     tasks = [(prepared, model_cfg, opt, seed) for seed in seeds]
     if jobs > 1:
+        # Imported here: multiprocessing costs every process that never runs a pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fit_one_seed, tasks))
     else:

@@ -49,9 +49,14 @@ residual defined as 0.
 
 The forward pass computes ``a`` for all T steps in one matmul and keeps a
 tape per direction: the input in time-major direction order (T, n, d), the
-hidden (and LSTM cell) states stacked as (T+1, n, h), the fused gate values
-stacked as (T, n, G*h), written in place over the projection, and the
-candidate's pre-activation as (T, n, h). A direction's states, gates and
+hidden (and LSTM cell) states stacked as (T+1, n, h), the gate values
+stacked gate-major as (T, G, n, h), and the candidate's pre-activation as
+(T, n, h). The projection matmul writes its row-major (T*n, G*h) product
+over the gates' memory; before step t runs, its (n, G*h) slab is permuted
+in place to (G, n, h) through one step's scratch, so every gate's (n, h)
+block is contiguous and the step's elementwise work runs on whole blocks.
+The recurrent products keep their fused row-major shapes and are added
+through a gate-major view. A direction's states, gates and
 pre-activations are views of one fresh block per call, so no tape shares
 memory with another call's, and the steps of a call reuse one set of
 scratch arrays for the cell's temporaries. Step 0 has no recurrent term
@@ -60,11 +65,13 @@ in either pass, since the initial state is zero: the forward skips
 t = 0 matmuls whose results would only feed the initial state, with the
 GRU's reset delta at t = 0 set to 0. The backward pass runs the
 recurrence over ``dh`` step by step, with the LSTM's gate deltas (the
-GRU's update and reset deltas) going through one fused matmul per step,
-and collects the fused gate deltas in a (T, n, G*h) array. Every weight
-gradient is a sum over rows of ``a.T @ delta``, with ``a`` the input of
-its tensor (``xs``, ``h_prev`` or, for the GRU's candidate, ``r ⊗ h_prev``;
-a bias's input is a column of ones). Two reductions share the
+GRU's update and reset deltas) copied to one row-major (n, G*h) operand
+(n, 2h for the GRU) for one fused matmul per step, and collects the gate
+deltas gate-major in a (G, T, n, h) array, so each gate's deltas are one
+contiguous block. Every weight gradient is a sum over rows of
+``a.T @ delta``, with ``a`` the input of its tensor (``xs``, ``h_prev``
+or, for the GRU's candidate, ``r ⊗ h_prev``; a bias's input is a column
+of ones). Two reductions share the
 recurrence, each forming a gate tensor's gradient in one reduction:
 
 - the batch mean, a (k, T*n) @ (T*n, h) matmul written straight into the
@@ -195,6 +202,11 @@ def _blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     return tuple(a[..., j:j + k] for j in range(0, a.shape[-1], k))
 
 
+def _gate_major(a: np.ndarray, k: int) -> np.ndarray:
+    """The (G, n, k) gate-major view of the row-major fused rows ``a`` (n, G*k)."""
+    return a.reshape(a.shape[0], -1, k).transpose(1, 0, 2)
+
+
 def _named_views(spec: ModelSpec, fused: Mapping[str, np.ndarray]) -> Params:
     """The per-gate column blocks of ``fused``, in ``param_shapes`` order."""
     named: Params = {}
@@ -285,55 +297,57 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     return params
 
 
-def _gru_cell(a, h, U, act: str, a_c, out, rec, tmp, first: bool):
-    """One GRU step, in place on the input projection ``a = x W + b`` (..., 3h).
+def _gru_cell(a, h, U, act: str, a_c, out, rec, rec_gates, tmp, first: bool):
+    """One GRU step, in place on the gate-major input projection ``a`` (3, n, h).
 
     Adds the recurrent terms and applies the gates, so that ``a`` ends as
-    [z | r | c]; writes the candidate's pre-activation into ``a_c`` and the
-    new hidden state into ``out``. ``rec`` (..., 3h) and ``tmp`` (..., h)
-    are scratch. With ``first``, ``h`` is the zero initial state, whose
-    recurrent products are +0.0 for finite ``U``, and they are skipped.
+    [z, r, c]; writes the candidate's pre-activation into ``a_c`` and the
+    new hidden state into ``out``. ``rec`` (n, 3h) and ``tmp`` (n, h) are
+    scratch: the recurrent products are written row-major into ``rec``'s
+    column blocks and added through ``rec_gates``, its gate-major view.
+    With ``first``, ``h`` is the zero initial state, whose recurrent
+    products are +0.0 for finite ``U``, and they are skipped.
     """
     k = h.shape[-1]
-    zr = a[..., :2 * k]
+    zr = a[:2]
     if not first:
-        zr += np.matmul(h, U[:, :2 * k], out=rec[..., :2 * k])
-    _sigmoid(zr, out=zr)
-    z, r = zr[..., :k], zr[..., k:]
+        np.matmul(h, U[:, :2 * k], out=rec[:, :2 * k])
+        zr += rec_gates[:2]
+    z, r = _sigmoid(zr, out=zr)
     if first:
         # Adding 0.0 where (r h) U would add +0.0: a -0.0 turns into +0.0 all the same.
-        np.add(a[..., 2 * k:], 0.0, out=a_c)
+        np.add(a[2], 0.0, out=a_c)
     else:
-        rh_U = np.matmul(np.multiply(r, h, out=tmp), U[:, 2 * k:], out=rec[..., 2 * k:])
-        np.add(a[..., 2 * k:], rh_U, out=a_c)
-    c = _act(a_c, act, out=a[..., 2 * k:])
+        np.matmul(np.multiply(r, h, out=tmp), U[:, 2 * k:], out=rec[:, 2 * k:])
+        np.add(a[2], rec_gates[2], out=a_c)
+    c = _act(a_c, act, out=a[2])
     # h' = z c + (1 - z) h, the two terms summed in either order (IEEE addition commutes).
     np.multiply(z, c, out=out)
     out += np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
     return out
 
 
-def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, tmp, first: bool):
-    """One LSTM step, in place on the input projection ``a = x W + b`` (..., 4h).
+def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, rec_gates, tmp, first: bool):
+    """One LSTM step, in place on the gate-major input projection ``a`` (4, n, h).
 
     Adds ``h U`` and applies the gates, so that ``a`` ends as
-    [i | f | o | g]; writes g's pre-activation into ``a_g`` and the new
-    states into ``h_out`` and ``c_out``, and returns them. ``rec`` (..., 4h)
-    and ``tmp`` (..., h) are scratch. With ``first``, ``h`` is the zero
-    initial state, whose product ``h U`` is +0.0 for finite ``U``, and it
-    is skipped.
+    [i, f, o, g]; writes g's pre-activation into ``a_g`` and the new
+    states into ``h_out`` and ``c_out``, and returns them. ``rec`` (n, 4h)
+    and ``tmp`` (n, h) are scratch: ``h U`` is written row-major into
+    ``rec`` and added through ``rec_gates``, its gate-major view. With
+    ``first``, ``h`` is the zero initial state, whose product ``h U`` is
+    +0.0 for finite ``U``, and it is skipped.
     """
-    k = h.shape[-1]
     if not first:
-        a += np.matmul(h, U, out=rec)
-    ifo = _sigmoid(a[..., :3 * k], out=a[..., :3 * k])
+        np.matmul(h, U, out=rec)
+        a += rec_gates
+    i, f, o = _sigmoid(a[:3], out=a[:3])
     if first:
         # Adding 0.0 where h U would add +0.0: a -0.0 turns into +0.0 all the same.
-        np.add(a[..., 3 * k:], 0.0, out=a_g)
+        np.add(a[3], 0.0, out=a_g)
     else:
-        np.copyto(a_g, a[..., 3 * k:])
-    g = _act(a_g, act, out=a[..., 3 * k:])
-    i, f, o = ifo[..., :k], ifo[..., k:2 * k], ifo[..., 2 * k:]
+        np.copyto(a_g, a[3])
+    g = _act(a_g, act, out=a[3])
     np.multiply(f, c, out=c_out)
     c_out += np.multiply(i, g, out=tmp)
     np.multiply(o, _act(c_out, act, out=tmp), out=h_out)
@@ -346,12 +360,15 @@ class _DirectionCache:
 
     ``xs`` is the time-major, direction-ordered input (T, n, d). ``hs``
     (and, for the LSTM, ``cs``) is (T+1, n, h): row 0 is the zero initial
-    state and row t+1 the state after step t. ``gates`` is (T, n, G*h): the
-    input projection of every step, which step t turns into its gate values
-    in gate order. ``cand`` (T, n, h) holds the candidate's pre-activation
-    (a_c, a_g). ``allocate`` takes ``gates``, ``hs``, ``cand`` and ``cs`` as
-    views of one fresh block, uninitialised but for the two zero rows, so
-    a tape shares no memory with any other call's.
+    state and row t+1 the state after step t. ``gates`` is (T, G, n, h),
+    gate-major within each step, so every ``gates[t, j]`` is one contiguous
+    (n, h) block: step t's input projection, which the step permutes from
+    the projection matmul's row-major (n, G*h) into that layout in place
+    and turns into its gate values in gate order. ``cand`` (T, n, h) holds
+    the candidate's pre-activation (a_c, a_g). ``allocate`` takes
+    ``gates``, ``hs``, ``cand`` and ``cs`` as views of one fresh block,
+    uninitialised but for the two zero rows, so a tape shares no memory
+    with any other call's.
     """
 
     xs: np.ndarray
@@ -364,7 +381,7 @@ class _DirectionCache:
     def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
         T, n, _ = xs.shape
         states = ("hs", "cs") if cell == "lstm" else ("hs",)
-        shapes = {"gates": (T, n, len(GATE_NAMES[cell][0]) * hidden), "cand": (T, n, hidden)}
+        shapes = {"gates": (T, len(GATE_NAMES[cell][0]), n, hidden), "cand": (T, n, hidden)}
         shapes.update((state, (T + 1, n, hidden)) for state in states)
         views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
         for state in states:
@@ -375,8 +392,8 @@ class _DirectionCache:
     final = property(lambda self: self.hs[-1])
     c_prev = property(lambda self: self.cs[:-1])
     c_t = property(lambda self: self.cs[1:])
-    # The GRU's gates are [z | r | c].
-    r = property(lambda self: _blocks(self.gates, self.hs.shape[-1])[1])
+    # The GRU's gates are [z, r, c].
+    r = property(lambda self: self.gates[:, 1])
     a_c = a_g = property(lambda self: self.cand)
 
 
@@ -399,19 +416,26 @@ class ForwardTape:
 def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
     T, n, d = xs.shape
     cache = _DirectionCache.allocate(spec.cell, xs, spec.hidden_size)
-    # The input projection of every step in one matmul; each step then turns
-    # its rows into gate values in place.
     gates, hs, cs, cand, act = cache.gates, cache.hs, cache.cs, cache.cand, spec.activation
-    np.matmul(xs.reshape(T * n, d), W, out=gates.reshape(T * n, -1))
-    gates += b
+    # The input projection of every step in one matmul, written row-major
+    # over the gates' memory: step t's (n, G*h) rows fill the slab that
+    # gates[t] later holds gate-major.
+    rows = gates.reshape(T, n, -1)
+    np.matmul(xs.reshape(T * n, d), W, out=rows.reshape(T * n, -1))
+    rows += b
     # The cell's temporaries, allocated once and reused by every step.
-    rec, tmp = np.empty(gates.shape[1:]), np.empty(cand.shape[1:])
+    rec, tmp = np.empty(rows.shape[1:]), np.empty(cand.shape[1:])
+    rec_gates = _gate_major(rec, spec.hidden_size)
     for t in range(T):
+        # Permute step t's slab to gate-major in place, through rec.
+        np.copyto(rec, rows[t])
+        np.copyto(gates[t], rec_gates)
         if spec.cell == "gru":
-            _gru_cell(gates[t], hs[t], U, act, cand[t], hs[t + 1], rec, tmp, first=t == 0)
+            _gru_cell(gates[t], hs[t], U, act, cand[t], hs[t + 1], rec, rec_gates, tmp,
+                      first=t == 0)
         else:
             _lstm_cell(gates[t], hs[t], cs[t], U, act, cand[t], hs[t + 1], cs[t + 1],
-                       rec, tmp, first=t == 0)
+                       rec, rec_gates, tmp, first=t == 0)
     return cache
 
 
@@ -456,22 +480,25 @@ def _sum_outer(a: np.ndarray, da: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh: np.ndarray):
-    """One direction's fused gate deltas (T, n, G*h) and each gate's recurrent input."""
+    """One direction's gate deltas, gate-major (G, T, n, h), and each gate's recurrent input."""
     act, k = spec.activation, spec.hidden_size
     h_prev, cand, gates = cache.h_prev, cache.cand, cache.gates
-    G = gates.shape[-1] // k
+    T, G, n, _ = gates.shape
     # Start each gate delta as its sigmoid's derivative, and take the other
     # factors that do not depend on dh, for all steps at once.
-    da = np.empty_like(gates)
-    sig = gates[..., :(G - 1) * k]
-    np.multiply(sig, 1.0 - sig, out=da[..., :(G - 1) * k])
-    d_cand = _act_grad(cand, gates[..., (G - 1) * k:], act)
+    da = np.empty((G, T, n, k))
+    sig = gates[:, :G - 1]
+    np.multiply(sig, 1.0 - sig, out=da[:G - 1].transpose(1, 0, 2, 3))
+    d_cand = _act_grad(cand, gates[:, G - 1], act)
     if spec.cell == "gru":
         U_zr, U_c = U[:, :2 * k], U[:, 2 * k:]
-        c_minus_h = gates[..., 2 * k:] - h_prev
-        for t in reversed(range(da.shape[0])):
-            z, r, _ = _blocks(gates[t], k)
-            da_z, da_r, da_c = _blocks(da[t], k)
+        c_minus_h = gates[:, 2] - h_prev
+        # The fused recurrent product's operand [da_z | da_r], row-major (n, 2h).
+        zr_rows = np.empty((n, 2 * k))
+        zr_gates = _gate_major(zr_rows, k)
+        for t in reversed(range(T)):
+            z, r, _ = gates[t]
+            da_z, da_r, da_c = da[:, t]
             dh_z = dh * z
             np.multiply(dh_z, d_cand[t], out=da_c)
             da_z *= dh * c_minus_h[t]
@@ -481,15 +508,19 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
                 break
             d_rh = da_c @ U_c.T
             da_r *= d_rh * h_prev[t]
-            dh = dh - dh_z + d_rh * r + da[t, :, :2 * k] @ U_zr.T
+            np.copyto(zr_gates, da[:2, t])
+            dh = dh - dh_z + d_rh * r + zr_rows @ U_zr.T
         recurrent_inputs = (h_prev, h_prev, cache.r * h_prev)
     else:
         dc = np.zeros_like(dh)
         act_c = _act(cache.c_t, act)
         d_act_c = _act_grad(cache.c_t, act_c, act)
-        for t in reversed(range(da.shape[0])):
-            i, f, o, g = _blocks(gates[t], k)
-            da_i, da_f, da_o, da_g = _blocks(da[t], k)
+        # The recurrent product's operand da[:, t], row-major (n, 4h).
+        da_rows = np.empty((n, G * k))
+        da_gates = _gate_major(da_rows, k)
+        for t in reversed(range(T)):
+            i, f, o, g = gates[t]
+            da_i, da_f, da_o, da_g = da[:, t]
             dc_t = dc + dh * o * d_act_c[t]
             da_i *= dc_t * g
             da_f *= dc_t * cache.c_prev[t]
@@ -498,7 +529,8 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
             if t == 0:
                 break  # dc and dh of the zero initial state are not read.
             dc = dc_t * f
-            dh = da[t] @ U.T
+            np.copyto(da_gates, da[:, t])
+            dh = da_rows @ U.T
         recurrent_inputs = (h_prev,) * 4
     return da, recurrent_inputs
 
@@ -508,7 +540,7 @@ def _reduce(spec: ModelSpec, xs: Mapping[str, np.ndarray], h_cat: np.ndarray,
     """Write every gradient, summed over the batch rows, into ``outs`` (name -> array).
 
     ``xs`` and ``deltas`` map each direction to its input (T, n, d) and to
-    its fused gate deltas with their recurrent inputs.
+    its gate-major deltas (G, T, n, h) with their recurrent inputs.
     """
     dpred.sum(axis=0, out=outs["out_b"])
     _sum_outer(h_cat[None], dpred[None], outs["out_W"])
@@ -517,12 +549,11 @@ def _reduce(spec: ModelSpec, xs: Mapping[str, np.ndarray], h_cat: np.ndarray,
     for direction, (da, inputs) in deltas.items():
         names_W, names_U, names_b = (
             [f"{direction}_{name}" for name in names] for names in GATE_NAMES[spec.cell])
-        blocks = _blocks(da, spec.hidden_size)
-        for name, delta in zip(names_W, blocks):
+        for name, delta in zip(names_W, da):
             _sum_outer(xs[direction], delta, outs[name])
-        for name, a, delta in zip(names_U, inputs, blocks):
+        for name, a, delta in zip(names_U, inputs, da):
             _sum_outer(a, delta, outs[name])
-        for name, delta in zip(names_b, blocks):
+        for name, delta in zip(names_b, da):
             delta.sum(axis=(0, 1), out=outs[name])
 
 
@@ -542,7 +573,7 @@ def _gram_inner(ga: np.ndarray, gd: np.ndarray) -> np.ndarray:
     return np.einsum("mij,mij->m", ga, gd)
 
 
-def _squared_norms(spec: ModelSpec, tape: ForwardTape, dpred, deltas, m: int) -> np.ndarray:
+def _squared_norms(tape: ForwardTape, dpred, deltas, m: int) -> np.ndarray:
     """The squared L2 norm of each microbatch's summed gradient, from Grams.
 
     A bias is a weight on an input of ones, so its Gram is all ones.
@@ -552,7 +583,7 @@ def _squared_norms(spec: ModelSpec, tape: ForwardTape, dpred, deltas, m: int) ->
         gx = _grams(tape.caches[direction].xs, m) + 1.0
         last = None
         # Gates that share a recurrent input are adjacent: reuse its Gram.
-        for a, delta in zip(inputs, _blocks(da, spec.hidden_size)):
+        for a, delta in zip(inputs, da):
             if a is not last:
                 ga, last = gx + _grams(a, m), a
             sq += _gram_inner(ga, _grams(delta, m))
@@ -628,7 +659,7 @@ def backward_batch(
     }
     if reduce == "clip":
         size = n // microbatches
-        norms = np.sqrt(_squared_norms(spec, tape, dpred, deltas, microbatches)) / size
+        norms = np.sqrt(_squared_norms(tape, dpred, deltas, microbatches)) / size
         rows = np.repeat(clip_scales(norms, clip) / size, size)[:, None]
         dpred *= rows
         for da, _ in deltas.values():
@@ -641,7 +672,7 @@ def backward_batch(
     stack = {name: np.empty((n,) + shape) for name, shape in param_shapes(spec).items()}
     for i in range(n):
         row = slice(i, i + 1)
-        row_deltas = {direction: (da[:, row], tuple(a[:, row] for a in inputs))
+        row_deltas = {direction: (da[:, :, row], tuple(a[:, row] for a in inputs))
                       for direction, (da, inputs) in deltas.items()}
         _reduce(spec, {direction: x[:, row] for direction, x in xs.items()},
                 tape.h_cat[row], dpred[row], row_deltas,

@@ -2,8 +2,9 @@
 
 ``cell_step`` is one LSTM or GRU step written gate by gate from the
 equations in ``dpforecast.nn``, with the exp form of the sigmoid and no
-fused tensors, scratch buffers or zero-state shortcut; ``network_forward``
-chains it over a batch of windows.
+fused tensors, scratch buffers or zero-state shortcut; ``cell_gates`` is
+its gate values, and ``network_forward`` chains it over a batch of
+windows.
 
 ``log_binomial`` is ln C(n, k) from log-gamma, as the term-by-term RDP
 oracle in ``test_privacy`` writes each term.
@@ -44,6 +45,25 @@ def _sigmoid(a):
     return 1.0 / (1.0 + np.exp(-a))
 
 
+def _activation(kind):
+    return np.tanh if kind == "tanh" else (lambda a: np.maximum(a, 0.0))
+
+
+def cell_gates(cell, p, x, h, activation="tanh"):
+    """The gate values of one step of ``cell``, in gate order.
+
+    ``(z, r, c)`` for the GRU and ``(i, f, o, g)`` for the LSTM, with ``p``,
+    ``x`` and ``h`` as in ``cell_step``.
+    """
+    act = _activation(activation)
+    if cell == "gru":
+        z = _sigmoid(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
+        r = _sigmoid(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
+        return z, r, act(x @ p["W_c"] + (r * h) @ p["U_c"] + p["b_c"])
+    i, f, o = (_sigmoid(x @ p[f"W_x{g}"] + h @ p[f"W_h{g}"] + p[f"b_{g}"]) for g in "ifo")
+    return i, f, o, act(x @ p["W_xg"] + h @ p["W_hg"] + p["b_g"])
+
+
 def cell_step(cell, p, x, h, c=None, activation="tanh"):
     """One step of ``cell`` from input rows ``x`` and states ``h`` (and ``c``).
 
@@ -52,16 +72,12 @@ def cell_step(cell, p, x, h, c=None, activation="tanh"):
     ``W_xi``, ``W_hi``, ``b_i``, ... for the LSTM). Returns ``h_t`` for the
     GRU and ``(h_t, c_t)`` for the LSTM.
     """
-    act = np.tanh if activation == "tanh" else (lambda a: np.maximum(a, 0.0))
     if cell == "gru":
-        z = _sigmoid(x @ p["W_z"] + h @ p["U_z"] + p["b_z"])
-        r = _sigmoid(x @ p["W_r"] + h @ p["U_r"] + p["b_r"])
-        cand = act(x @ p["W_c"] + (r * h) @ p["U_c"] + p["b_c"])
+        z, _, cand = cell_gates(cell, p, x, h, activation)
         return (1.0 - z) * h + z * cand
-    i, f, o = (_sigmoid(x @ p[f"W_x{g}"] + h @ p[f"W_h{g}"] + p[f"b_{g}"]) for g in "ifo")
-    g = act(x @ p["W_xg"] + h @ p["W_hg"] + p["b_g"])
+    i, f, o, g = cell_gates(cell, p, x, h, activation)
     c = f * c + i * g
-    return o * act(c), c
+    return o * _activation(activation)(c), c
 
 
 def network_forward(spec, params, windows):

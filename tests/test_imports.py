@@ -1,7 +1,11 @@
-"""Every module of the package uses each name it imports, and the package exports them."""
+"""Every module of the package uses each name it imports, the package exports them, and
+importing it loads no process-pool machinery."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,14 @@ def test_checker_finds_unused_and_counts_string_annotations():
         "x: 'dict[str, int]' = {}\n"
     )
     assert unused_imports(source) == ["os", "os", "WindowedDataset"]
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # Only a multi-job run starts a process pool; any other process pays nothing for it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = "import sys, dpforecast; print(sorted(set(sys.modules) & {'multiprocessing', 'socket'}))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -22,7 +22,7 @@ from dpforecast import (
 from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_shapes
 from dpforecast.optim import adam_step, dp_aggregate, init_adam_state
 
-from reference import cell_step, network_forward
+from reference import cell_gates, cell_step, network_forward
 
 
 def zero_params(spec):
@@ -347,8 +347,47 @@ class TestForward:
         X = 3.0 * gen.standard_normal((1, 10, 2))
         _, tape = forward_batch(spec, params, X)
         assert np.all(np.abs(tape.caches["fw"].final) <= 1.0)
-        for z in tape.caches["fw"].gates[..., :4]:
+        for z in tape.caches["fw"].gates[:, 0]:
             assert np.all((z > 0) & (z < 1))
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_tape_holds_each_gate_as_one_contiguous_block(self, cell, bidirectional, activation):
+        spec = ModelSpec(cell, bidirectional, 5, 3, 2, activation)
+        params = init_params(spec, RngStream(40))
+        X = RngStream(41).generator().standard_normal((4, 3, 3))
+        _, tape = forward_batch(spec, params, X)
+        for direction, cache in tape.caches.items():
+            assert cache.gates.shape == (3, len(GATE_NAMES[cell][0]), 4, 5)
+            prefix = f"{direction}_"
+            p = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
+            xs = X if direction == "fw" else X[:, ::-1]
+            for t, step in enumerate(cache.gates):
+                expected = cell_gates(cell, p, xs[:, t], cache.hs[t], activation)
+                for block, gate in zip(step, expected):
+                    assert block.flags.c_contiguous
+                    np.testing.assert_allclose(block, gate, rtol=1e-13, atol=0)
+
+    def test_paper_shape_forward_peak_is_the_tape_and_one_step_of_scratch(self):
+        # A 336-window BiLSTM: the projection is permuted step by step, so no
+        # full-size temporary ever lives beside the tape.
+        spec = ModelSpec("lstm", True, 175, 10, 6, "relu")
+        params = init_params(spec, RngStream(42))
+        X = RngStream(43).generator().standard_normal((336, 6, 10))
+        forward_batch(spec, params, X)
+        tracemalloc.start()
+        try:
+            _, tape = forward_batch(spec, params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = [tape.prediction, tape.h_cat]
+        for cache in tape.caches.values():
+            arrays += [cache.xs, cache.hs, cache.gates, cache.cand, cache.cs]
+        tape_bytes = sum(a.nbytes for a in arrays)
+        step_scratch = 336 * 4 * 175 * 8
+        assert peak <= tape_bytes + step_scratch + 2**20, (peak, tape_bytes)
 
 
 def max_rel_err(analytic, numeric):
