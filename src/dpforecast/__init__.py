@@ -72,7 +72,6 @@ from .privacy import (
     gaussian_sigma,
     ledger_total,
     rdp_curve,
-    rdp_subsampled_gaussian,
     sanitize_series,
 )
 from .tune import (
@@ -101,9 +100,8 @@ __all__ = [
     "gaussian_sigma", "global_norm", "init_params", "input_release",
     "iqr_clean", "ledger_total", "load_csv", "load_params", "logsumexp",
     "mae", "make_windows", "objective_nonprivate",
-    "objective_private", "persistence_forecast", "rdp_curve",
-    "rdp_subsampled_gaussian", "rmse", "run_baseline",
-    "run_gradient_perturbation", "run_input_perturbation", "run_nonprivate",
-    "run_search", "sanitize_series", "save_params", "split", "train",
-    "utility_loss",
+    "objective_private", "persistence_forecast", "rdp_curve", "rmse",
+    "run_baseline", "run_gradient_perturbation", "run_input_perturbation",
+    "run_nonprivate", "run_search", "sanitize_series", "save_params", "split",
+    "train", "utility_loss",
 ]

@@ -313,7 +313,7 @@ def cmd_evaluate(args) -> int:
     if not pred_file.exists():
         raise ConfigError(f"no predictions.csv under {run_dir}")
     per_region: dict[str, list[tuple[float, float]]] = {}
-    with open(pred_file, newline="") as fh, _usage(str(pred_file)):
+    with open(pred_file, encoding="utf-8", newline="") as fh, _usage(str(pred_file)):
         rows = csv.reader(fh)
         header = next(rows, [])
         # The last column of a name wins, as in csv.DictReader.

@@ -98,12 +98,12 @@ def logsumexp(xs: Sequence[float]) -> float:
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write ``header`` and then ``rows`` as CSV lines ending in CRLF.
+    """Write ``header`` and then ``rows`` as UTF-8 CSV lines ending in CRLF.
 
     Cells are written as ``csv.writer`` writes them: ``None`` empty, any
     other value as its ``str``. Callers pass floats as ``repr`` text.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

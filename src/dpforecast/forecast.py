@@ -45,6 +45,7 @@ from .privacy import (
     MechanismValidityError,
     PrivacyParams,
     compute_epsilon,
+    rdp_curve,
     require_delta_budget,
     sanitize_series,
 )
@@ -413,26 +414,25 @@ def run_gradient_perturbation(
     """DP-Adam pipeline with an RDP accountant attached to the artifact.
 
     The per-sample epsilon comes from the accountant run at the sampling
-    rate ``batch_size / n_train_slots`` over the exact step count the
+    rate ``q = batch_size / n_train_slots`` over the exact step count the
     training log reports; the worst-case total assumes one user present in
-    every training slot (sequential composition).
+    every training slot (sequential composition). Before any seed trains, the
+    delta budget is checked and a noise multiplier that the accountant
+    refuses at ``q``, zero among them, raises ``MechanismValidityError``.
     """
-    if not dp_cfg.noise_multiplier > 0:
-        raise MechanismValidityError(
-            "gradient perturbation requires noise_multiplier > 0; "
-            "a zero-noise run has no finite privacy guarantee"
-        )
     split_args = _split_args(seeds, lag, train_days, test_days, scale)
     prepared = prepare(series, **split_args)
     n_basis = prepared.n_train_slots
-    # Checked before training: the accountant would reject delta <= 0 only
-    # after every seed had been trained.
     require_delta_budget(delta, n_basis)
+    q = dp_cfg.batch_size / n_basis
+    try:
+        rdp_curve(q, dp_cfg.noise_multiplier)
+    except ValueError as exc:
+        raise MechanismValidityError(str(exc)) from exc
     artifact = _fit_best_seed(
         "gradient", prepared, model_cfg, dp_cfg, seeds, jobs,
         {"dp": asdict(dp_cfg), "delta": delta} | split_args,
     )
-    q = dp_cfg.batch_size / n_basis
     steps = artifact.train_log.step_count
     epsilon, order = compute_epsilon(q, dp_cfg.noise_multiplier, steps, delta)
     artifact.privacy = _privacy_block("dp-sgd", epsilon, delta, n_basis) | {

@@ -1,9 +1,10 @@
 """Adam and DP-Adam (clip-and-noise) optimizers plus the training loop.
 
-The differentially private path bounds each microbatch's influence by
-clipping its gradient to a global L2 norm ``C``, adds a single draw of
-``N(0, (noise_multiplier * C)^2)`` Gaussian noise to the clipped sum, and
-normalizes by the number of microbatches. A microbatch of size one is a
+Every step, private or not, runs one forward and one backward over its
+batch. A non-private step takes the mean gradient. A private step takes
+the backward's sum of the microbatch gradients, each clipped to global L2
+norm ``C``, adds one draw of ``N(0, (noise_multiplier * C)^2)`` noise and
+divides by the number of microbatches. A microbatch of size one is a
 single training example, which is the granularity the privacy analysis
 assumes.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
@@ -271,7 +271,7 @@ def train(
     forward and backward passes. The generator is read in the serial
     order (an epoch's permutation, then that epoch's draws, one per step),
     so the result is the same bytes as drawing in the step itself. The
-    thread lives only for this call.
+    thread starts on the first draw and lives only for this call.
     """
     inputs = np.asarray(dataset.inputs, dtype=np.float64)
     targets = np.asarray(dataset.targets, dtype=np.float64)
@@ -287,11 +287,10 @@ def train(
     state = init_adam_state(params)
     log = TrainLog()
 
-    with ExitStack() as stack:
-        noise, source = None, gen
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        noise = None
         if isinstance(cfg, DpSgdConfig) and cfg.noise_multiplier > 0:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=1))
-            noise = source = _NoiseAhead(gen, state.m.size, pool)
+            noise = _NoiseAhead(gen, state.m.size, pool)
         for epoch in range(cfg.epochs):
             perm = gen.permutation(n)
             if noise is not None:
@@ -300,7 +299,7 @@ def train(
             for j in range(n_batches):
                 idx = perm[j * b:(j + 1) * b]
                 grad, batch_mae = _batch_gradient(
-                    spec, params, inputs[idx], targets[idx], cfg, source)
+                    spec, params, inputs[idx], targets[idx], cfg, noise)
                 if noise is not None and j + 1 < n_batches:
                     noise.draw_next()
                 if not math.isfinite(batch_mae):
@@ -336,24 +335,18 @@ class _NoiseAhead:
         return self._pending.result()
 
 
-def _batch_gradient(spec, params, xb, yb, cfg, gen):
-    """The step's gradient and batch MAE; the forward tape is freed on return."""
-    if isinstance(cfg, DpSgdConfig):
-        return _dp_batch_gradient(spec, params, xb, yb, cfg, gen)
-    preds, tape = forward_batch(spec, params, xb)
-    grad = backward_batch(spec, params, tape, yb, reduce="mean")
-    return grad, float(np.mean(np.abs(preds - yb)))
+def _batch_gradient(spec, params, xb, yb, cfg, noise):
+    """The step's gradient and batch MAE; the forward tape is freed on return.
 
-
-def _dp_batch_gradient(spec, params, xb, yb, cfg: DpSgdConfig, gen):
-    """``dp_aggregate`` over the step's microbatch gradients, as one packed vector.
-
-    One forward and one backward over the whole batch; the backward's
-    clipped reduction sums the clipped microbatch gradients without
-    forming any of them, and ``dp_aggregate`` noises and averages that sum.
+    A ``DpSgdConfig`` takes the backward's clipped sum of the microbatch
+    gradients, which forms none of them, and ``dp_aggregate`` noises it
+    from ``noise`` and averages it; any other config takes the mean.
     """
-    m, clip = cfg.num_microbatches, cfg.l2_norm_clip
     preds, tape = forward_batch(spec, params, xb)
-    clipped = backward_batch(spec, params, tape, yb, reduce="clip", clip=clip, microbatches=m)
-    grad = dp_aggregate(clipped, clip, cfg.noise_multiplier, gen, microbatches=m)
+    if isinstance(cfg, DpSgdConfig):
+        m, clip = cfg.num_microbatches, cfg.l2_norm_clip
+        clipped = backward_batch(spec, params, tape, yb, reduce="clip", clip=clip, microbatches=m)
+        grad = dp_aggregate(clipped, clip, cfg.noise_multiplier, noise, microbatches=m)
+    else:
+        grad = backward_batch(spec, params, tape, yb, reduce="mean")
     return grad, float(np.mean(np.abs(preds - yb)))

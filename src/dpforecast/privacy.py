@@ -26,7 +26,9 @@ Two regimes are supported:
   expression above, terms whose ``exp`` underflows to 0 against their
   order's largest are dropped, and each order's remaining terms go
   through :func:`core.logsumexp`; so every value has the bits of a
-  term-by-term loop. A single order is the one-order grid.
+  term-by-term loop. :func:`rdp_curve` is the one entry to these values
+  (a single order is its one-order grid) and the one judge of a noise
+  multiplier, which a gradient run asks before any model trains.
 
 Per-release guarantees compose sequentially: a ledger of k entries with
 budgets (eps_i, delta_i) totals (sum eps_i, sum delta_i).
@@ -210,16 +212,6 @@ def _rdp_values(
     return orders, tuple(values)
 
 
-def rdp_subsampled_gaussian(q: float, noise_multiplier: float, order: int) -> float:
-    """Per-step RDP of the subsampled Gaussian mechanism at an integer order.
-
-    Stable in log space for orders up to a few thousand with
-    ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
-    ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
-    """
-    return _rdp_values(q, noise_multiplier, (order,))[1][0]
-
-
 @dataclass(frozen=True)
 class RdpCurve:
     """Per-step RDP values of one mechanism across a grid of orders."""
@@ -235,7 +227,12 @@ class RdpCurve:
 def rdp_curve(
     q: float, noise_multiplier: float, orders: Sequence[int] = DEFAULT_ORDERS
 ) -> RdpCurve:
-    """Evaluate the subsampled-Gaussian RDP at every order of the grid."""
+    """Per-step RDP of the subsampled Gaussian mechanism at every order of the grid.
+
+    Stable in log space for orders up to a few thousand with
+    ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
+    ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
+    """
     return RdpCurve(*_rdp_values(q, noise_multiplier, orders))
 
 

@@ -233,6 +233,43 @@ class TestModuleEntry:
         assert "Traceback" not in proc.stderr
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestAsciiLocale:
+    @pytest.mark.parametrize("command", ["stats", "clean", "train", "evaluate"])
+    def test_non_ascii_labels_write_the_default_bytes(self, tmp_path, command):
+        env = dict(os.environ, **ASCII_LOCALE, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+        probe = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        if probe.stdout.strip().lower().replace("-", "") == "utf8":
+            pytest.skip("the child process still reports UTF-8 under LC_ALL=C")
+        series = dataclasses.replace(build_series(n_days=5, n_regions=2, seed=3),
+                                     region_labels=("Région", "R2"))
+        data = write_series_csv(series, tmp_path / "regions.csv")
+        body = BASE_CONFIG.format(data=data, kind="baseline").replace(
+            "train_days = 13\ntest_days = 2", "train_days = 4\ntest_days = 1")
+        cfg = write_config(tmp_path, body)
+        argv = ["--config", str(cfg), command]
+        if command == "evaluate":
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "run"), "train"]) == 0
+            argv = ["evaluate", "--run", str(tmp_path / "run")]
+        default, ascii_ = tmp_path / "default", tmp_path / "ascii"
+        assert main(["--out", str(default)] + argv) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpforecast.cli", "--out", str(ascii_)] + argv,
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in default.iterdir())
+        assert sorted(p.name for p in ascii_.iterdir()) == names
+        for name in names:
+            assert (ascii_ / name).read_bytes() == (default / name).read_bytes(), name
+
+
 NON_FINITE_CONFIGS = RUN_CONFIGS | {
     "sanitize": lambda data: f"[dataset]\npath = {data}\n" + INPUT_PRIVACY,
 }

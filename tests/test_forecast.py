@@ -251,6 +251,21 @@ class TestRunGradientPerturbation:
                 train_days=13, test_days=2,
             )
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-170])
+    def test_refused_noise_multiplier_trains_no_seed(self, sine_series, monkeypatch, sigma):
+        trained = []
+        monkeypatch.setattr(forecast, "train", lambda *args: trained.append(args))
+        dp_cfg = DpSgdConfig(
+            l2_norm_clip=1.0, noise_multiplier=sigma, num_microbatches=4,
+            batch_size=4, epochs=1, learning_rate=1e-3,
+        )
+        with pytest.raises(MechanismValidityError, match="noise_multiplier"):
+            run_gradient_perturbation(
+                sine_series, MODEL, dp_cfg, delta=1e-7, seeds=[0, 1, 2],
+                train_days=13, test_days=2,
+            )
+        assert trained == []
+
     def test_oversized_delta_refused_with_bound(self, sine_series):
         dp_cfg = DpSgdConfig(
             l2_norm_clip=1.0, noise_multiplier=2.0, num_microbatches=4,

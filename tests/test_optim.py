@@ -29,7 +29,7 @@ from dpforecast import (
 )
 from dpforecast import optim
 from dpforecast.nn import Packed, clip_scales, pack_params, param_shapes
-from dpforecast.optim import _dp_batch_gradient, _NoiseAhead, init_adam_state
+from dpforecast.optim import _batch_gradient, _NoiseAhead, init_adam_state
 
 from conftest import SLOT, START
 
@@ -200,7 +200,7 @@ class TestDpBatchGradient:
             l2_norm_clip=clip, noise_multiplier=noise, num_microbatches=4 // size,
             batch_size=4, epochs=1, learning_rate=0.01,
         )
-        got, got_mae = _dp_batch_gradient(
+        got, got_mae = _batch_gradient(
             spec, params, data.inputs, data.targets, cfg, RngStream(13).generator())
         ref, ref_mae, norms = reference_dp_gradient(
             spec, params, data.inputs, data.targets, cfg, RngStream(13).generator())
@@ -222,7 +222,7 @@ class TestDpBatchGradient:
         gen = RngStream(3).generator()
         tracemalloc.start()
         try:
-            _dp_batch_gradient(spec, params, data.inputs, data.targets, cfg, gen)
+            _batch_gradient(spec, params, data.inputs, data.targets, cfg, gen)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -611,7 +611,7 @@ def serial_dp_train(spec, params0, dataset, cfg, rng):
         perm = gen.permutation(n)
         for j in range(n // b):
             idx = perm[j * b:(j + 1) * b]
-            grad, _ = _dp_batch_gradient(
+            grad, _ = _batch_gradient(
                 spec, params, dataset.inputs[idx], dataset.targets[idx], cfg, gen)
             params, state = adam_step(params, grad, state, cfg.learning_rate)
     return params

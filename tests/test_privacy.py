@@ -22,7 +22,6 @@ from dpforecast import (
     ledger_total,
     logsumexp,
     rdp_curve,
-    rdp_subsampled_gaussian,
     sanitize_series,
 )
 
@@ -138,11 +137,11 @@ def rdp_oracle(q, sigma, alpha):
 class TestRdpSubsampledGaussian:
     def test_zero_sampling_rate_costs_nothing(self):
         for alpha in (2, 32, 512):
-            assert rdp_subsampled_gaussian(0.0, 35.0, alpha) == 0.0
+            assert rdp_curve(0.0, 35.0, (alpha,)).rdp[0] == 0.0
 
     def test_full_sampling_reduces_to_gaussian(self):
-        assert rdp_subsampled_gaussian(1.0, 1.0, 2) == pytest.approx(1.0, abs=0)
-        assert rdp_subsampled_gaussian(1.0, 2.0, 8) == pytest.approx(1.0, abs=1e-15)
+        assert rdp_curve(1.0, 1.0, (2,)).rdp[0] == pytest.approx(1.0, abs=0)
+        assert rdp_curve(1.0, 2.0, (8,)).rdp[0] == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "q,sigma,alpha",
@@ -150,19 +149,19 @@ class TestRdpSubsampledGaussian:
          (0.01, 2.0, 32), (5 / 3120, 500.0, 512)],
     )
     def test_matches_big_number_oracle(self, q, sigma, alpha):
-        assert rdp_subsampled_gaussian(q, sigma, alpha) == pytest.approx(
+        assert rdp_curve(q, sigma, (alpha,)).rdp[0] == pytest.approx(
             rdp_oracle(q, sigma, alpha), rel=1e-9
         )
 
     def test_invalid_order_rejected(self):
         for alpha in (1, 0, -3):
             with pytest.raises(ValueError):
-                rdp_subsampled_gaussian(0.01, 2.0, alpha)
+                rdp_curve(0.01, 2.0, (alpha,)).rdp[0]
         with pytest.raises(ValueError):
-            rdp_subsampled_gaussian(0.01, 2.0, 2.5)
+            rdp_curve(0.01, 2.0, (2.5,)).rdp[0]
 
     def test_nondecreasing_in_order(self):
-        values = [rdp_subsampled_gaussian(0.001603, 35.0, a) for a in (2, 4, 8, 64, 512)]
+        values = [rdp_curve(0.001603, 35.0, (a,)).rdp[0] for a in (2, 4, 8, 64, 512)]
         assert all(a <= b + 1e-18 for a, b in zip(values, values[1:]))
 
     def test_curve_spans_grid_and_is_monotone(self):
@@ -200,7 +199,7 @@ class TestComputeEpsilon:
         steps = 1234
         eps, _ = compute_epsilon(q, sigma, steps, delta, orders)
         manual = min(
-            steps * rdp_subsampled_gaussian(q, sigma, a) + math.log(1 / delta) / (a - 1)
+            steps * rdp_curve(q, sigma, (a,)).rdp[0] + math.log(1 / delta) / (a - 1)
             for a in orders
         )
         assert eps == manual
@@ -253,7 +252,7 @@ class TestComputeEpsilon:
         with pytest.raises(ValueError, match=message):
             compute_epsilon(5 / 3120, sigma, 62400, 1e-7)
         with pytest.raises(ValueError, match=message):
-            rdp_subsampled_gaussian(1.0, sigma, 2)
+            rdp_curve(1.0, sigma, (2,)).rdp[0]
 
     def test_tiny_noise_multiplier_costs_nothing_at_zero_rate(self):
         assert rdp_curve(0.0, 1e-170, (2, 3)).rdp == (0.0, 0.0)
@@ -351,7 +350,7 @@ class TestArrayKernelMatchesScalar:
     def test_single_order_bits(self):
         for q, sigma in seeded_cases(32, 40):
             for order in (2, 3, 17, 64, 512, 1024):
-                assert bits([rdp_subsampled_gaussian(q, sigma, order)]) == bits(
+                assert bits([rdp_curve(q, sigma, (order,)).rdp[0]]) == bits(
                     [reference_rdp(q, sigma, order)]
                 ), (q, sigma, order)
 
@@ -385,7 +384,7 @@ class TestArrayKernelMatchesScalar:
         for orders in (DEFAULT_ORDERS, WIDE_GRID, DEFAULT_ORDERS):
             assert bits(rdp_curve(5 / 3120, 70.0, orders).rdp) == fresh[orders]
         for order in range(2, 14):  # more grids than the cache holds
-            rdp_subsampled_gaussian(5 / 3120, 70.0, order)
+            rdp_curve(5 / 3120, 70.0, (order,)).rdp[0]
         assert bits(rdp_curve(5 / 3120, 70.0, DEFAULT_ORDERS).rdp) == fresh[DEFAULT_ORDERS]
 
     @pytest.mark.parametrize(
@@ -399,7 +398,7 @@ class TestArrayKernelMatchesScalar:
     def test_invalid_single_order_raises_as_scalar(self, q, sigma, order):
         expected = raised_as_scalar(reference_rdp, q, sigma, order)
         assert expected is not None
-        assert raised(rdp_subsampled_gaussian, q, sigma, order) == expected
+        assert raised(lambda: rdp_curve(q, sigma, (order,)).rdp[0]) == expected
 
     @pytest.mark.parametrize(
         "q,sigma,orders",
@@ -438,12 +437,12 @@ class TestNumpyOrderGrids:
         assert curve.orders == tuple(range(2, 65))
         assert all(type(a) is int for a in curve.orders)
         assert bits(curve.rdp) == bits(reference_curve(5 / 3120, 70.0, tuple(range(2, 65))))
-        assert rdp_subsampled_gaussian(5 / 3120, 70.0, np.int64(64)) == curve.rdp[-1]
+        assert rdp_curve(5 / 3120, 70.0, (np.int64(64),)).rdp[0] == curve.rdp[-1]
 
     @pytest.mark.parametrize("order", [True, 2.0, 2.5, np.float64(3.0), 1, np.int64(1)])
     def test_non_integral_or_small_orders_still_refused(self, order):
         with pytest.raises(ValueError, match="order must be an integer >= 2"):
-            rdp_subsampled_gaussian(0.01, 2.0, order)
+            rdp_curve(0.01, 2.0, (order,)).rdp[0]
         with pytest.raises(ValueError, match="order must be an integer >= 2"):
             compute_epsilon(0.01, 2.0, 10, 1e-7, orders=[4, order])
 
