@@ -1,9 +1,10 @@
 """Command-line interface: stats, clean, sanitize, accountant, train, tune,
 evaluate, report.
 
-Every command that writes artifacts also writes a ``manifest.json`` with
-input digests, the effective configuration, seeds, and the library
-version; equal manifests imply byte-identical metric outputs. Exit codes:
+``stats``, ``clean``, ``sanitize``, ``train`` and ``tune`` also write a
+``manifest.json`` with input digests, the effective configuration, seeds,
+and the library version; equal manifests imply byte-identical metric
+outputs. ``evaluate`` and ``report`` write only their CSV. Exit codes:
 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -13,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -38,8 +40,8 @@ from .forecast import (
     run_nonprivate,
     utility_loss,
 )
-from .nn import ModelSpec, save_params
-from .optim import DpSgdConfig, NonPrivateConfig, TrainingDiverged
+from .nn import save_params
+from .optim import DpSgdConfig, TrainingDiverged
 from .privacy import (
     BudgetError,
     BudgetLedger,
@@ -100,6 +102,14 @@ def _load_config(args) -> ExperimentConfig:
 
 def _dataset_series(cfg: ExperimentConfig):
     path = Path(cfg.require("dataset", "path"))
+    # Encoded first: is_file() is False for a name the file system encoding cannot spell.
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise ConfigError(f"[dataset] path {path} cannot be encoded as "
+                          f"{sys.getfilesystemencoding()}") from None
+    if not path.is_file():
+        raise ConfigError(f"[dataset] path {path} is not a file")
     return iqr_clean(load_csv(path)), path
 
 
@@ -123,16 +133,13 @@ def _jobs(cfg: ExperimentConfig, args) -> int:
 
 
 def _model_config(cfg: ExperimentConfig) -> ModelConfig:
-    model = ModelConfig(**cfg.section("model"))
     with _usage("[model]"):
-        ModelSpec(**asdict(model))
-    return model
+        return ModelConfig(**cfg.section("model"))
 
 
 def _train_config(cfg: ExperimentConfig, n_windows: int) -> TrainConfig:
-    train = TrainConfig(**cfg.section("train"))
     with _usage("[train]"):
-        NonPrivateConfig(**asdict(train))
+        train = TrainConfig(**cfg.section("train"))
     if train.batch_size > n_windows:
         raise ConfigError(f"[train] batch_size exceeds the {n_windows} training windows")
     return train
@@ -206,7 +213,8 @@ def cmd_sanitize(args) -> int:
     series, path = _dataset_series(cfg)
     params = _privacy_params(cfg)
     seed = args.seed if args.seed is not None else 0
-    sanitized = sanitize_series(series, params, RngStream(seed))
+    # The stream an input train with seeds[0] = seed, or tune --seed seed, releases from.
+    sanitized = sanitize_series(series, params, release_stream(seed))
     out = _out_dir(args)
     _write_series_csv(sanitized, out / "sanitized.csv")
     ledger = BudgetLedger.uniform(

@@ -45,7 +45,6 @@ _EPOCH = datetime(1970, 1, 1)
 _SECOND = timedelta(seconds=1)
 # The least integer that float() rounds past the largest finite double.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
-CYCLICAL_NAMES = ("day_sin", "day_cos", "week_sin", "week_cos")
 
 MINUTES_PER_DAY = 1440.0
 MINUTES_PER_WEEK = 10080.0
@@ -389,7 +388,6 @@ class WindowedDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    feature_names: tuple[str, ...]
     target_timestamps: np.ndarray
 
     def __post_init__(self):
@@ -401,10 +399,6 @@ class WindowedDataset:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
-
-    @property
-    def n_regions(self) -> int:
-        return self.targets.shape[1]
 
 
 def feature_matrix(series: MobilitySeries) -> np.ndarray:
@@ -449,8 +443,7 @@ def make_windows(
         target_ts = series.timestamps[lag:]
     # window i is full[i:i + lag]; copied so it owns its bytes, never a view of full
     windows = sliding_window_view(full, lag, axis=0)[:n].transpose(0, 2, 1).copy()
-    names = series.region_labels + CYCLICAL_NAMES
-    return WindowedDataset(windows, np.array(targets), names, np.array(target_ts))
+    return WindowedDataset(windows, np.array(targets), np.array(target_ts))
 
 
 class MinMaxScaler:
@@ -499,7 +492,7 @@ class MinMaxScaler:
         self._check_fitted()
         inputs = self._scale(windows.inputs, self.input_min_, self.input_max_)
         targets = self._scale(windows.targets, self.target_min_, self.target_max_)
-        return WindowedDataset(inputs, targets, windows.feature_names, windows.target_timestamps)
+        return WindowedDataset(inputs, targets, windows.target_timestamps)
 
     def transform_inputs(self, inputs: np.ndarray) -> np.ndarray:
         self._check_fitted()

@@ -139,21 +139,27 @@ def persistence_forecast(test_counts: np.ndarray, last_train: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture hyperparameters shared by all trained pipelines."""
+    """Architecture hyperparameters of every trained pipeline, checked as a ``ModelSpec``."""
 
     cell: str = "gru"
     bidirectional: bool = True
     hidden_size: int = 175
     activation: str = "relu"
 
+    def __post_init__(self):
+        ModelSpec(**asdict(self))
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Non-private optimizer hyperparameters."""
+    """Non-private optimizer hyperparameters, checked as a ``NonPrivateConfig``."""
 
     batch_size: int = 5
     learning_rate: float = 2.89e-4
     epochs: int = 100
+
+    def __post_init__(self):
+        NonPrivateConfig(**asdict(self))
 
 
 @dataclass
@@ -278,8 +284,6 @@ def _fit_one_seed(args) -> SeedResult:
     windows = prepared.train_windows
     spec = ModelSpec(**asdict(model_cfg), input_size=windows.inputs.shape[2],
                      output_size=windows.targets.shape[1])
-    if isinstance(opt, TrainConfig):
-        opt = NonPrivateConfig(**asdict(opt))
     base = RngStream(seed)
     params, log = train(spec, init_params(spec, base.child(_INIT_STREAM)), windows, opt,
                         base.child(_TRAIN_STREAM))

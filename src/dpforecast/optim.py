@@ -261,10 +261,14 @@ def train(
     ``dataset`` needs ``inputs`` of shape (n, lag, d) and ``targets`` of
     shape (n, output). Each epoch draws a fresh uniform permutation from
     ``rng`` and drops the incomplete trailing batch, so exactly
-    ``epochs * floor(n / batch_size)`` optimizer steps run. A non-private
-    config bypasses clipping and noise entirely. ``params0`` is copied into
-    a fresh packed vector, which the steps then update in place; the
-    caller's arrays are never changed.
+    ``epochs * floor(n / batch_size)`` optimizer steps run. ``params0`` is
+    copied into a fresh packed vector, which the steps then update in
+    place; the caller's arrays are never changed.
+
+    ``cfg`` is read for ``batch_size``, ``epochs`` and ``learning_rate``
+    alone, so a ``NonPrivateConfig`` and a ``forecast.TrainConfig`` train
+    alike; only a ``DpSgdConfig`` (an ``isinstance`` check) clips and
+    noises its steps.
 
     With DP noise, each step's standard-normal vector is drawn one step
     ahead on one worker thread, while the main thread runs the step's

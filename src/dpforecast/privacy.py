@@ -165,10 +165,26 @@ def _grid(orders: tuple[int, ...]) -> _Grid:
     return grid
 
 
-def _rdp_values(
-    q: float, noise_multiplier: float, orders: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """(orders as ints, per-step RDP at each), the kernel of the accountant.
+@dataclass(frozen=True)
+class RdpCurve:
+    """Per-step RDP values of one mechanism across a grid of orders."""
+
+    orders: tuple[int, ...]
+    rdp: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.orders) != len(self.rdp):
+            raise ValueError("orders and rdp values must have equal length")
+
+
+def rdp_curve(
+    q: float, noise_multiplier: float, orders: Sequence[int] = DEFAULT_ORDERS
+) -> RdpCurve:
+    """Per-step RDP of the subsampled Gaussian mechanism at every order of the grid.
+
+    Stable in log space for orders up to a few thousand with
+    ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
+    ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
 
     Arguments are checked in the order a per-order loop would meet them:
     the first order, then the noise multiplier and the rate, then the rest
@@ -190,10 +206,10 @@ def _rdp_values(
                     f"noise_multiplier {noise_multiplier!r} is too small: its square underflows")
     orders = tuple(checked)
     if not orders or q == 0.0:
-        return orders, (0.0,) * len(orders)
+        return RdpCurve(orders, (0.0,) * len(orders))
     sigma2 = noise_multiplier * noise_multiplier
     if q == 1.0:
-        return orders, tuple(order / (2.0 * sigma2) for order in orders)
+        return RdpCurve(orders, tuple(order / (2.0 * sigma2) for order in orders))
     g = _grid(orders)
     with np.errstate(over="ignore", invalid="ignore"):
         t = g.log_binom + g.k * math.log(q)
@@ -209,31 +225,7 @@ def _rdp_values(
     for order, count in zip(orders, counts):
         start, stop = stop, stop + count
         values.append(logsumexp(kept[start:stop]) / (order - 1))
-    return orders, tuple(values)
-
-
-@dataclass(frozen=True)
-class RdpCurve:
-    """Per-step RDP values of one mechanism across a grid of orders."""
-
-    orders: tuple[int, ...]
-    rdp: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.orders) != len(self.rdp):
-            raise ValueError("orders and rdp values must have equal length")
-
-
-def rdp_curve(
-    q: float, noise_multiplier: float, orders: Sequence[int] = DEFAULT_ORDERS
-) -> RdpCurve:
-    """Per-step RDP of the subsampled Gaussian mechanism at every order of the grid.
-
-    Stable in log space for orders up to a few thousand with
-    ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
-    ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
-    """
-    return RdpCurve(*_rdp_values(q, noise_multiplier, orders))
+    return RdpCurve(orders, tuple(values))
 
 
 def compute_epsilon(

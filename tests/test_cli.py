@@ -11,7 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpforecast import cli, evaluate_forecast, forecast, optim, utility_loss
+from dpforecast import (
+    PrivacyParams,
+    cli,
+    evaluate_forecast,
+    forecast,
+    input_release,
+    iqr_clean,
+    load_csv,
+    optim,
+    utility_loss,
+)
 from dpforecast.cli import main
 
 from conftest import build_series, write_series_csv
@@ -236,17 +246,23 @@ class TestModuleEntry:
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
 
 
+def ascii_env():
+    """The environment of a child under ``ASCII_LOCALE``; skips where it still reports UTF-8."""
+    env = dict(os.environ, **ASCII_LOCALE, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    if probe.stdout.strip().lower().replace("-", "") == "utf8":
+        pytest.skip("the child process still reports UTF-8 under LC_ALL=C")
+    return env
+
+
 class TestAsciiLocale:
     @pytest.mark.parametrize("command", ["stats", "clean", "train", "evaluate"])
     def test_non_ascii_labels_write_the_default_bytes(self, tmp_path, command):
-        env = dict(os.environ, **ASCII_LOCALE, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-        probe = subprocess.run(
-            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        )
-        if probe.stdout.strip().lower().replace("-", "") == "utf8":
-            pytest.skip("the child process still reports UTF-8 under LC_ALL=C")
+        env = ascii_env()
         series = dataclasses.replace(build_series(n_days=5, n_regions=2, seed=3),
                                      region_labels=("Région", "R2"))
         data = write_series_csv(series, tmp_path / "regions.csv")
@@ -268,6 +284,19 @@ class TestAsciiLocale:
         assert sorted(p.name for p in ascii_.iterdir()) == names
         for name in names:
             assert (ascii_ / name).read_bytes() == (default / name).read_bytes(), name
+
+    def test_non_ascii_file_name_is_usage_error(self, tmp_path):
+        env = ascii_env()
+        data = write_series_csv(build_series(n_days=1, n_regions=2, seed=3),
+                                tmp_path / "régions.csv")
+        cfg = write_config(tmp_path, f"[dataset]\npath = {data}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "dpforecast.cli", "--config", str(cfg),
+             "--out", str(tmp_path / "o"), "clean"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: [dataset] path" in proc.stderr and "Traceback" not in proc.stderr
 
 
 NON_FINITE_CONFIGS = RUN_CONFIGS | {
@@ -330,6 +359,15 @@ class TestConfigFile:
         if named != "[dataset] path":  # a missing entry names its section, not the file
             assert str(cfg) in err
 
+    @pytest.mark.parametrize("command", ["stats", "clean", "sanitize", "train", "tune"])
+    def test_dataset_path_naming_no_file_is_usage_error(self, tmp_path, capsys, command):
+        missing = tmp_path / "absent.csv"
+        cfg = write_config(tmp_path, BASE_CONFIG.format(data=missing, kind="input")
+                           + INPUT_PRIVACY + TUNE_ONE_TRIAL)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: [dataset] path {missing}" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("seeds", ["", "3,3", "0, 1, 0"], ids=["empty", "3-twice", "0-twice"])
     def test_empty_or_repeated_seeds_are_usage_errors(self, tmp_path, capsys, dataset, seeds):
         body = BASE_CONFIG.format(data=dataset, kind="baseline")
@@ -354,6 +392,21 @@ class TestSanitize:
         assert ledger_lines[0].startswith("label,epsilon,delta")
         record = json.loads((out / "privacy.json").read_text())
         assert record["epsilon"] == 0.5
+
+    def test_releases_what_an_input_run_of_its_seed_releases(self, tmp_path, dataset):
+        cfg = write_config(
+            tmp_path,
+            f"[dataset]\npath = {dataset}\n\n[privacy]\nepsilon = 0.5\ndelta = 1e-6\n",
+        )
+        out = tmp_path / "san"
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "3",
+                     "sanitize"]) == 0
+        with open(out / "sanitized.csv", encoding="utf-8", newline="") as fh:
+            written = np.array([[float(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]])
+        params = PrivacyParams(epsilon=0.5, delta=1e-6, l2_sensitivity=1.0)
+        release = input_release(iqr_clean(load_csv(dataset)), params,
+                                forecast.release_stream(3), train_days=13, test_days=2)
+        assert written.tobytes() == release.sanitized.counts.tobytes()
 
     def test_epsilon_out_of_validity_is_usage_error(self, tmp_path, dataset, capsys):
         cfg = write_config(

@@ -768,10 +768,11 @@ class TestMakeWindows:
     def test_feature_layout_regions_then_cycles(self):
         series = build_series(n_days=1, n_regions=3, seed=0)
         w = make_windows(series, lag=2)
-        assert w.feature_names[:3] == series.region_labels
-        assert w.feature_names[3:] == ("day_sin", "day_cos", "week_sin", "week_cos")
         mat = feature_matrix(series)
         assert mat.shape == (48, 7)
+        np.testing.assert_array_equal(mat[:, :3], series.counts)
+        np.testing.assert_array_equal(mat[:, 3:], cyclical_matrix(series.timestamps))
+        np.testing.assert_array_equal(w.inputs[0], mat[:2])
 
 
 class TestMinMaxScaler:

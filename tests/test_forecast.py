@@ -1,5 +1,8 @@
 """Metrics, persistence baseline, and the run pipelines."""
 
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,8 @@ from dpforecast import (
     MechanismValidityError,
     MobilitySeries,
     ModelConfig,
+    ModelSpec,
+    NonPrivateConfig,
     PrivacyParams,
     RngStream,
     TrainConfig,
@@ -131,13 +136,29 @@ MODEL = ModelConfig(cell="gru", bidirectional=True, hidden_size=8, activation="r
 SMOKE_TRAIN = TrainConfig(batch_size=32, learning_rate=5e-3, epochs=15)
 
 
+class TestRunRecords:
+    @pytest.mark.parametrize("record, rules, bad", [
+        (ModelConfig, ModelSpec, {"cell": "rnn"}),
+        (ModelConfig, ModelSpec, {"activation": "sigmoid"}),
+        (ModelConfig, ModelSpec, {"hidden_size": 0}),
+        (TrainConfig, NonPrivateConfig, {"batch_size": 0}),
+        (TrainConfig, NonPrivateConfig, {"learning_rate": math.nan}),
+        (TrainConfig, NonPrivateConfig, {"epochs": -1}),
+    ], ids=["cell", "activation", "hidden_size", "batch_size", "nan-rate", "epochs"])
+    def test_bad_value_raises_its_rule_at_construction(self, record, rules, bad):
+        with pytest.raises(ValueError) as expected:
+            rules(**asdict(record()) | bad)
+        with pytest.raises(ValueError) as raised:
+            record(**bad)
+        assert str(raised.value) == str(expected.value)
+
+
 class TestRecurrentForecaster:
     def test_fit_predict_shapes_and_determinism(self):
         gen = np.random.default_rng(0)
         X = gen.uniform(0, 1, (40, 4, 3))
         y = gen.uniform(0, 1, (40, 2))
-        windows = WindowedDataset(X, y, feature_names=("a", "b", "c"),
-                                  target_timestamps=np.arange(40))
+        windows = WindowedDataset(X, y, target_timestamps=np.arange(40))
         prepared = forecast.Prepared(
             train_windows=windows, test_inputs=X, raw_test_targets=y,
             target_timestamps=np.arange(40), scaler=IdentityScaler(),
