@@ -10,7 +10,6 @@ harness built around a persistence baseline and per-region RMSE/MAE.
 from .core import RngStream, finite_diff_grad, gaussian_sample, logsumexp
 from .data import (
     DataFormatError,
-    IdentityScaler,
     MinMaxScaler,
     MobilitySeries,
     WindowedDataset,
@@ -88,7 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "BudgetError", "BudgetLedger", "DEFAULT_ORDERS",
-    "DataFormatError", "DpSgdConfig", "IdentityScaler", "InputRelease",
+    "DataFormatError", "DpSgdConfig", "InputRelease",
     "MechanismValidityError", "MetricsReport", "MinMaxScaler",
     "MobilitySeries", "ModelConfig", "ModelSpec", "NonPrivateConfig",
     "PrivacyParams", "PrivacyRecord", "RdpCurve", "RngStream", "RunArtifact",

@@ -53,7 +53,7 @@ from .privacy import (
     require_delta_budget,
     sanitize_series,
 )
-from .tune import BATCH_CHOICES, LR_RANGE, SearchSpace, run_search, write_trials_csv
+from .tune import BATCH_CHOICES, SearchSpace, run_search, write_trials_csv
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -121,15 +121,11 @@ def _seeds(cfg: ExperimentConfig, args) -> tuple[int, ...]:
     return tuple(range(base, base + 10))
 
 
-def _jobs(cfg: ExperimentConfig, args) -> int:
-    """Worker processes for the seeds: ``--jobs``, else ``[run] jobs``, else 1."""
-    if args.jobs is not None:
-        source, jobs = "--jobs", args.jobs
-    else:
-        source, jobs = "[run] jobs", cfg.get("run", "jobs", 1)
-    if jobs < 1:
-        raise ConfigError(f"{source} must be >= 1, got {jobs}")
-    return jobs
+def _jobs(args) -> int:
+    """Worker processes for the seeds: ``--jobs``, else 1."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    return args.jobs
 
 
 def _model_config(cfg: ExperimentConfig) -> ModelConfig:
@@ -176,7 +172,7 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, Prepared]:
     with _usage("[run]"):
         # Unscaled: only the split and the windowing can reject the values.
         prepared = prepare(series, **args, scale=False)
-    return args | {"scale": run.get("scale", True)}, prepared
+    return args, prepared
 
 
 def cmd_stats(args) -> int:
@@ -289,12 +285,11 @@ def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_b
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     kind = cfg.get("run", "kind", "nonprivate")
-    jobs = _jobs(cfg, args)
+    jobs = _jobs(args)
     series, path = _dataset_series(cfg)
     split_args, unscaled = _split_args(cfg, series)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
-        split_args.pop("scale")
         artifact = run_baseline(series, **split_args)
     else:
         model = _model_config(cfg)
@@ -398,6 +393,7 @@ def cmd_tune(args) -> int:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
     split_args, unscaled = _split_args(cfg, series)
     model = _model_config(cfg)
+    train = _train_config(cfg, unscaled.train_windows.n_samples)
     seed = args.seed if args.seed is not None else 0
     fit = _trained_run(cfg, kind, series, split_args, unscaled.n_train_slots, seed)
     if kind == "gradient":
@@ -407,7 +403,7 @@ def cmd_tune(args) -> int:
         )
         for batch in BATCH_CHOICES:  # only a search varies the batch size
             try:
-                _dp_config(cfg, TrainConfig(batch, LR_RANGE[0], trial_epochs),
+                _dp_config(cfg, replace(train, batch_size=batch, epochs=trial_epochs),
                            l2_norm_clip=space.clip_choices[0])
             except ConfigError as exc:
                 raise ConfigError(f"{exc} (tune searches batch size {batch})") from None
@@ -417,7 +413,8 @@ def cmd_tune(args) -> int:
     def pipeline(config, trial_seed):
         trial = {"l2_norm_clip": config["l2_norm_clip"]} if "l2_norm_clip" in config else {}
         artifact = fit(replace(model, hidden_size=config["h1"]),
-                       TrainConfig(config["batch_size"], config["learning_rate"], trial_epochs),
+                       replace(train, batch_size=config["batch_size"],
+                               learning_rate=config["learning_rate"], epochs=trial_epochs),
                        [trial_seed], **trial)
         return artifact.metrics, None if artifact.privacy is None else artifact.privacy["epsilon"]
 
@@ -440,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="experiment config file", default=None)
     parser.add_argument("--out", help="output directory", default="out")
     parser.add_argument("--seed", type=int, default=None, help="base random seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("stats", help="descriptive statistics CSV").set_defaults(fn=cmd_stats)

@@ -46,7 +46,7 @@ _SCHEMA: dict[str, dict] = {
     "dataset": {"path": str},
     "run": {
         "kind": str, "seeds": _to_seeds, "lag": int,
-        "train_days": int, "test_days": int, "scale": _to_bool, "jobs": int,
+        "train_days": int, "test_days": int,
     },
     "model": {
         "cell": str, "bidirectional": _to_bool, "hidden_size": int, "activation": str,

@@ -256,8 +256,10 @@ def prepare(
     test_days: int = 7,
     scale: bool = True,
 ) -> Prepared:
-    """Split, window, and scale one series.
+    """Split, window, and min-max scale one series.
 
+    The scaler is fitted on the training windows. Every trained run
+    scales; ``scale=False`` is used only by the CLI's ``[run]`` check.
     Evaluation targets default to the (unscaled) test-window targets; the
     input-perturbation pipeline swaps in the raw counts afterwards since
     its training data is noisy.
@@ -352,12 +354,11 @@ def _privacy_block(mechanism: str, epsilon: float, delta: float, n_basis: int) -
     }
 
 
-def _split_args(seeds: Sequence[int], lag: int, train_days: int, test_days: int,
-                scale: bool) -> dict:
+def _split_args(seeds: Sequence[int], lag: int, train_days: int, test_days: int) -> dict:
     """The split arguments of a trained run; every trained run checks its seeds here."""
     if len(seeds) == 0:
         raise ValueError("seeds must be nonempty")
-    return dict(lag=lag, train_days=train_days, test_days=test_days, scale=scale)
+    return dict(lag=lag, train_days=train_days, test_days=test_days)
 
 
 def run_baseline(
@@ -391,11 +392,10 @@ def run_nonprivate(
     lag: int = 6,
     train_days: int = 65,
     test_days: int = 7,
-    scale: bool = True,
     jobs: int = 1,
 ) -> RunArtifact:
     """Plain-Adam pipeline; the best of the seeded runs (by mean RMSE) wins."""
-    split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    split_args = _split_args(seeds, lag, train_days, test_days)
     prepared = prepare(series, **split_args)
     return _fit_best_seed(
         "nonprivate", prepared, model_cfg, train_cfg, seeds, jobs,
@@ -412,7 +412,6 @@ def run_gradient_perturbation(
     lag: int = 6,
     train_days: int = 65,
     test_days: int = 7,
-    scale: bool = True,
     jobs: int = 1,
 ) -> RunArtifact:
     """DP-Adam pipeline with an RDP accountant attached to the artifact.
@@ -424,7 +423,7 @@ def run_gradient_perturbation(
     delta budget is checked and a noise multiplier that the accountant
     refuses at ``q``, zero among them, raises ``MechanismValidityError``.
     """
-    split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    split_args = _split_args(seeds, lag, train_days, test_days)
     prepared = prepare(series, **split_args)
     n_basis = prepared.n_train_slots
     require_delta_budget(delta, n_basis)
@@ -494,7 +493,6 @@ def run_input_perturbation(
     lag: int = 6,
     train_days: int = 65,
     test_days: int = 7,
-    scale: bool = True,
     jobs: int = 1,
 ) -> RunArtifact:
     """Sanitize-then-train pipeline.
@@ -504,7 +502,7 @@ def run_input_perturbation(
     training windows; metrics compare predictions with the raw test
     targets. The privacy ledger composes one release per training slot.
     """
-    split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    split_args = _split_args(seeds, lag, train_days, test_days)
     release = input_release(
         series, privacy_params, release_stream(seeds[0]), train_days, test_days
     )
@@ -519,7 +517,6 @@ def fit_release(
     lag: int = 6,
     train_days: int = 65,
     test_days: int = 7,
-    scale: bool = True,
     jobs: int = 1,
 ) -> RunArtifact:
     """Train and score on an :class:`InputRelease`; never sees raw data.
@@ -529,7 +526,7 @@ def fit_release(
     before any training. The artifact's ``privacy`` block and
     ``config["privacy"]`` come from the release's own record.
     """
-    split_args = _split_args(seeds, lag, train_days, test_days, scale)
+    split_args = _split_args(seeds, lag, train_days, test_days)
     record = release.sanitized.privacy
     if record is None:
         raise ValueError("the release's series has no PrivacyRecord; make it with input_release")

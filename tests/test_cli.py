@@ -65,7 +65,7 @@ learning_rate = 0.005
 epochs = 2
 """
 
-SPLIT_KEYS = {"lag": None, "train_days": None, "test_days": None, "scale": None}
+SPLIT_KEYS = {"lag": None, "train_days": None, "test_days": None}
 MODEL_KEYS = {"model": ["activation", "bidirectional", "cell", "hidden_size"]}
 TRAIN_KEYS = {"train": ["batch_size", "epochs", "learning_rate"]}
 
@@ -489,19 +489,30 @@ class TestTrainCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         assert section in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, run_jobs, named", [
-        (["--jobs", "0"], "jobs = 2\n", "--jobs must be >= 1, got 0"),
+    @pytest.mark.parametrize("flags, run_line, named", [
+        (["--jobs", "0"], "", "--jobs must be >= 1, got 0"),
         (["--jobs", "-1"], "", "--jobs must be >= 1, got -1"),
-        ([], "jobs = 0\n", "[run] jobs must be >= 1, got 0"),
-    ], ids=["flag-zero", "flag-negative", "config-zero"])
+        ([], "jobs = 0\n", "unknown key 'jobs' in section [run]"),
+    ], ids=["flag-zero", "flag-negative", "config-key"])
     def test_fewer_than_one_job_is_usage_error(
-        self, tmp_path, dataset, capsys, flags, run_jobs, named
+        self, tmp_path, dataset, capsys, flags, run_line, named
     ):
         body = BASE_CONFIG.format(data=dataset, kind="nonprivate")
-        cfg = write_config(tmp_path, body.replace("[run]\n", "[run]\n" + run_jobs))
+        cfg = write_config(tmp_path, body.replace("[run]\n", "[run]\n" + run_line))
         out = tmp_path / "o"
         assert main(["--config", str(cfg), "--out", str(out), *flags, "train"]) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("scale", "true"), ("jobs", "2")])
+    def test_removed_run_key_is_usage_error(self, tmp_path, dataset, capsys, key, value):
+        # Every trained run min-max scales, and --jobs alone sets the workers.
+        body = BASE_CONFIG.format(data=dataset, kind="nonprivate")
+        cfg = write_config(tmp_path, body.replace("[run]\n", f"[run]\n{key} = {value}\n"))
+        out = tmp_path / "o"
+        assert main(["--config", str(cfg), "--out", str(out), "train"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in section [run]" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_seeds_default_to_ten_from_the_base_seed(self, tmp_path, dataset):
@@ -686,6 +697,26 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
         err = capsys.readouterr().err
         assert "[tune]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("old, new", [
+        ("batch_size = 32", "batch_size = 0"),
+        ("learning_rate = 0.005", "learning_rate = 0"),
+        ("epochs = 2", "epochs = -1"),
+    ], ids=["batch-zero", "rate-zero", "epochs-negative"])
+    def test_bad_train_value_is_refused_before_any_trial(
+        self, tmp_path, dataset, capsys, monkeypatch, old, new
+    ):
+        # A trial replaces [train]'s batch size, learning rate and epochs, but
+        # [train] is checked as `train` checks it.
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "run_nonprivate", no_trial)
+        body = BASE_CONFIG.format(data=dataset, kind="nonprivate") + TUNE_ONE_TRIAL
+        cfg = write_config(tmp_path, body.replace(old, new))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        err = capsys.readouterr().err
+        assert "[train]" in err and "Traceback" not in err
 
     def test_gradient_search_reports_epsilon(self, tmp_path, dataset):
         body = gradient_config(dataset).replace(
