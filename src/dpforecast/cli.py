@@ -25,15 +25,21 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, finite_float, parse_config
 from .core import RngStream, write_csv, write_json
-from .data import DataFormatError, descriptive_stats, format_timestamps, iqr_clean, load_csv
+from .data import (
+    DataFormatError,
+    descriptive_stats,
+    format_timestamps,
+    iqr_clean,
+    load_csv,
+    make_windows,
+    split,
+)
 from .forecast import (
     ModelConfig,
-    Prepared,
     TrainConfig,
     evaluate_forecast,
     fit_release,
     input_release,
-    prepare,
     release_stream,
     run_baseline,
     run_gradient_perturbation,
@@ -161,8 +167,8 @@ def _privacy_params(cfg: ExperimentConfig) -> PrivacyParams:
     return params
 
 
-def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, Prepared]:
-    """``[run]`` lag and days, checked against ``series``, and the unscaled split."""
+def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int, int]:
+    """``[run]`` lag and days, checked against ``series``; the training window and slot counts."""
     run = cfg.section("run")
     args = {
         "lag": run.get("lag", 6),
@@ -170,9 +176,11 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, Prepared]:
         "test_days": run.get("test_days", 7),
     }
     with _usage("[run]"):
-        # Unscaled: only the split and the windowing can reject the values.
-        prepared = prepare(series, **args, scale=False)
-    return args, prepared
+        # Only these two calls can refuse the values: the test windows take
+        # their context from train_s, which the training windows accepted.
+        train_s, _ = split(series, args["train_days"], args["test_days"])
+        n_windows = make_windows(train_s, args["lag"]).n_samples
+    return args, n_windows, train_s.n_slots
 
 
 def cmd_stats(args) -> int:
@@ -255,8 +263,9 @@ def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_b
                  release_seed: int):
     """``fit(model, train, seeds, jobs=1, **trial)``, the run ``train`` and ``tune`` make.
 
-    A campaign's privacy settings are checked here, before any model
-    trains; an input campaign makes its one release from ``release_seed``.
+    A campaign's privacy settings, the delta budget over its ``n_basis``
+    training slots among them, are checked here, before any model trains;
+    an input campaign makes its one release from ``release_seed``.
     A gradient ``trial`` overrides the ``[dp]`` values a search varies.
     """
     if kind == "nonprivate":
@@ -274,7 +283,10 @@ def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_b
             return run_gradient_perturbation(series, model, _dp_config(cfg, train, **trial),
                                              delta, seeds, jobs=jobs, **split_args)
     else:
-        release = input_release(series, _privacy_params(cfg), release_stream(release_seed),
+        params = _privacy_params(cfg)
+        with _usage("[privacy]"):
+            require_delta_budget(params.delta, n_basis)
+        release = input_release(series, params, release_stream(release_seed),
                                 split_args["train_days"], split_args["test_days"])
 
         def fit(model, train, seeds, jobs=1):
@@ -287,14 +299,14 @@ def cmd_train(args) -> int:
     kind = cfg.get("run", "kind", "nonprivate")
     jobs = _jobs(args)
     series, path = _dataset_series(cfg)
-    split_args, unscaled = _split_args(cfg, series)
+    split_args, n_windows, n_basis = _split_args(cfg, series)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
         artifact = run_baseline(series, **split_args)
     else:
         model = _model_config(cfg)
-        train = _train_config(cfg, unscaled.train_windows.n_samples)
-        fit = _trained_run(cfg, kind, series, split_args, unscaled.n_train_slots, seeds[0])
+        train = _train_config(cfg, n_windows)
+        fit = _trained_run(cfg, kind, series, split_args, n_basis, seeds[0])
         artifact = fit(model, train, seeds, jobs=jobs)
     out = _out_dir(args)
     artifact.write_metrics_csv(out / "metrics.csv")
@@ -391,11 +403,11 @@ def cmd_tune(args) -> int:
             "[tune] needs budget >= 1, epochs >= 0 and strategy random or tpe-lite")
     if len(series.region_labels) < 2:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
-    split_args, unscaled = _split_args(cfg, series)
+    split_args, n_windows, n_basis = _split_args(cfg, series)
     model = _model_config(cfg)
-    train = _train_config(cfg, unscaled.train_windows.n_samples)
+    train = _train_config(cfg, n_windows)
     seed = args.seed if args.seed is not None else 0
-    fit = _trained_run(cfg, kind, series, split_args, unscaled.n_train_slots, seed)
+    fit = _trained_run(cfg, kind, series, split_args, n_basis, seed)
     if kind == "gradient":
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),

@@ -86,9 +86,12 @@ class ExperimentConfig:
 
 def parse_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)

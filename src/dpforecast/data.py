@@ -513,25 +513,6 @@ class MinMaxScaler:
         }
 
 
-class IdentityScaler:
-    """Drop-in scaler that leaves values untouched (scaling disabled)."""
-
-    def fit(self, windows):
-        return self
-
-    def transform(self, windows):
-        return windows
-
-    def transform_inputs(self, inputs):
-        return inputs
-
-    def inverse_transform_targets(self, scaled):
-        return scaled
-
-    def to_dict(self):
-        return {"identity": True}
-
-
 def descriptive_stats(series: MobilitySeries) -> dict[str, np.ndarray]:
     """Per-region min, max, mean, sample std, and median over all slots."""
     counts = series.counts

@@ -31,7 +31,6 @@ import numpy as np
 from .core import RngStream, write_csv, write_json
 from .data import (
     SLOTS_PER_DAY,
-    IdentityScaler,
     MinMaxScaler,
     MobilitySeries,
     WindowedDataset,
@@ -244,7 +243,7 @@ class Prepared:
     test_inputs: np.ndarray
     raw_test_targets: np.ndarray
     target_timestamps: np.ndarray
-    scaler: object
+    scaler: MinMaxScaler
     region_labels: tuple[str, ...]
     n_train_slots: int
 
@@ -258,17 +257,19 @@ def prepare(
 ) -> Prepared:
     """Split, window, and min-max scale one series.
 
-    The scaler is fitted on the training windows. Every trained run
-    scales; ``scale=False`` is used only by the CLI's ``[run]`` check.
+    The scaler is fitted on the training windows; every run scales.
+    ``scale`` remains only because ``perfbench/workloads.py`` passes
+    ``True`` in its place, and any other value raises ``ValueError``.
     Evaluation targets default to the (unscaled) test-window targets; the
     input-perturbation pipeline swaps in the raw counts afterwards since
     its training data is noisy.
     """
+    if scale is not True:
+        raise ValueError(f"scale must be True, got {scale!r}: every run min-max scales")
     train_s, test_s = split(series, train_days, test_days)
     train_w = make_windows(train_s, lag)
     test_w = make_windows(test_s, lag, context=train_s)
-    scaler = MinMaxScaler() if scale else IdentityScaler()
-    scaler.fit(train_w)
+    scaler = MinMaxScaler().fit(train_w)
     raw_targets = np.array(test_w.targets, subok=False)
     return Prepared(
         train_windows=scaler.transform(train_w),
@@ -522,8 +523,9 @@ def fit_release(
     """Train and score on an :class:`InputRelease`; never sees raw data.
 
     ``train_days`` and ``test_days`` must be the split the release was made
-    with; another split, or a series with no ``PrivacyRecord``, is refused
-    before any training. The artifact's ``privacy`` block and
+    with; another split, a series with no ``PrivacyRecord``, or a delta that
+    fails the budget over the release's training slots (``BudgetError``) is
+    refused before any training. The artifact's ``privacy`` block and
     ``config["privacy"]`` come from the release's own record.
     """
     split_args = _split_args(seeds, lag, train_days, test_days)
@@ -536,6 +538,8 @@ def fit_release(
             f"the release holds {released[0]} training and {released[1]} test slots; "
             f"train_days={train_days} and test_days={test_days} would fit "
             f"{train_days * SLOTS_PER_DAY} and score {test_days * SLOTS_PER_DAY}")
+    n_basis = release.n_train_slots
+    require_delta_budget(record.delta, n_basis)
     prepared = prepare(release.sanitized, **split_args)
     prepared.raw_test_targets = release.raw_test_counts
     privacy = {"epsilon": record.epsilon, "delta": record.delta,
@@ -544,7 +548,6 @@ def fit_release(
         "input", prepared, model_cfg, train_cfg, seeds, jobs,
         {"train": asdict(train_cfg)} | split_args | {"privacy": privacy},
     )
-    n_basis = release.n_train_slots
     artifact.privacy = _privacy_block("gaussian-input", record.epsilon, record.delta, n_basis) | {
         "l2_sensitivity": record.l2_sensitivity, "sigma": record.sigma, "n_releases": n_basis,
     }

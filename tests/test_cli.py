@@ -359,6 +359,18 @@ class TestConfigFile:
         if named != "[dataset] path":  # a missing entry names its section, not the file
             assert str(cfg) in err
 
+    @pytest.mark.parametrize("make, named", [
+        (lambda cfg: cfg.write_bytes(b"[run]\nkind = baseline\xff\n"),
+         ": not UTF-8 text (invalid start byte at byte 21)"),
+        (lambda cfg: cfg.mkdir(), "config file not found: "),
+    ], ids=["non-utf8", "directory"])
+    def test_config_not_a_utf8_file_is_usage_error(self, tmp_path, capsys, make, named):
+        cfg = tmp_path / "exp.cfg"
+        make(cfg)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["stats", "clean", "sanitize", "train", "tune"])
     def test_dataset_path_naming_no_file_is_usage_error(self, tmp_path, capsys, command):
         missing = tmp_path / "absent.csv"
@@ -479,6 +491,8 @@ class TestTrainCommand:
         ("train_days = 13", "train_days = 40", "train", "[run]"),
         ("test_days = 2", "test_days = 0", "train", "[run]"),
         ("test_days = 2", "test_days = -1", "tune", "[run]"),
+        ("lag = 6", "lag = 0", "train", "[run]: lag must be >= 1, got 0"),
+        ("lag = 6", "lag = 700", "tune", "[run]: series has 624 slots; at least 701 required"),
         ("batch_size = 4", "batch_size = 1000", "train", "[train]"),
         ("epochs = 2\n", "epochs = 2\n\n[tune]\nstrategy = grid\n", "tune", "[tune]"),
     ])
@@ -808,6 +822,23 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "r"), "train"]) == 0
         assert len(releases) == 2
         assert np.array_equal(releases[0].sanitized.counts, releases[1].sanitized.counts)
+
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    def test_input_delta_over_budget_is_refused_before_the_release(
+        self, tmp_path, dataset, capsys, monkeypatch, command
+    ):
+        # 624 releases of delta = 0.01 total 6.24, far over 1/624.
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a release was made or a trial ran")
+
+        monkeypatch.setattr(cli, "input_release", no_trial)
+        monkeypatch.setattr(cli, "fit_release", no_trial)
+        body = BASE_CONFIG.format(data=dataset, kind="input") + INPUT_PRIVACY + TUNE_ONE_TRIAL
+        cfg = write_config(tmp_path, body.replace("delta = 1e-6", "delta = 0.01"))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+        err = capsys.readouterr().err
+        assert "error: [privacy]: delta=0.01 fails the budget check over 624 samples" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("old, new", [
         ("epsilon = 0.5", "epsilon = 1.5"),

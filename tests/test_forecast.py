@@ -34,7 +34,7 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast import forecast
-from dpforecast.data import IdentityScaler, WindowedDataset
+from dpforecast.data import MinMaxScaler, WindowedDataset
 
 from conftest import build_series
 
@@ -153,6 +153,26 @@ class TestRunRecords:
         assert str(raised.value) == str(expected.value)
 
 
+class TestPrepare:
+    def test_positional_true_scale_is_the_default(self, sine_series):
+        # perfbench/workloads.py passes scale positionally; the call must change no byte.
+        passed = forecast.prepare(sine_series, 6, 13, 2, True)
+        default = forecast.prepare(sine_series, 6, 13, 2)
+        for get in (lambda p: p.train_windows.inputs, lambda p: p.train_windows.targets,
+                    lambda p: p.train_windows.target_timestamps, lambda p: p.test_inputs,
+                    lambda p: p.raw_test_targets, lambda p: p.target_timestamps):
+            a, b = get(passed), get(default)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert passed.scaler.to_dict() == default.scaler.to_dict()
+        assert (passed.region_labels, passed.n_train_slots) == (
+            default.region_labels, default.n_train_slots)
+
+    @pytest.mark.parametrize("scale", [False, 1])
+    def test_scale_other_than_true_is_refused(self, sine_series, scale):
+        with pytest.raises(ValueError, match="scale must be True"):
+            forecast.prepare(sine_series, 6, 13, 2, scale)
+
+
 class TestRecurrentForecaster:
     def test_fit_predict_shapes_and_determinism(self):
         gen = np.random.default_rng(0)
@@ -161,7 +181,7 @@ class TestRecurrentForecaster:
         windows = WindowedDataset(X, y, target_timestamps=np.arange(40))
         prepared = forecast.Prepared(
             train_windows=windows, test_inputs=X, raw_test_targets=y,
-            target_timestamps=np.arange(40), scaler=IdentityScaler(),
+            target_timestamps=np.arange(40), scaler=MinMaxScaler().fit(windows),
             region_labels=("r0", "r1"), n_train_slots=40,
         )
         model = ModelConfig(cell="gru", bidirectional=True, hidden_size=4, activation="relu")
@@ -435,6 +455,18 @@ class TestRunInputPerturbation:
 
         monkeypatch.setattr(forecast, "train", no_training)
         with pytest.raises(ValueError, match="no PrivacyRecord"):
+            fit_release(release, MODEL, TrainConfig(32, 5e-3, 2), [0],
+                        train_days=13, test_days=2)
+
+    def test_refuses_a_delta_over_budget_before_training(self, sine_series, monkeypatch):
+        # 624 releases of delta = 0.01 total 6.24, far over 1/624.
+        release = input_release(sine_series, PrivacyParams(0.5, 0.01, 1.0), RngStream(1), 13, 2)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained on a release over its delta budget")
+
+        monkeypatch.setattr(forecast, "train", no_training)
+        with pytest.raises(BudgetError, match="over 624 samples; need 0 < delta < 2.568e-06"):
             fit_release(release, MODEL, TrainConfig(32, 5e-3, 2), [0],
                         train_days=13, test_days=2)
 
