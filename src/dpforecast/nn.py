@@ -59,7 +59,9 @@ The recurrent products keep their fused row-major shapes and are added
 through a gate-major view. A direction's states, gates and
 pre-activations are views of one fresh block per call, so no tape shares
 memory with another call's, and the steps of a call reuse one set of
-scratch arrays for the cell's temporaries. Step 0 has no recurrent term
+scratch arrays for the cell's temporaries (one set per direction when a
+large bidirectional pass runs its directions on two threads; see
+``forward_batch``). Step 0 has no recurrent term
 in either pass, since the initial state is zero: the forward skips
 ``h U`` there (and the GRU's ``(r ⊗ h) U_c``), and the backward skips the
 t = 0 matmuls whose results would only feed the initial state, with the
@@ -186,20 +188,19 @@ def _fused_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _views(flat: np.ndarray, shapes: Mapping[str, tuple[int, ...]]) -> Params:
-    """Consecutive row-major blocks of the 1-d ``flat``, one per shape, in order."""
-    views: Params = {}
-    lo = 0
+def _layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple[tuple, ...]:
+    """(name, slice, shape) of consecutive row-major blocks, one per shape, in order."""
+    layout, lo = [], 0
     for name, shape in shapes.items():
         hi = lo + math.prod(shape)
-        views[name] = flat[lo:hi].reshape(shape)
+        layout.append((name, slice(lo, hi), shape))
         lo = hi
-    return views
+    return tuple(layout)
 
 
-def _blocks(a: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """The width-``k`` column blocks of ``a``, one per gate."""
-    return tuple(a[..., j:j + k] for j in range(0, a.shape[-1], k))
+def _views(flat: np.ndarray, layout) -> Params:
+    """The blocks of the 1-d ``flat`` that ``layout`` names, as views."""
+    return {name: flat[span].reshape(shape) for name, span, shape in layout}
 
 
 def _gate_major(a: np.ndarray, k: int) -> np.ndarray:
@@ -207,20 +208,31 @@ def _gate_major(a: np.ndarray, k: int) -> np.ndarray:
     return a.reshape(a.shape[0], -1, k).transpose(1, 0, 2)
 
 
-def _named_views(spec: ModelSpec, fused: Mapping[str, np.ndarray]) -> Params:
-    """The per-gate column blocks of ``fused``, in ``param_shapes`` order."""
-    named: Params = {}
+@lru_cache(maxsize=64)
+def _view_plan(spec: ModelSpec):
+    """``(size, fused, named)``: the packed layout of ``spec``, built once per spec.
+
+    ``size`` is the vector's length and ``fused`` the ``_layout`` of its
+    fused tensors. ``named`` holds, in ``param_shapes`` order, each named
+    tensor's (name, fused name, index): the index of its gate's column
+    block in the fused tensor, or None where it is the fused tensor itself.
+    """
+    fused = _layout(_fused_shapes(spec))
+    k = spec.hidden_size
+    named = []
     for direction in spec.directions:
         for group, names in zip("WUb", GATE_NAMES[spec.cell]):
-            blocks = _blocks(fused[f"{direction}_{group}"], spec.hidden_size)
-            named.update((f"{direction}_{name}", v) for name, v in zip(names, blocks))
-    named["out_W"], named["out_b"] = fused["out_W"], fused["out_b"]
-    return named
+            for j, name in enumerate(names):
+                cols = slice(j * k, (j + 1) * k)
+                named.append((f"{direction}_{name}", f"{direction}_{group}",
+                              cols if group == "b" else (slice(None), cols)))
+    named += [("out_W", "out_W", None), ("out_b", "out_b", None)]
+    return sum(math.prod(shape) for _, _, shape in fused), fused, tuple(named)
 
 
 def param_count(spec: ModelSpec) -> int:
     """Length of the packed parameter vector."""
-    return sum(math.prod(shape) for shape in _fused_shapes(spec).values())
+    return _view_plan(spec)[0]
 
 
 class Packed(Mapping):
@@ -237,14 +249,15 @@ class Packed(Mapping):
     __slots__ = ("spec", "vector", "fused", "_named")
 
     def __init__(self, spec: ModelSpec, vector: np.ndarray):
-        size = param_count(spec)
+        size, fused, named = _view_plan(spec)
         if not (isinstance(vector, np.ndarray) and vector.dtype == np.float64
                 and vector.shape == (size,) and vector.flags.c_contiguous):
             raise ValueError(f"the packed vector of {spec} is a contiguous float64 array "
                              f"of shape ({size},)")
         self.spec, self.vector = spec, vector
-        self.fused = _views(vector, _fused_shapes(spec))
-        self._named = _named_views(spec, self.fused)
+        self.fused = _views(vector, fused)
+        self._named = {name: self.fused[source] if index is None else self.fused[source][index]
+                       for name, source, index in named}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._named[name]
@@ -383,7 +396,7 @@ class _DirectionCache:
         states = ("hs", "cs") if cell == "lstm" else ("hs",)
         shapes = {"gates": (T, len(GATE_NAMES[cell][0]), n, hidden), "cand": (T, n, hidden)}
         shapes.update((state, (T + 1, n, hidden)) for state in states)
-        views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), shapes)
+        views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), _layout(shapes))
         for state in states:
             views[state][0] = 0.0
         return cls(xs, **views)
@@ -413,18 +426,56 @@ class ForwardTape:
     prediction: np.ndarray
 
 
-def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
+# A bidirectional pass runs its ``bw`` direction on a worker thread once
+# n * hidden**2 reaches this. Forward ms, sequential/threaded, on 2 vCPUs
+# with 1 BLAS thread: GRU h=32 n=336 3.6/4.0, GRU h=64 n=96 3.2/2.8; GRU
+# h=175 n=10 1.81/2.15, n=20 3.2/2.9, n=40 6.1/5.7, n=96 14.2/10.0, n=336
+# 47/30; LSTM h=175 n=336 59/41. Break-even lies near 0.4M, but a whole
+# h=175 batch-40 training step gained at most 5% (15.0/14.2 ms). 2**21
+# keeps every training batch of the paper's h=175 (at most 40 * 175**2 =
+# 1.2M) sequential, so `--jobs` runs, whose processes fill every core, add
+# no thread per training step, and threads the 336-window test forward.
+_THREAD_MIN_WORK = 2**21
+
+
+def _second_cpu_free() -> bool:
+    """Whether this process may run on two CPUs or more and runs no other thread.
+
+    A DP ``train`` call keeps its noise thread alive throughout. Beside it a
+    direction thread made DP steps slower, not faster: h=500 batch 10
+    45.8 -> 52.9 ms, batch 40 99.2 -> 107.3 ms.
+    """
+    import os
+    import threading
+
+    if threading.active_count() > 1:
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:
+        return (os.cpu_count() or 1) > 1
+
+
+def _step_scratch(cell: str, n: int, hidden: int) -> tuple[np.ndarray, np.ndarray]:
+    """One direction's step temporaries: ``rec`` (n, G*h) and ``tmp`` (n, h)."""
+    return np.empty((n, len(GATE_NAMES[cell][0]) * hidden)), np.empty((n, hidden))
+
+
+def _run_direction(spec: ModelSpec, W, U, b, cache: _DirectionCache, rec, tmp) -> None:
+    """Fill ``cache`` from its ``xs``, in place, using ``rec`` and ``tmp`` as step scratch.
+
+    Allocates nothing that outlives a step, so it may run on a worker thread
+    over arrays the caller allocated.
+    """
+    xs, gates, hs, cs, cand, act = (cache.xs, cache.gates, cache.hs, cache.cs, cache.cand,
+                                    spec.activation)
     T, n, d = xs.shape
-    cache = _DirectionCache.allocate(spec.cell, xs, spec.hidden_size)
-    gates, hs, cs, cand, act = cache.gates, cache.hs, cache.cs, cache.cand, spec.activation
     # The input projection of every step in one matmul, written row-major
     # over the gates' memory: step t's (n, G*h) rows fill the slab that
     # gates[t] later holds gate-major.
     rows = gates.reshape(T, n, -1)
     np.matmul(xs.reshape(T * n, d), W, out=rows.reshape(T * n, -1))
     rows += b
-    # The cell's temporaries, allocated once and reused by every step.
-    rec, tmp = np.empty(rows.shape[1:]), np.empty(cand.shape[1:])
     rec_gates = _gate_major(rec, spec.hidden_size)
     for t in range(T):
         # Permute step t's slab to gate-major in place, through rec.
@@ -436,7 +487,6 @@ def _run_direction(spec: ModelSpec, W, U, b, xs: np.ndarray) -> _DirectionCache:
         else:
             _lstm_cell(gates[t], hs[t], cs[t], U, act, cand[t], hs[t + 1], cs[t + 1],
                        rec, rec_gates, tmp, first=t == 0)
-    return cache
 
 
 def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np.ndarray):
@@ -445,6 +495,13 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     Initial hidden (and cell) states are zero for every window; the
     backward direction consumes the reversed window. Returns
     ``(predictions (n, output), tape)``.
+
+    A bidirectional pass with n * hidden**2 >= ``_THREAD_MIN_WORK``, in a
+    process that may run on two CPUs or more and runs no other thread, runs
+    ``bw`` on one worker thread while the calling thread runs ``fw``. The
+    calling thread allocates every array the worker writes, so the worker
+    only computes in place; each matmul keeps its shape and operands, so
+    the bytes are those of the sequential pass.
     """
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 3:
@@ -457,12 +514,28 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
         )
     same = isinstance(params, Packed) and params.spec == spec
     weights = (params if same else pack_params(spec, params)).fused
+    n, h = windows.shape[0], spec.hidden_size
     time_major = windows.transpose(1, 0, 2)
-    caches: dict[str, _DirectionCache] = {}
-    for direction in spec.directions:
-        xs = np.ascontiguousarray(time_major if direction == "fw" else time_major[::-1])
-        caches[direction] = _run_direction(
-            spec, *(weights[f"{direction}_{k}"] for k in "WUb"), xs)
+    caches = {
+        direction: _DirectionCache.allocate(
+            spec.cell,
+            np.ascontiguousarray(time_major if direction == "fw" else time_major[::-1]), h)
+        for direction in spec.directions
+    }
+    runs = [(spec, *(weights[f"{direction}_{k}"] for k in "WUb"), cache)
+            for direction, cache in caches.items()]
+    scratch = _step_scratch(spec.cell, n, h)
+    if spec.bidirectional and n * h * h >= _THREAD_MIN_WORK and _second_cpu_free():
+        from concurrent.futures import ThreadPoolExecutor
+
+        # The pool joins its thread on leaving the block, also when fw raises.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            bw = pool.submit(_run_direction, *runs[1], *_step_scratch(spec.cell, n, h))
+            _run_direction(*runs[0], *scratch)
+            bw.result()
+    else:
+        for run in runs:
+            _run_direction(*run, *scratch)
     finals = [cache.final for cache in caches.values()]
     h_cat = np.concatenate(finals, axis=1) if len(finals) > 1 else finals[0]
     prediction = h_cat @ weights["out_W"] + weights["out_b"]

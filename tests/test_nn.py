@@ -2,7 +2,9 @@
 
 import copy
 import math
+import os
 import pickle
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,8 @@ from dpforecast import (
     load_params,
     save_params,
 )
-from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_shapes
+from dpforecast import nn
+from dpforecast.nn import GATE_NAMES, Packed, pack_params, param_count, param_shapes
 from dpforecast.optim import adam_step, dp_aggregate, init_adam_state
 
 from reference import cell_gates, cell_step, network_forward
@@ -73,6 +76,15 @@ class TestInitParams:
             assert np.array_equal(a[name], b[name])
             if name.endswith(("b_z", "b_r", "b_c", "out_b")):
                 assert np.all(a[name] == 0.0)
+
+
+def tape_arrays(tape) -> list[np.ndarray]:
+    """Every array a forward tape holds."""
+    arrays = [tape.prediction, tape.h_cat]
+    for cache in tape.caches.values():
+        arrays += [cache.xs, cache.hs, cache.gates, cache.cand]
+        arrays += [] if cache.cs is None else [cache.cs]
+    return arrays
 
 
 def same_view(a, b):
@@ -172,6 +184,25 @@ class TestPacked:
         assert all(np.shares_memory(v, copied.vector) for v in views)
         copied.vector[:] = 0.0
         assert all((v == 0.0).all() for v in views)
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_every_view_shares_the_vector_in_param_shapes_order(self, cell, bidirectional):
+        # Two packs of one spec: the views are cached per spec as a plan, but
+        # each pack's views are of its own vector.
+        spec = ModelSpec(cell, bidirectional, 3, 2, 4, "relu")
+        size = param_count(spec)
+        for start in (0.0, float(size)):
+            vector = np.arange(start, start + size)
+            packed = Packed(spec, vector)
+            assert [(k, v.shape) for k, v in packed.items()] == list(param_shapes(spec).items())
+            assert all(np.shares_memory(v, vector) for v in packed.values())
+            assert all(np.shares_memory(v, vector) for v in packed.fused.values())
+            # The named views cover every element of the vector exactly once.
+            covered = np.sort(np.concatenate([v.ravel() for v in packed.values()]))
+            assert covered.tobytes() == vector.tobytes()
+            assert packed["out_W"] is packed.fused["out_W"]
+            assert packed["out_b"] is packed.fused["out_b"]
 
     def test_no_item_assignment(self):
         params = pack_params(ModelSpec("gru", False, 2, 1, 1))
@@ -369,9 +400,10 @@ class TestForward:
                     assert block.flags.c_contiguous
                     np.testing.assert_allclose(block, gate, rtol=1e-13, atol=0)
 
-    def test_paper_shape_forward_peak_is_the_tape_and_one_step_of_scratch(self):
-        # A 336-window BiLSTM: the projection is permuted step by step, so no
-        # full-size temporary ever lives beside the tape.
+    @staticmethod
+    def paper_shape_forward_peak(monkeypatch, threaded: bool) -> tuple[int, int]:
+        """The traced peak of a 336-window BiLSTM forward, and its tape's bytes."""
+        monkeypatch.setattr(nn, "_second_cpu_free", lambda: threaded)
         spec = ModelSpec("lstm", True, 175, 10, 6, "relu")
         params = init_params(spec, RngStream(42))
         X = RngStream(43).generator().standard_normal((336, 6, 10))
@@ -382,12 +414,137 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        arrays = [tape.prediction, tape.h_cat]
-        for cache in tape.caches.values():
-            arrays += [cache.xs, cache.hs, cache.gates, cache.cand, cache.cs]
-        tape_bytes = sum(a.nbytes for a in arrays)
+        return peak, sum(a.nbytes for a in tape_arrays(tape))
+
+    def test_paper_shape_forward_peak_is_the_tape_and_one_step_of_scratch(self, monkeypatch):
+        # A 336-window BiLSTM: the projection is permuted step by step, so no
+        # full-size temporary ever lives beside the tape.
+        peak, tape_bytes = self.paper_shape_forward_peak(monkeypatch, threaded=False)
         step_scratch = 336 * 4 * 175 * 8
         assert peak <= tape_bytes + step_scratch + 2**20, (peak, tape_bytes)
+
+    def test_threaded_paper_shape_forward_peak_is_the_tape_and_a_step_per_direction(
+            self, monkeypatch):
+        # Each direction running at once has its own step scratch, rec and
+        # tmp, and nothing more.
+        peak, tape_bytes = self.paper_shape_forward_peak(monkeypatch, threaded=True)
+        step_scratch = 336 * (4 + 1) * 175 * 8
+        assert peak <= tape_bytes + 2 * step_scratch + 2**20, (peak, tape_bytes)
+
+
+class TestDirectionThread:
+    """A large bidirectional forward runs ``bw`` on a worker thread, with the same bytes."""
+
+    @staticmethod
+    def recorded_forward(monkeypatch, spec, params, X):
+        """forward_batch's result, and direction -> the thread that ran it.
+
+        Also checks that the call leaves the process's thread count as it was.
+        """
+        ran_on = {}
+        run = nn._run_direction
+
+        def recording(spec, W, U, b, cache, rec, tmp):
+            ran_on[id(cache)] = threading.current_thread()
+            return run(spec, W, U, b, cache, rec, tmp)
+
+        monkeypatch.setattr(nn, "_run_direction", recording)
+        before = threading.active_count()
+        result = forward_batch(spec, params, X)
+        assert threading.active_count() == before
+        monkeypatch.setattr(nn, "_run_direction", run)
+        caches = result[1].caches
+        assert len(ran_on) == len(caches)
+        return result, {direction: ran_on[id(cache)] for direction, cache in caches.items()}
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_threaded_pass_has_the_sequential_bytes(self, monkeypatch, cell, activation):
+        # Large enough that numpy releases the GIL, so the directions overlap.
+        spec = ModelSpec(cell, True, 32, 3, 2, activation)
+        params = init_params(spec, RngStream(50))
+        gen = RngStream(51).generator()
+        X, y = gen.standard_normal((64, 5, 3)), gen.standard_normal((64, 2))
+        results = {}
+        monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
+        for threaded in (False, True):
+            monkeypatch.setattr(nn, "_second_cpu_free", lambda: threaded)
+            (_, tape), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
+            main = threading.current_thread()
+            assert ran_on["fw"] is main and (ran_on["bw"] is not main) == threaded
+            mean = backward_batch(spec, params, tape, y)
+            clipped = backward_batch(spec, params, tape, y, reduce="clip", clip=0.05,
+                                     microbatches=4)
+            results[threaded] = ([a.tobytes() for a in tape_arrays(tape)],
+                                 mean.vector.tobytes(), clipped.vector.tobytes())
+        assert results[True] == results[False]
+
+    @pytest.mark.parametrize("case", ["unidirectional", "below the bar", "one CPU",
+                                      "one CPU by count", "another thread"])
+    def test_no_thread_is_started(self, monkeypatch, case):
+        spec = ModelSpec("gru", case != "unidirectional", 4, 3, 2)
+        params = init_params(spec, RngStream(52))
+        X = RngStream(53).generator().standard_normal((6, 3, 3))
+        if case != "below the bar":
+            monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
+        if case == "unidirectional":
+            monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
+        if case == "below the bar":
+            monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
+            assert 6 * 4**2 < nn._THREAD_MIN_WORK
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        if case == "one CPU by count":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        if case == "another thread":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            other.start()
+        try:
+            (_, _), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
+        finally:
+            stop.set()
+            if other.is_alive():
+                other.join()
+        assert set(ran_on.values()) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, None])
+    def test_two_cpus_and_no_other_thread_start_one(self, monkeypatch, cpus):
+        # By affinity where the platform has it, else by count.
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
+        spec = ModelSpec("gru", True, 4, 3, 2)
+        X = RngStream(53).generator().standard_normal((6, 3, 3))
+        params = init_params(spec, RngStream(52))
+        (_, _), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
+        assert ran_on["fw"] is threading.current_thread() is not ran_on["bw"]
+
+    @pytest.mark.parametrize("direction", ["bw", "fw"])
+    def test_a_raising_direction_propagates_and_leaves_no_thread(self, monkeypatch, direction):
+        # The worker runs bw, the reversed input; the calling thread runs fw.
+        main = threading.current_thread()
+        cell = nn._lstm_cell
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is main) == (direction == "fw"):
+                raise FloatingPointError(f"{direction} failed")
+            return cell(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "_lstm_cell", failing)
+        monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
+        monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
+        spec = ModelSpec("lstm", True, 4, 3, 2)
+        X = RngStream(54).generator().standard_normal((6, 3, 3))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"{direction} failed"):
+            forward_batch(spec, init_params(spec, RngStream(55)), X)
+        assert threading.active_count() == before
 
 
 def max_rel_err(analytic, numeric):
@@ -506,11 +663,7 @@ class TestBackward:
         y = gen.standard_normal((4, 2))
 
         def tape_bytes(tape):
-            arrays = [tape.prediction, tape.h_cat]
-            for cache in tape.caches.values():
-                arrays += [cache.xs, cache.hs, cache.gates, cache.cand]
-                arrays += [] if cache.cs is None else [cache.cs]
-            return [a.tobytes() for a in arrays]
+            return [a.tobytes() for a in tape_arrays(tape)]
 
         def grad_bytes(tape):
             mean = backward_batch(spec, params, tape, y)
