@@ -173,21 +173,6 @@ def _act_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
     return (pre > 0).astype(np.float64)
 
 
-@lru_cache(maxsize=64)
-def _fused_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Fused tensor name -> shape, in the order of the packed vector."""
-    d, h = spec.input_size, spec.hidden_size
-    width = len(GATE_NAMES[spec.cell][0]) * h
-    shapes: dict[str, tuple[int, ...]] = {}
-    for direction in spec.directions:
-        shapes[f"{direction}_W"] = (d, width)
-        shapes[f"{direction}_U"] = (h, width)
-        shapes[f"{direction}_b"] = (width,)
-    shapes["out_W"] = (spec.dense_input, spec.output_size)
-    shapes["out_b"] = (spec.output_size,)
-    return shapes
-
-
 def _layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple[tuple, ...]:
     """(name, slice, shape) of consecutive row-major blocks, one per shape, in order."""
     layout, lo = [], 0
@@ -213,20 +198,27 @@ def _view_plan(spec: ModelSpec):
     """``(size, fused, named)``: the packed layout of ``spec``, built once per spec.
 
     ``size`` is the vector's length and ``fused`` the ``_layout`` of its
-    fused tensors. ``named`` holds, in ``param_shapes`` order, each named
-    tensor's (name, fused name, index): the index of its gate's column
-    block in the fused tensor, or None where it is the fused tensor itself.
+    fused tensors, in the vector's order. ``named`` holds, in
+    ``param_shapes`` order, each named tensor's (name, shape, fused name,
+    index): the index of its gate's column block in the fused tensor, or
+    None where it is the fused tensor itself.
     """
-    fused = _layout(_fused_shapes(spec))
-    k = spec.hidden_size
+    d, k = spec.input_size, spec.hidden_size
+    width = len(GATE_NAMES[spec.cell][0]) * k
+    shapes: dict[str, tuple[int, ...]] = {}
     named = []
     for direction in spec.directions:
-        for group, names in zip("WUb", GATE_NAMES[spec.cell]):
+        for group, rows, names in zip("WUb", (d, k, None), GATE_NAMES[spec.cell]):
+            source = f"{direction}_{group}"
+            shapes[source] = (width,) if rows is None else (rows, width)
             for j, name in enumerate(names):
                 cols = slice(j * k, (j + 1) * k)
-                named.append((f"{direction}_{name}", f"{direction}_{group}",
-                              cols if group == "b" else (slice(None), cols)))
-    named += [("out_W", "out_W", None), ("out_b", "out_b", None)]
+                named.append((f"{direction}_{name}", shapes[source][:-1] + (k,), source,
+                              cols if rows is None else (slice(None), cols)))
+    shapes["out_W"] = (spec.dense_input, spec.output_size)
+    shapes["out_b"] = (spec.output_size,)
+    named += [(name, shapes[name], name, None) for name in ("out_W", "out_b")]
+    fused = _layout(shapes)
     return sum(math.prod(shape) for _, _, shape in fused), fused, tuple(named)
 
 
@@ -257,7 +249,7 @@ class Packed(Mapping):
         self.spec, self.vector = spec, vector
         self.fused = _views(vector, fused)
         self._named = {name: self.fused[source] if index is None else self.fused[source][index]
-                       for name, source, index in named}
+                       for name, _, source, index in named}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._named[name]
@@ -272,15 +264,9 @@ class Packed(Mapping):
         return Packed, (self.spec, self.vector)
 
 
-@lru_cache(maxsize=64)
-def _named_shapes(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    return tuple((name, view.shape)
-                 for name, view in Packed(spec, np.empty(param_count(spec))).items())
-
-
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Deterministically ordered name -> shape map for ``spec``."""
-    return dict(_named_shapes(spec))
+    return {name: shape for name, shape, _, _ in _view_plan(spec)[2]}
 
 
 def pack_params(spec: ModelSpec, tensors: Mapping[str, np.ndarray] | None = None) -> Packed:
@@ -433,21 +419,43 @@ class ForwardTape:
 # 47/30; LSTM h=175 n=336 59/41. Break-even lies near 0.4M, but a whole
 # h=175 batch-40 training step gained at most 5% (15.0/14.2 ms). 2**21
 # keeps every training batch of the paper's h=175 (at most 40 * 175**2 =
-# 1.2M) sequential, so `--jobs` runs, whose processes fill every core, add
-# no thread per training step, and threads the 336-window test forward.
+# 1.2M) sequential and threads the 336-window test forward. The gain was
+# measured only with one BLAS thread in one process; for the two cases
+# that lost, see ``_direction_thread_allowed``.
 _THREAD_MIN_WORK = 2**21
 
 
-def _second_cpu_free() -> bool:
-    """Whether this process may run on two CPUs or more and runs no other thread.
+def _direction_thread_allowed() -> bool:
+    """Whether this process's own state lets a large pass thread its directions.
 
-    A DP ``train`` call keeps its noise thread alive throughout. Beside it a
-    direction thread made DP steps slower, not faster: h=500 batch 10
-    45.8 -> 52.9 ms, batch 40 99.2 -> 107.3 ms.
+    It reads only this process, and requires all of:
+
+    - the BLAS pinned to one thread: ``OPENBLAS_NUM_THREADS`` (or, where
+      that is unset, ``OMP_NUM_THREADS``) is 1. With OpenBLAS's default of
+      a thread per core, the 336-window h=175 forward on 2 vCPUs ran
+      slower threaded: BiLSTM 41.7 -> 53.7 ms, BiGRU 27.9 -> 42.4 ms;
+    - not a ``multiprocessing`` worker, such as a ``train --jobs`` seed,
+      whose sibling processes fill the other cores. Under ``--jobs 2``
+      with one BLAS thread each worker's test forward ran slower
+      threaded: BiLSTM 47.5 -> 51.6 ms, BiGRU 41.9 -> 45.3 ms;
+    - no other live thread, whatever it does. A DP ``train`` call keeps
+      its noise thread alive throughout, and beside it a direction thread
+      made DP steps slower: h=500 batch 10 45.8 -> 52.9 ms, batch 40
+      99.2 -> 107.3 ms;
+    - an affinity (or, without one, a CPU count) of two CPUs or more.
+
+    Other processes competing for the cores are not seen.
     """
     import os
+    import sys
     import threading
 
+    blas = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    if blas is None or blas.strip() != "1":
+        return False
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return False
     if threading.active_count() > 1:
         return False
     try:
@@ -496,8 +504,9 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     backward direction consumes the reversed window. Returns
     ``(predictions (n, output), tape)``.
 
-    A bidirectional pass with n * hidden**2 >= ``_THREAD_MIN_WORK``, in a
-    process that may run on two CPUs or more and runs no other thread, runs
+    A bidirectional pass with n * hidden**2 >= ``_THREAD_MIN_WORK``, where
+    ``_direction_thread_allowed`` holds (one BLAS thread, not a pool
+    worker, no other live thread in the process, two CPUs or more), runs
     ``bw`` on one worker thread while the calling thread runs ``fw``. The
     calling thread allocates every array the worker writes, so the worker
     only computes in place; each matmul keeps its shape and operands, so
@@ -525,7 +534,7 @@ def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np
     runs = [(spec, *(weights[f"{direction}_{k}"] for k in "WUb"), cache)
             for direction, cache in caches.items()]
     scratch = _step_scratch(spec.cell, n, h)
-    if spec.bidirectional and n * h * h >= _THREAD_MIN_WORK and _second_cpu_free():
+    if spec.bidirectional and n * h * h >= _THREAD_MIN_WORK and _direction_thread_allowed():
         from concurrent.futures import ThreadPoolExecutor
 
         # The pool joins its thread on leaving the block, also when fw raises.

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import multiprocessing
 import os
 import pickle
 import threading
@@ -403,7 +404,7 @@ class TestForward:
     @staticmethod
     def paper_shape_forward_peak(monkeypatch, threaded: bool) -> tuple[int, int]:
         """The traced peak of a 336-window BiLSTM forward, and its tape's bytes."""
-        monkeypatch.setattr(nn, "_second_cpu_free", lambda: threaded)
+        monkeypatch.setattr(nn, "_direction_thread_allowed", lambda: threaded)
         spec = ModelSpec("lstm", True, 175, 10, 6, "relu")
         params = init_params(spec, RngStream(42))
         X = RngStream(43).generator().standard_normal((336, 6, 10))
@@ -432,6 +433,26 @@ class TestForward:
         assert peak <= tape_bytes + 2 * step_scratch + 2**20, (peak, tape_bytes)
 
 
+def allow_direction_thread(monkeypatch):
+    """Make every check of ``nn._direction_thread_allowed`` pass, each on its own."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setattr(multiprocessing, "parent_process", lambda: None)
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def thread_allowed_in_a_pool_worker() -> tuple[bool, bool]:
+    """Run in a pool worker: the rule as it stands, and with its worker check patched out."""
+    parent_process = multiprocessing.parent_process
+    as_is = nn._direction_thread_allowed()
+    multiprocessing.parent_process = lambda: None
+    try:
+        return as_is, nn._direction_thread_allowed()
+    finally:
+        multiprocessing.parent_process = parent_process
+
+
 class TestDirectionThread:
     """A large bidirectional forward runs ``bw`` on a worker thread, with the same bytes."""
 
@@ -439,7 +460,7 @@ class TestDirectionThread:
     def recorded_forward(monkeypatch, spec, params, X):
         """forward_batch's result, and direction -> the thread that ran it.
 
-        Also checks that the call leaves the process's thread count as it was.
+        Also checks that the call leaves the process's threads as they were.
         """
         ran_on = {}
         run = nn._run_direction
@@ -449,9 +470,9 @@ class TestDirectionThread:
             return run(spec, W, U, b, cache, rec, tmp)
 
         monkeypatch.setattr(nn, "_run_direction", recording)
-        before = threading.active_count()
+        before = threading.enumerate()
         result = forward_batch(spec, params, X)
-        assert threading.active_count() == before
+        assert threading.enumerate() == before
         monkeypatch.setattr(nn, "_run_direction", run)
         caches = result[1].caches
         assert len(ran_on) == len(caches)
@@ -468,7 +489,7 @@ class TestDirectionThread:
         results = {}
         monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
         for threaded in (False, True):
-            monkeypatch.setattr(nn, "_second_cpu_free", lambda: threaded)
+            monkeypatch.setattr(nn, "_direction_thread_allowed", lambda: threaded)
             (_, tape), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
             main = threading.current_thread()
             assert ran_on["fw"] is main and (ran_on["bw"] is not main) == threaded
@@ -479,51 +500,67 @@ class TestDirectionThread:
                                  mean.vector.tobytes(), clipped.vector.tobytes())
         assert results[True] == results[False]
 
-    @pytest.mark.parametrize("case", ["unidirectional", "below the bar", "one CPU",
-                                      "one CPU by count", "another thread"])
+    @pytest.mark.parametrize("case", [
+        "unidirectional", "below the bar", "BLAS threads unset", "two BLAS threads",
+        "OPENBLAS_NUM_THREADS over OMP_NUM_THREADS", "pool worker", "another thread",
+        "one CPU", "one CPU by count"])
     def test_no_thread_is_started(self, monkeypatch, case):
+        # Every other check passes, so the one the case names decides.
+        allow_direction_thread(monkeypatch)
         spec = ModelSpec("gru", case != "unidirectional", 4, 3, 2)
         params = init_params(spec, RngStream(52))
         X = RngStream(53).generator().standard_normal((6, 3, 3))
-        if case != "below the bar":
-            monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
-        if case == "unidirectional":
-            monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
         if case == "below the bar":
-            monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
             assert 6 * 4**2 < nn._THREAD_MIN_WORK
+        else:
+            monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
+        if case == "BLAS threads unset":
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        if case == "two BLAS threads":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        if case == "OPENBLAS_NUM_THREADS over OMP_NUM_THREADS":
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+            monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        if case == "pool worker":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        if case == "another thread":
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
         if case == "one CPU":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         if case == "one CPU by count":
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        stop = threading.Event()
-        other = threading.Thread(target=stop.wait)
-        if case == "another thread":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-            other.start()
-        try:
-            (_, _), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
-        finally:
-            stop.set()
-            if other.is_alive():
-                other.join()
+        (_, _), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
         assert set(ran_on.values()) == {threading.current_thread()}
 
-    @pytest.mark.parametrize("cpus", [{0, 1}, None])
-    def test_two_cpus_and_no_other_thread_start_one(self, monkeypatch, cpus):
-        # By affinity where the platform has it, else by count.
-        if cpus is None:
+    @pytest.mark.parametrize("cpus", ["affinity", "count"])
+    @pytest.mark.parametrize("blas", [{"OPENBLAS_NUM_THREADS": "1"}, {"OMP_NUM_THREADS": "1"},
+                                      {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}])
+    def test_one_blas_thread_and_two_cpus_start_one(self, monkeypatch, cpus, blas):
+        allow_direction_thread(monkeypatch)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
+        if cpus == "count":
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
         spec = ModelSpec("gru", True, 4, 3, 2)
         X = RngStream(53).generator().standard_normal((6, 3, 3))
         params = init_params(spec, RngStream(52))
         (_, _), ran_on = self.recorded_forward(monkeypatch, spec, params, X)
         assert ran_on["fw"] is threading.current_thread() is not ran_on["bw"]
+
+    def test_a_pool_worker_is_seen_as_one(self, monkeypatch):
+        # The worker inherits the environment and the affinity, and has no
+        # other thread, so only the worker check can refuse.
+        from concurrent.futures import ProcessPoolExecutor
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            as_is, unchecked = pool.submit(thread_allowed_in_a_pool_worker).result()
+        assert not as_is
+        assert unchecked == (len(os.sched_getaffinity(0)) > 1)
 
     @pytest.mark.parametrize("direction", ["bw", "fw"])
     def test_a_raising_direction_propagates_and_leaves_no_thread(self, monkeypatch, direction):
@@ -538,13 +575,13 @@ class TestDirectionThread:
 
         monkeypatch.setattr(nn, "_lstm_cell", failing)
         monkeypatch.setattr(nn, "_THREAD_MIN_WORK", 0)
-        monkeypatch.setattr(nn, "_second_cpu_free", lambda: True)
+        monkeypatch.setattr(nn, "_direction_thread_allowed", lambda: True)
         spec = ModelSpec("lstm", True, 4, 3, 2)
         X = RngStream(54).generator().standard_normal((6, 3, 3))
-        before = threading.active_count()
+        before = threading.enumerate()
         with pytest.raises(FloatingPointError, match=f"{direction} failed"):
             forward_batch(spec, init_params(spec, RngStream(55)), X)
-        assert threading.active_count() == before
+        assert threading.enumerate() == before
 
 
 def max_rel_err(analytic, numeric):
