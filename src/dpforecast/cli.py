@@ -65,6 +65,7 @@ USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
 _CONFIG_ERRORS = (ConfigError, DataFormatError, MechanismValidityError, BudgetError)
+_FLOAT_MAX = sys.float_info.max
 
 
 @contextmanager
@@ -346,9 +347,12 @@ def cmd_evaluate(args) -> int:
                 raise ValueError(
                     f"line {rows.line_num} has {len(row)} fields, the header {len(header)}"
                 )
-            per_region.setdefault(row[region], []).append(
-                (float(row[y_true]), float(row[y_pred]))
-            )
+            t, p = float(row[y_true]), float(row[y_pred])
+            # abs(x) <= the largest float is False exactly for NaN and ±inf.
+            if not (abs(t) <= _FLOAT_MAX and abs(p) <= _FLOAT_MAX):
+                name = "y_pred" if abs(t) <= _FLOAT_MAX else "y_true"
+                raise ValueError(f"line {rows.line_num}: {name} is not finite")
+            per_region.setdefault(row[region], []).append((t, p))
     if not per_region or len({len(pairs) for pairs in per_region.values()}) > 1:
         raise ConfigError(f"{pred_file} needs the same nonzero number of rows per region")
     pairs = np.asarray(list(per_region.values()))  # (regions, slots, [y_true, y_pred])

@@ -102,11 +102,42 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
 
     Cells are written as ``csv.writer`` writes them: ``None`` empty, any
     other value as its ``str``. Callers pass floats as ``repr`` text.
+
+    There are two branches, and they write the same bytes. When every cell
+    is a ``str`` that needs no quoting (see :func:`_plain_text`), the file
+    is the rows joined with ``","`` and ``"\\r\\n"``; otherwise it is
+    written through ``csv.writer``.
     """
+    lines = [header, *rows]
+    text = _plain_text(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        if text is None:
+            csv.writer(fh).writerows(lines)
+        else:
+            fh.write(text)
+
+
+def _plain_text(lines: list) -> str | None:
+    """``lines`` as CSV text joined in C, or None where ``csv.writer`` is needed.
+
+    None when a cell is not a ``str``, a line has fewer than two cells
+    (``csv.writer`` quotes a lone empty cell), or a cell holds ``,``,
+    ``"``, ``\\r``, ``\\n`` or NUL (which ``csv.writer`` refuses before
+    Python 3.11). The last is read off the joined text: a cell holds none
+    of them exactly when the text has no quote and no NUL, one comma fewer
+    than cells on each line, and one CR and one LF per line.
+    """
+    try:
+        widths = list(map(len, lines))
+        text = "\r\n".join(map(",".join, lines)) + "\r\n"
+    except TypeError:  # a cell that is not a str, or a line that is not a sequence
+        return None
+    n = len(lines)
+    if (min(widths) < 2 or '"' in text or "\0" in text
+            or text.count(",") != sum(widths) - n
+            or text.count("\r") != n or text.count("\n") != n):
+        return None
+    return text
 
 
 def write_json(path, obj) -> None:

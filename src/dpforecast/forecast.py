@@ -199,11 +199,10 @@ class RunArtifact:
         y_true = np.asarray(self.y_true, dtype=np.float64).tolist()
         y_pred = np.asarray(self.predictions, dtype=np.float64).tolist()
         stamps = format_timestamps(self.target_timestamps)
-        # A list, not a generator: csv's writerows runs faster on one.
         write_csv(path, ["datetime", "region", "y_true", "y_pred"],
-                  [(stamp, region, repr(t), repr(p))
+                  ((stamp, region, repr(t), repr(p))
                    for stamp, t_row, p_row in zip(stamps, y_true, y_pred, strict=True)
-                   for region, t, p in zip(self.region_labels, t_row, p_row, strict=True)])
+                   for region, t, p in zip(self.region_labels, t_row, p_row, strict=True)))
 
     def summary(self) -> dict:
         out = {
@@ -255,26 +254,30 @@ def prepare(
     test_days: int = 7,
     scale: bool = True,
 ) -> Prepared:
-    """Split, window, and min-max scale one series.
+    """Split, min-max scale and window one series.
 
-    The scaler is fitted on the training windows; every run scales.
-    ``scale`` remains only because ``perfbench/workloads.py`` passes
-    ``True`` in its place, and any other value raises ``ValueError``.
-    Evaluation targets default to the (unscaled) test-window targets; the
-    input-perturbation pipeline swaps in the raw counts afterwards since
-    its training data is noisy.
+    The scaler is fitted on the rows the training windows cover (feature
+    rows ``0 .. n_train_slots - 2`` and the counts of training slots
+    ``lag ..`` as targets), which gives the bounds of a fit on the training
+    windows themselves. The training rows, and the test rows with their
+    ``lag`` rows of training context, are then scaled once each and cut
+    into windows; every array is the bytes of windowing first and scaling
+    the windows. Every run scales. ``scale`` remains only because
+    ``perfbench/workloads.py`` passes ``True`` in its place, and any other
+    value raises ``ValueError``. Evaluation targets are the unscaled test
+    counts; the input-perturbation pipeline swaps in the raw counts
+    afterwards since its training data is noisy.
     """
     if scale is not True:
         raise ValueError(f"scale must be True, got {scale!r}: every run min-max scales")
     train_s, test_s = split(series, train_days, test_days)
-    train_w = make_windows(train_s, lag)
-    test_w = make_windows(test_s, lag, context=train_s)
-    scaler = MinMaxScaler().fit(train_w)
-    raw_targets = np.array(test_w.targets, subok=False)
+    scaler = MinMaxScaler().fit_series(train_s, lag)
+    train_w = make_windows(train_s, lag, scaler=scaler)
+    test_w = make_windows(test_s, lag, context=train_s, scaler=scaler)
     return Prepared(
-        train_windows=scaler.transform(train_w),
-        test_inputs=scaler.transform_inputs(test_w.inputs),
-        raw_test_targets=raw_targets,
+        train_windows=train_w,
+        test_inputs=test_w.inputs,
+        raw_test_targets=np.array(test_s.counts, subok=False),
         target_timestamps=test_w.target_timestamps,
         scaler=scaler,
         region_labels=series.region_labels,

@@ -641,7 +641,12 @@ class TestEvaluateAndReport:
         ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R1,1.0,2.0\n"
          "2020-08-24 00:30:00,R1,1.0\n",
          "line 3 has 3 fields, the header 4"),
-    ], ids=["no_y_pred_column", "short_row"])
+        ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R1,1.0,nan\n",
+         "line 2: y_pred is not finite"),
+        ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R1,1.0,2.0\n"
+         "2020-08-24 00:30:00,R1,1e400,-inf\n",
+         "line 3: y_true is not finite"),
+    ], ids=["no_y_pred_column", "short_row", "nan_y_pred", "overflowing_y_true"])
     def test_evaluate_malformed_predictions_is_usage_error(self, tmp_path, capsys, text,
                                                            reason):
         run_dir = tmp_path / "run"

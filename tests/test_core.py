@@ -1,11 +1,13 @@
 """Numeric-core operations checked against independent oracles."""
 
+import csv
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dpforecast import (
     RngStream,
@@ -13,6 +15,7 @@ from dpforecast import (
     gaussian_sample,
     logsumexp,
 )
+from dpforecast import core
 from dpforecast.core import write_csv, write_json
 
 from reference import log_binomial
@@ -136,12 +139,76 @@ class TestLogSumExp:
         assert shifted == pytest.approx(logsumexp(xs) + c, rel=1e-12, abs=1e-12)
 
 
+# Text that csv.writer quotes, or (NUL) that Python 3.10's csv.writer refuses.
+_QUOTED = st.sampled_from([",", '"', "\r", "\n", "\r\n", "\0", "a,b", 'say "x"'])
+# Surrogates are excluded: no UTF-8 file can hold them, whichever branch writes it.
+_PLAIN = st.text(st.characters(exclude_categories=("Cs",), exclude_characters=',"\r\n\0'),
+                 max_size=6)
+_STR_CELLS = _PLAIN | _QUOTED
+_CELLS = st.one_of(
+    _PLAIN, _QUOTED, st.text(max_size=4), st.just(""), st.none(), st.integers(),
+    st.floats(), st.text(st.sampled_from("é€𝔘 \t"), max_size=3),
+)
+
+
+def _csv_writer_outcome(header, rows):
+    """The bytes ``csv.writer`` writes for the header and rows, or its error's type."""
+    buffer = io.StringIO(newline="")
+    try:
+        writer = csv.writer(buffer)
+        writer.writerow(header)
+        writer.writerows(rows)
+    except csv.Error as exc:
+        return type(exc)
+    return buffer.getvalue().encode("utf-8")
+
+
+def _write_csv_outcome(path, header, rows, as_generator):
+    try:
+        write_csv(path, header, (row for row in rows) if as_generator else rows)
+    except csv.Error as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
 class TestArtifactWriters:
     def test_csv_bytes(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["name", "value", "note"],
                   iter([["a", repr(0.1), None], ["b,c", repr(1e-07), 3]]))
         assert path.read_bytes() == b'name,value,note\r\na,0.1,\r\n"b,c",1e-07,3\r\n'
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.lists(_CELLS, max_size=4),
+           rows=st.lists(st.lists(_CELLS, max_size=4) | st.tuples(_CELLS, _CELLS), max_size=5),
+           as_generator=st.booleans())
+    def test_csv_bytes_are_csv_writers(self, tmp_path_factory, header, rows, as_generator):
+        # Empty and single-cell rows, quoted text and non-str cells: mostly csv.writer's branch.
+        path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+        assert _write_csv_outcome(path, header, rows, as_generator) == _csv_writer_outcome(
+            header, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(header=st.lists(_STR_CELLS, min_size=2, max_size=4),
+           rows=st.lists(st.lists(_STR_CELLS, min_size=2, max_size=4), min_size=1, max_size=5))
+    def test_str_rows_of_two_or_more_cells_are_csv_writers(self, tmp_path_factory, header,
+                                                            rows):
+        # Where the branches part: one cell that needs quoting sends the file to csv.writer.
+        path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+        assert _write_csv_outcome(path, header, rows, False) == _csv_writer_outcome(
+            header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(_PLAIN, min_size=2, max_size=4),
+           rows=st.lists(st.lists(_PLAIN, min_size=2, max_size=4), max_size=5),
+           as_generator=st.booleans())
+    def test_plain_csv_bytes_are_csv_writers(self, tmp_path_factory, header, rows,
+                                             as_generator):
+        # Rows of two or more str cells that need no quoting: the join branch.
+        assert core._plain_text([header, *rows]) is not None
+        path = tmp_path_factory.getbasetemp() / "write_csv.csv"
+        assert _write_csv_outcome(path, header, rows, as_generator) == _csv_writer_outcome(
+            header, rows)
 
     def test_json_bytes(self, tmp_path):
         path = tmp_path / "t.json"

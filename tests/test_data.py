@@ -765,6 +765,24 @@ class TestMakeWindows:
         assert w.inputs.flags.c_contiguous and w.inputs.flags.owndata
         assert w.inputs.base is None
 
+    @pytest.mark.parametrize("with_context", [False, True])
+    @pytest.mark.parametrize("lag", [1, 6, 95])
+    def test_scaler_scales_rows_as_transform_scales_windows(self, lag, with_context):
+        series = build_series(n_days=4, n_regions=3, seed=4)
+        context, part = split(series, train_days=2, test_days=2)
+        scaler = MinMaxScaler().fit(make_windows(context, lag=min(lag, 6)))
+        kwargs = {"context": context} if with_context else {}
+        expected = scaler.transform(make_windows(part, lag=lag, **kwargs))
+        got = make_windows(part, lag=lag, scaler=scaler, **kwargs)
+        for a, b in [(got.inputs, expected.inputs), (got.targets, expected.targets),
+                     (got.target_timestamps, expected.target_timestamps)]:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.flags.c_contiguous and a.base is None
+
+    def test_unfitted_scaler_is_refused(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            make_windows(build_series(n_days=1), lag=2, scaler=MinMaxScaler())
+
     def test_feature_layout_regions_then_cycles(self):
         series = build_series(n_days=1, n_regions=3, seed=0)
         w = make_windows(series, lag=2)
@@ -807,6 +825,32 @@ class TestMinMaxScaler:
         scaled = scaler.transform(w)
         assert np.all(scaled.targets == 0.0)
         assert any("constant" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("values", [
+        np.arange(96.0),  # rising: the last row is the only input row above the rest
+        np.arange(96.0)[::-1],
+        np.full(96, 7.0),  # constant: both warnings
+    ], ids=["rising", "falling", "constant"])
+    @pytest.mark.parametrize("lag", [1, 6, 95])
+    def test_fit_series_matches_fit_on_windows(self, caplog, lag, values):
+        series = series_from_column(values)
+        with caplog.at_level(logging.WARNING):
+            expected = MinMaxScaler().fit(make_windows(series, lag=lag))
+        expected_warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            got = MinMaxScaler().fit_series(series, lag)
+        assert [r.getMessage() for r in caplog.records] == expected_warnings
+        assert got.to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("lag, message", [(0, "lag must be >= 1"),
+                                              (96, "at least 97 required")])
+    def test_fit_series_refuses_what_make_windows_refuses(self, lag, message):
+        series = series_from_column(np.arange(96.0))
+        for fit in (lambda: make_windows(series, lag=lag),
+                    lambda: MinMaxScaler().fit_series(series, lag)):
+            with pytest.raises(ValueError, match=message):
+                fit()
 
     def test_state_lists_the_fitted_bounds(self):
         series = build_series(n_days=1, n_regions=2, seed=1)

@@ -1,5 +1,6 @@
 """Metrics, persistence baseline, and the run pipelines."""
 
+import logging
 import math
 from dataclasses import asdict
 
@@ -34,7 +35,7 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast import forecast
-from dpforecast.data import MinMaxScaler, WindowedDataset
+from dpforecast.data import MinMaxScaler, WindowedDataset, make_windows
 
 from conftest import build_series
 
@@ -171,6 +172,43 @@ class TestPrepare:
     def test_scale_other_than_true_is_refused(self, sine_series, scale):
         with pytest.raises(ValueError, match="scale must be True"):
             forecast.prepare(sine_series, 6, 13, 2, scale)
+
+    @pytest.mark.parametrize("constant", [False, True], ids=["varying", "constant_region"])
+    @pytest.mark.parametrize("n_regions", [1, 6])
+    @pytest.mark.parametrize("lag", [1, 6])
+    def test_matches_scaling_the_windows(self, caplog, lag, n_regions, constant):
+        series = build_series(n_days=9, n_regions=n_regions, seed=3)
+        if constant:
+            counts = series.counts.copy()
+            counts[:, -1] = 500.0
+            series = MobilitySeries(series.timestamps, counts, series.region_labels)
+        with caplog.at_level(logging.WARNING, logger="dpforecast"):
+            expected = _prepare_by_windows(series, lag, 7, 2)
+        expected_warnings = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="dpforecast"):
+            prepared = forecast.prepare(series, lag, 7, 2)
+        assert [r.getMessage() for r in caplog.records] == expected_warnings
+        assert bool(expected_warnings) == constant
+        got = (prepared.train_windows.inputs, prepared.train_windows.targets,
+               prepared.train_windows.target_timestamps, prepared.test_inputs,
+               prepared.raw_test_targets, prepared.target_timestamps)
+        for a, b in zip(got, expected[:-1], strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert a.flags.c_contiguous and a.flags.owndata and a.base is None
+        assert prepared.scaler.to_dict() == expected[-1].to_dict()
+
+
+def _prepare_by_windows(series, lag, train_days, test_days):
+    """``prepare``'s arrays and scaler the old way: window, fit on the windows, scale them."""
+    train_s, test_s = split(series, train_days, test_days)
+    train_w = make_windows(train_s, lag)
+    test_w = make_windows(test_s, lag, context=train_s)
+    scaler = MinMaxScaler().fit(train_w)
+    scaled = scaler.transform(train_w)
+    return (scaled.inputs, scaled.targets, scaled.target_timestamps,
+            scaler.transform_inputs(test_w.inputs), np.array(test_w.targets, subok=False),
+            test_w.target_timestamps, scaler)
 
 
 class TestRecurrentForecaster:
