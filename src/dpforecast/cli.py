@@ -177,8 +177,9 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int, int]:
         "test_days": run.get("test_days", 7),
     }
     with _usage("[run]"):
-        # Only these two calls can refuse the values: the test windows take
-        # their context from train_s, which the training windows accepted.
+        # Only these two calls can refuse the values: prepare cuts the test
+        # windows from the series' last lag + test slots, and split keeps
+        # at least one test slot, so those are at least lag + 1.
         train_s, _ = split(series, args["train_days"], args["test_days"])
         n_windows = make_windows(train_s, args["lag"]).n_samples
     return args, n_windows, train_s.n_slots
@@ -187,6 +188,9 @@ def _split_args(cfg: ExperimentConfig, series) -> tuple[dict, int, int]:
 def cmd_stats(args) -> int:
     cfg = _load_config(args)
     series, path = _dataset_series(cfg)
+    if series.n_slots < 2:
+        raise ConfigError(f"{path}: stats needs two or more slots for a sample std, "
+                          f"got {series.n_slots}")
     stats = descriptive_stats(series)
     out = _out_dir(args)
     write_csv(out / "stats.csv", ["statistic", *series.region_labels],
@@ -356,7 +360,14 @@ def cmd_evaluate(args) -> int:
     if not per_region or len({len(pairs) for pairs in per_region.values()}) > 1:
         raise ConfigError(f"{pred_file} needs the same nonzero number of rows per region")
     pairs = np.asarray(list(per_region.values()))  # (regions, slots, [y_true, y_pred])
-    report = evaluate_forecast(pairs[..., 0].T, pairs[..., 1].T, list(per_region))
+    # Finite values can still overflow in a difference, its square or a sum.
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = evaluate_forecast(pairs[..., 0].T, pairs[..., 1].T, list(per_region))
+    for row in report.to_rows():
+        for metric in ("rmse", "mae"):
+            if not abs(row[metric]) <= _FLOAT_MAX:
+                raise ConfigError(
+                    f"{pred_file}: the {metric} of region {row['region']} overflows a float")
     out = _out_dir(args)
     write_csv(out / "metrics.csv", ["region", "rmse", "mae"],
               ([row["region"], repr(row["rmse"]), repr(row["mae"])] for row in report.to_rows()))

@@ -406,9 +406,7 @@ def feature_matrix(series: MobilitySeries) -> np.ndarray:
     return np.hstack([series.counts, cyclical_matrix(series.timestamps)])
 
 
-def _window_rows(
-    series: MobilitySeries, lag: int, context: MobilitySeries | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _window_rows(series: MobilitySeries, lag: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The feature rows, targets and target timestamps of :func:`make_windows`.
 
     Window ``i`` is ``rows[i:i + lag]`` and its target ``targets[i]``. The
@@ -416,44 +414,26 @@ def _window_rows(
     """
     if lag < 1:
         raise ValueError(f"lag must be >= 1, got {lag}")
-    feats = feature_matrix(series)
-    if context is None:
-        if series.n_slots < lag + 1:
-            raise ValueError(
-                f"series has {series.n_slots} slots; at least {lag + 1} required"
-            )
-        return feats, series.counts[lag:], series.timestamps[lag:]
-    if context.region_labels != series.region_labels:
-        raise ValueError("context and series disagree on regions")
-    gap = (series.timestamps[0] - context.timestamps[-1]).astype("timedelta64[s]")
-    if int(gap.astype(np.int64)) != SLOT_SECONDS:
-        raise ValueError("context must end exactly one slot before the series")
-    if context.n_slots < lag:
-        raise ValueError(f"context provides {context.n_slots} slots; lag={lag} needed")
-    tail = MobilitySeries(context.timestamps[-lag:], context.counts[-lag:],
-                          context.region_labels)
-    return np.vstack([feature_matrix(tail), feats]), series.counts, series.timestamps
+    if series.n_slots < lag + 1:
+        raise ValueError(f"series has {series.n_slots} slots; at least {lag + 1} required")
+    return feature_matrix(series), series.counts[lag:], series.timestamps[lag:]
 
 
 def make_windows(
-    series: MobilitySeries,
-    lag: int = 6,
-    context: MobilitySeries | None = None,
-    scaler: MinMaxScaler | None = None,
+    series: MobilitySeries, lag: int = 6, scaler: MinMaxScaler | None = None
 ) -> WindowedDataset:
-    """Build supervised windows; ``context`` supplies the first lag steps.
+    """The ``n_slots - lag`` supervised windows of one contiguous series.
 
-    Without context the first ``lag`` slots only serve as inputs, giving
-    ``n_slots - lag`` samples. With a context series (whose last slot must
-    immediately precede ``series``) every slot becomes a target.
+    The first ``lag`` slots only serve as inputs. For windows whose inputs
+    reach back before a stretch of slots, window the longer series that
+    holds those slots too.
 
     With a fitted ``scaler``, the feature rows and the targets are scaled
     before the windows are cut. Scaling maps each value on its own, so the
-    result has the bytes of ``scaler.transform(make_windows(series, lag,
-    context))``, while each row is scaled once rather than once per window
-    that holds it.
+    result has the bytes of ``scaler.transform(make_windows(series, lag))``,
+    while each row is scaled once rather than once per window that holds it.
     """
-    rows, targets, target_ts = _window_rows(series, lag, context)
+    rows, targets, target_ts = _window_rows(series, lag)
     if scaler is None:
         targets = np.array(targets)
     else:
@@ -479,9 +459,8 @@ class MinMaxScaler:
     """Per-column min-max scaling to [0, 1], fitted on training data only.
 
     Input columns and target columns are fitted separately; degenerate
-    columns (max == min) map to 0. ``fit``/``transform`` follow the usual
-    estimator conventions and test-time values outside the training range
-    map outside [0, 1].
+    columns (max == min) map to 0. ``fit`` reads the training series, and
+    test-time values outside the training range map outside [0, 1].
     """
 
     def __init__(self):
@@ -490,23 +469,16 @@ class MinMaxScaler:
         self.target_min_ = None
         self.target_max_ = None
 
-    def fit(self, windows: WindowedDataset) -> "MinMaxScaler":
-        """Fit on every feature row of every window, and on the targets."""
-        return self._fit(windows.inputs.reshape(-1, windows.inputs.shape[2]), windows.targets)
-
-    def fit_series(self, series: MobilitySeries, lag: int) -> "MinMaxScaler":
+    def fit(self, series: MobilitySeries, lag: int) -> "MinMaxScaler":
         """Fit on the rows that ``make_windows(series, lag)`` cuts its windows from.
 
         Those windows cover feature rows ``0 .. n_slots - 2`` and target the
-        counts of slots ``lag .. n_slots - 1``, so this sets the bounds, and
-        logs the warnings, of ``fit(make_windows(series, lag))`` while each
+        counts of slots ``lag .. n_slots - 1``, so these are the bounds of
+        every feature row of every window, and of the targets, while each
         row is read once rather than once per window that holds it.
         """
         rows, targets, _ = _window_rows(series, lag)
-        return self._fit(rows[:-1], targets)
-
-    def _fit(self, rows: np.ndarray, targets: np.ndarray) -> "MinMaxScaler":
-        self.input_min_, self.input_max_ = _column_bounds(rows)
+        self.input_min_, self.input_max_ = _column_bounds(rows[:-1])
         self.target_min_, self.target_max_ = _column_bounds(targets)
         for name, lo, hi in [("input", self.input_min_, self.input_max_),
                              ("target", self.target_min_, self.target_max_)]:

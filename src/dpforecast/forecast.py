@@ -259,21 +259,24 @@ def prepare(
     The scaler is fitted on the rows the training windows cover (feature
     rows ``0 .. n_train_slots - 2`` and the counts of training slots
     ``lag ..`` as targets), which gives the bounds of a fit on the training
-    windows themselves. The training rows, and the test rows with their
-    ``lag`` rows of training context, are then scaled once each and cut
-    into windows; every array is the bytes of windowing first and scaling
-    the windows. Every run scales. ``scale`` remains only because
-    ``perfbench/workloads.py`` passes ``True`` in its place, and any other
-    value raises ``ValueError``. Evaluation targets are the unscaled test
-    counts; the input-perturbation pipeline swaps in the raw counts
-    afterwards since its training data is noisy.
+    windows themselves. The test windows are the windows of the series'
+    last ``lag + test`` slots, so their inputs reach back into the last
+    ``lag`` training slots and every test slot is a target. Rows are scaled
+    once each and then cut into windows; every array is the bytes of
+    windowing first and scaling the windows. Every run scales. ``scale``
+    remains only because ``perfbench/workloads.py`` passes ``True`` in its
+    place, and any other value raises ``ValueError``. Evaluation targets
+    are the unscaled test counts; the input-perturbation pipeline swaps in
+    the raw counts afterwards since its training data is noisy.
     """
     if scale is not True:
         raise ValueError(f"scale must be True, got {scale!r}: every run min-max scales")
     train_s, test_s = split(series, train_days, test_days)
-    scaler = MinMaxScaler().fit_series(train_s, lag)
+    scaler = MinMaxScaler().fit(train_s, lag)
     train_w = make_windows(train_s, lag, scaler=scaler)
-    test_w = make_windows(test_s, lag, context=train_s, scaler=scaler)
+    n = lag + test_s.n_slots
+    tail = MobilitySeries(series.timestamps[-n:], series.counts[-n:], series.region_labels)
+    test_w = make_windows(tail, lag, scaler=scaler)
     return Prepared(
         train_windows=train_w,
         test_inputs=test_w.inputs,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestStats:
         assert main(["--config", str(cfg), "--out", str(out), "stats"]) == 0
         rows = {r[0]: r[1:] for r in list(csv.reader(open(out / "stats.csv")))[1:]}
         assert [float(v) for v in rows["std"]] == [0.0, 0.0]
+
+    def test_one_slot_file_is_usage_error(self, tmp_path, capsys):
+        # A sample std needs two slots; one would write NaN under numpy warnings.
+        data = tmp_path / "one.csv"
+        data.write_text("datetime,R1,R2\n2020-08-24 00:00:00,5,9\n")
+        cfg = write_config(tmp_path, f"[dataset]\npath = {data}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "stats"]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: stats needs two or more slots for a sample std, got 1\n" in err
+        assert not (tmp_path / "o" / "stats.csv").exists()
 
     def test_empty_file_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"
@@ -646,13 +659,22 @@ class TestEvaluateAndReport:
         ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R1,1.0,2.0\n"
          "2020-08-24 00:30:00,R1,1e400,-inf\n",
          "line 3: y_true is not finite"),
-    ], ids=["no_y_pred_column", "short_row", "nan_y_pred", "overflowing_y_true"])
+        ("datetime,region,y_true,y_pred\n"
+         "2020-08-24 00:00:00,R1,1e300,-1.7976931348623157e308\n",
+         "the rmse of region R1 overflows a float"),
+        ("datetime,region,y_true,y_pred\n2020-08-24 00:00:00,R2,1.0,2.0\n"
+         "2020-08-24 00:00:00,R1,1e200,-1e200\n",
+         "the rmse of region R1 overflows a float"),
+    ], ids=["no_y_pred_column", "short_row", "nan_y_pred", "overflowing_y_true",
+            "overflowing_difference", "overflowing_square"])
     def test_evaluate_malformed_predictions_is_usage_error(self, tmp_path, capsys, text,
                                                            reason):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
         (run_dir / "predictions.csv").write_text(text)
-        assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {run_dir / 'predictions.csv'}: {reason}\n"
 

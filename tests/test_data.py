@@ -32,6 +32,17 @@ def series_from_column(values, start=START, label="R1"):
     return MobilitySeries(ts, values[:, None], (label,))
 
 
+def constant_column_warnings(bounds):
+    """The scaler's warnings, in order, for ``to_dict``-shaped bounds."""
+    warnings = []
+    for name in ("input", "target"):
+        lo, hi = np.array(bounds[f"{name}_min"]), np.array(bounds[f"{name}_max"])
+        constant = np.flatnonzero(lo == hi).tolist()
+        if constant:
+            warnings.append(f"{name} columns {constant} are constant; scaling them to 0")
+    return warnings
+
+
 class TestLoadCsv:
     def test_two_row_file(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -699,18 +710,11 @@ class TestSplit:
 
 
 class TestMakeWindows:
-    def test_sample_count_without_context(self):
+    def test_sample_count(self):
         series = build_series(n_days=65, n_regions=2, seed=0, noise=0.0)
         w = make_windows(series, lag=6)
         assert w.n_samples == 3120 - 6
         assert w.inputs.shape == (3114, 6, 2 + 4)
-
-    def test_context_covers_every_test_slot(self):
-        series = build_series(n_days=72, n_regions=2, seed=0, noise=0.0)
-        train, test = split(series)
-        w = make_windows(test, lag=6, context=train)
-        assert w.n_samples == 336
-        np.testing.assert_array_equal(w.targets, test.counts)
 
     def test_zero_lag_rejected(self):
         series = build_series(n_days=1)
@@ -733,47 +737,29 @@ class TestMakeWindows:
         w = make_windows(series, lag=6)
         assert np.all(w.target_timestamps == series.timestamps[6:])
 
-    def test_noncontiguous_context_rejected(self):
-        series = build_series(n_days=3, n_regions=1, seed=5)
-        context = MobilitySeries(
-            series.timestamps[:48], series.counts[:48], series.region_labels
-        )
-        test = MobilitySeries(
-            series.timestamps[96:], series.counts[96:], series.region_labels
-        )
-        with pytest.raises(ValueError, match="one slot before"):
-            make_windows(test, lag=3, context=context)
-
-    @pytest.mark.parametrize("with_context", [False, True])
+    @pytest.mark.parametrize("n_days", [2, 4])
     @pytest.mark.parametrize("lag", [1, 95])
-    def test_matches_stacked_slices(self, lag, with_context):
-        # 96 slots per part, so lag 95 is n_slots - 1: a single window without context
-        series = build_series(n_days=4, n_regions=3, seed=2)
-        context, part = split(series, train_days=2, test_days=2)
-        feats = feature_matrix(part)
-        if with_context:
-            full = np.vstack([feature_matrix(context)[-lag:], feats])
-            n = part.n_slots
-            w = make_windows(part, lag=lag, context=context)
-        else:
-            full, n = feats, part.n_slots - lag
-            w = make_windows(part, lag=lag)
-        expected = np.stack([full[i:i + lag] for i in range(n)])
+    def test_matches_stacked_slices(self, lag, n_days):
+        # lag 95 is n_slots - 1 of two days: a single window
+        series = build_series(n_days=n_days, n_regions=3, seed=2)
+        feats = feature_matrix(series)
+        w = make_windows(series, lag=lag)
+        expected = np.stack([feats[i:i + lag] for i in range(series.n_slots - lag)])
         assert w.inputs.shape == expected.shape
         assert w.inputs.dtype == expected.dtype
         assert w.inputs.tobytes() == expected.tobytes()
         assert w.inputs.flags.c_contiguous and w.inputs.flags.owndata
         assert w.inputs.base is None
 
-    @pytest.mark.parametrize("with_context", [False, True])
+    @pytest.mark.parametrize("scaled", ["fitted", "later"])
     @pytest.mark.parametrize("lag", [1, 6, 95])
-    def test_scaler_scales_rows_as_transform_scales_windows(self, lag, with_context):
+    def test_scaler_scales_rows_as_transform_scales_windows(self, lag, scaled):
         series = build_series(n_days=4, n_regions=3, seed=4)
-        context, part = split(series, train_days=2, test_days=2)
-        scaler = MinMaxScaler().fit(make_windows(context, lag=min(lag, 6)))
-        kwargs = {"context": context} if with_context else {}
-        expected = scaler.transform(make_windows(part, lag=lag, **kwargs))
-        got = make_windows(part, lag=lag, scaler=scaler, **kwargs)
+        fitted, later = split(series, train_days=2, test_days=2)
+        scaler = MinMaxScaler().fit(fitted, lag=min(lag, 6))
+        part = fitted if scaled == "fitted" else later
+        expected = scaler.transform(make_windows(part, lag=lag))
+        got = make_windows(part, lag=lag, scaler=scaler)
         for a, b in [(got.inputs, expected.inputs), (got.targets, expected.targets),
                      (got.target_timestamps, expected.target_timestamps)]:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -798,22 +784,21 @@ class TestMinMaxScaler:
         # lag=1 windows make the targets exactly {0, 50, 100}
         series = series_from_column([33.0, 0.0, 50.0, 100.0])
         w = make_windows(series, lag=1)
-        scaler = MinMaxScaler().fit(w)
+        scaler = MinMaxScaler().fit(series, lag=1)
         scaled = scaler.transform(w)
         np.testing.assert_allclose(scaled.targets.ravel(), [0.0, 0.5, 1.0], atol=1e-12)
 
     def test_apply_then_invert_is_identity(self):
         series = build_series(n_days=2, n_regions=3, seed=8)
         w = make_windows(series, lag=3)
-        scaler = MinMaxScaler().fit(w)
+        scaler = MinMaxScaler().fit(series, lag=3)
         restored = scaler.inverse_transform_targets(scaler.transform(w).targets)
         np.testing.assert_allclose(restored, w.targets, rtol=1e-12, atol=1e-9)
 
     def test_out_of_range_values_extrapolate(self):
         # fitted target range is [0, 20]; a test value of 40 maps to 2.0
         series = series_from_column([7.0, 0.0, 10.0, 20.0])
-        w = make_windows(series, lag=1)
-        scaler = MinMaxScaler().fit(w)
+        scaler = MinMaxScaler().fit(series, lag=1)
         doubled = scaler._scale(np.array([40.0]), scaler.target_min_, scaler.target_max_)
         assert doubled[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -821,7 +806,7 @@ class TestMinMaxScaler:
         series = series_from_column([7.0, 7.0, 7.0, 7.0])
         w = make_windows(series, lag=1)
         with caplog.at_level(logging.WARNING):
-            scaler = MinMaxScaler().fit(w)
+            scaler = MinMaxScaler().fit(series, lag=1)
         scaled = scaler.transform(w)
         assert np.all(scaled.targets == 0.0)
         assert any("constant" in rec.message for rec in caplog.records)
@@ -832,30 +817,31 @@ class TestMinMaxScaler:
         np.full(96, 7.0),  # constant: both warnings
     ], ids=["rising", "falling", "constant"])
     @pytest.mark.parametrize("lag", [1, 6, 95])
-    def test_fit_series_matches_fit_on_windows(self, caplog, lag, values):
+    def test_fit_bounds_are_the_windows_min_and_max(self, caplog, lag, values):
         series = series_from_column(values)
+        w = make_windows(series, lag=lag)
+        rows = w.inputs.reshape(-1, w.inputs.shape[2])
+        expected = {"input_min": np.min(rows, axis=0).tolist(),
+                    "input_max": np.max(rows, axis=0).tolist(),
+                    "target_min": np.min(w.targets, axis=0).tolist(),
+                    "target_max": np.max(w.targets, axis=0).tolist()}
         with caplog.at_level(logging.WARNING):
-            expected = MinMaxScaler().fit(make_windows(series, lag=lag))
-        expected_warnings = [r.getMessage() for r in caplog.records]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING):
-            got = MinMaxScaler().fit_series(series, lag)
-        assert [r.getMessage() for r in caplog.records] == expected_warnings
-        assert got.to_dict() == expected.to_dict()
+            got = MinMaxScaler().fit(series, lag)
+        assert got.to_dict() == expected
+        assert [r.getMessage() for r in caplog.records] == constant_column_warnings(expected)
 
     @pytest.mark.parametrize("lag, message", [(0, "lag must be >= 1"),
                                               (96, "at least 97 required")])
-    def test_fit_series_refuses_what_make_windows_refuses(self, lag, message):
+    def test_fit_refuses_what_make_windows_refuses(self, lag, message):
         series = series_from_column(np.arange(96.0))
-        for fit in (lambda: make_windows(series, lag=lag),
-                    lambda: MinMaxScaler().fit_series(series, lag)):
+        for call in (lambda: make_windows(series, lag=lag),
+                     lambda: MinMaxScaler().fit(series, lag)):
             with pytest.raises(ValueError, match=message):
-                fit()
+                call()
 
     def test_state_lists_the_fitted_bounds(self):
         series = build_series(n_days=1, n_regions=2, seed=1)
-        w = make_windows(series, lag=2)
-        scaler = MinMaxScaler().fit(w)
+        scaler = MinMaxScaler().fit(series, lag=2)
         state = scaler.to_dict()
         for key in ("input_min", "input_max", "target_min", "target_max"):
             assert state[key] == getattr(scaler, f"{key}_").tolist()

@@ -35,9 +35,10 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast import forecast
-from dpforecast.data import MinMaxScaler, WindowedDataset, make_windows
+from dpforecast.data import SLOTS_PER_DAY, MinMaxScaler, WindowedDataset, feature_matrix
 
 from conftest import build_series
+from test_data import constant_column_warnings
 
 
 class TestMetrics:
@@ -182,10 +183,8 @@ class TestPrepare:
             counts = series.counts.copy()
             counts[:, -1] = 500.0
             series = MobilitySeries(series.timestamps, counts, series.region_labels)
-        with caplog.at_level(logging.WARNING, logger="dpforecast"):
-            expected = _prepare_by_windows(series, lag, 7, 2)
-        expected_warnings = [r.getMessage() for r in caplog.records]
-        caplog.clear()
+        expected = _prepare_by_windows(series, lag, 7, 2)
+        expected_warnings = constant_column_warnings(expected[-1])
         with caplog.at_level(logging.WARNING, logger="dpforecast"):
             prepared = forecast.prepare(series, lag, 7, 2)
         assert [r.getMessage() for r in caplog.records] == expected_warnings
@@ -196,19 +195,43 @@ class TestPrepare:
         for a, b in zip(got, expected[:-1], strict=True):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
             assert a.flags.c_contiguous and a.flags.owndata and a.base is None
-        assert prepared.scaler.to_dict() == expected[-1].to_dict()
+        assert prepared.scaler.to_dict() == expected[-1]
+
+    def test_test_windows_target_every_raw_test_count(self):
+        series = build_series(n_days=72, n_regions=2, seed=0, noise=0.0)
+        _, test = split(series)
+        prepared = forecast.prepare(series)
+        assert prepared.test_inputs.shape == (336, 6, 2 + 4)
+        np.testing.assert_array_equal(prepared.raw_test_targets, test.counts)
+        np.testing.assert_array_equal(prepared.target_timestamps, test.timestamps)
 
 
 def _prepare_by_windows(series, lag, train_days, test_days):
-    """``prepare``'s arrays and scaler the old way: window, fit on the windows, scale them."""
-    train_s, test_s = split(series, train_days, test_days)
-    train_w = make_windows(train_s, lag)
-    test_w = make_windows(test_s, lag, context=train_s)
-    scaler = MinMaxScaler().fit(train_w)
-    scaled = scaler.transform(train_w)
-    return (scaled.inputs, scaled.targets, scaled.target_timestamps,
-            scaler.transform_inputs(test_w.inputs), np.array(test_w.targets, subok=False),
-            test_w.target_timestamps, scaler)
+    """``prepare``'s arrays and scaler bounds from slices of the feature rows, in numpy.
+
+    Windows are stacked slices of the train and test days' feature rows,
+    the bounds are the min and max over the training windows, and the
+    windows are then scaled with them.
+    """
+    n_train, n_test = train_days * SLOTS_PER_DAY, test_days * SLOTS_PER_DAY
+    days = slice(series.n_slots - n_train - n_test, None)
+    rows = feature_matrix(MobilitySeries(series.timestamps[days], series.counts[days],
+                                         series.region_labels))
+    counts, stamps = series.counts[days], series.timestamps[days]
+    train_x = np.stack([rows[i:i + lag] for i in range(n_train - lag)])
+    test_x = np.stack([rows[i:i + lag] for i in range(n_train - lag, n_train + n_test - lag)])
+    train_y = counts[lag:n_train]
+    x_lo, x_hi = (f(train_x.reshape(-1, rows.shape[1]), axis=0) for f in (np.min, np.max))
+    y_lo, y_hi = np.min(train_y, axis=0), np.max(train_y, axis=0)
+
+    def scaled(x, lo, hi):
+        span = hi - lo
+        return np.where(span == 0, 0.0, (x - lo) / np.where(span == 0, 1.0, span))
+
+    bounds = {"input_min": x_lo.tolist(), "input_max": x_hi.tolist(),
+              "target_min": y_lo.tolist(), "target_max": y_hi.tolist()}
+    return (scaled(train_x, x_lo, x_hi), scaled(train_y, y_lo, y_hi), stamps[lag:n_train],
+            scaled(test_x, x_lo, x_hi), np.array(counts[n_train:]), stamps[n_train:], bounds)
 
 
 class TestRecurrentForecaster:
@@ -217,9 +240,10 @@ class TestRecurrentForecaster:
         X = gen.uniform(0, 1, (40, 4, 3))
         y = gen.uniform(0, 1, (40, 2))
         windows = WindowedDataset(X, y, target_timestamps=np.arange(40))
+        scaler = MinMaxScaler().fit(build_series(n_days=1, n_regions=2, seed=0), lag=4)
         prepared = forecast.Prepared(
             train_windows=windows, test_inputs=X, raw_test_targets=y,
-            target_timestamps=np.arange(40), scaler=MinMaxScaler().fit(windows),
+            target_timestamps=np.arange(40), scaler=scaler,
             region_labels=("r0", "r1"), n_train_slots=40,
         )
         model = ModelConfig(cell="gru", bidirectional=True, hidden_size=4, activation="relu")

@@ -450,8 +450,7 @@ def toy_windows(n=60, seed=3, lag=3):
     ts = START + np.arange(n + lag + 1) * SLOT
     counts = 100 + 50 * np.sin(2 * np.pi * np.arange(n + lag + 1) / 48)
     series = MobilitySeries(ts, counts[:, None], ("R1",))
-    w = make_windows(series, lag=lag)
-    return MinMaxScaler().fit(w).transform(w)
+    return make_windows(series, lag=lag, scaler=MinMaxScaler().fit(series, lag))
 
 
 def random_windows(n=40, lag=4, d=3, out=2, seed=7):
