@@ -264,15 +264,21 @@ def cmd_accountant(args) -> int:
     return 0
 
 
-def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_basis: int,
-                 release_seed: int):
-    """``fit(model, train, seeds, jobs=1, **trial)``, the run ``train`` and ``tune`` make.
+def _trained_run(cfg: ExperimentConfig, kind: str, series, release_seed: int):
+    """``(model, train, fit)`` for the campaign ``train`` and ``tune`` make.
 
-    A campaign's privacy settings, the delta budget over its ``n_basis``
-    training slots among them, are checked here, before any model trains;
-    an input campaign makes its one release from ``release_seed``.
-    A gradient ``trial`` overrides the ``[dp]`` values a search varies.
+    Checks, in this order and before any model trains: ``[run]`` lag and
+    days against ``series``, ``[model]``, ``[train]`` with its batch size
+    against the training windows, then the kind's privacy settings: the
+    ``[dp]`` noise multiplier for gradient, ``[privacy]`` for input, and
+    the delta budget over the training slots for both. An input campaign
+    makes its one release from ``release_seed``. ``fit(model, train,
+    seeds, jobs=1, **trial)`` trains; a gradient ``trial`` overrides the
+    ``[dp]`` values a search varies.
     """
+    split_args, n_windows, n_basis = _split_args(cfg, series)
+    model = _model_config(cfg)
+    train = _train_config(cfg, n_windows)
     if kind == "nonprivate":
         def fit(model, train, seeds, jobs=1):
             return run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
@@ -296,7 +302,7 @@ def _trained_run(cfg: ExperimentConfig, kind: str, series, split_args: dict, n_b
 
         def fit(model, train, seeds, jobs=1):
             return fit_release(release, model, train, seeds, jobs=jobs, **split_args)
-    return fit
+    return model, train, fit
 
 
 def cmd_train(args) -> int:
@@ -304,14 +310,11 @@ def cmd_train(args) -> int:
     kind = cfg.get("run", "kind", "nonprivate")
     jobs = _jobs(args)
     series, path = _dataset_series(cfg)
-    split_args, n_windows, n_basis = _split_args(cfg, series)
     seeds = _seeds(cfg, args)
     if kind == "baseline":
-        artifact = run_baseline(series, **split_args)
+        artifact = run_baseline(series, **_split_args(cfg, series)[0])
     else:
-        model = _model_config(cfg)
-        train = _train_config(cfg, n_windows)
-        fit = _trained_run(cfg, kind, series, split_args, n_basis, seeds[0])
+        model, train, fit = _trained_run(cfg, kind, series, seeds[0])
         artifact = fit(model, train, seeds, jobs=jobs)
     out = _out_dir(args)
     artifact.write_metrics_csv(out / "metrics.csv")
@@ -418,11 +421,8 @@ def cmd_tune(args) -> int:
             "[tune] needs budget >= 1, epochs >= 0 and strategy random or tpe-lite")
     if len(series.region_labels) < 2:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
-    split_args, n_windows, n_basis = _split_args(cfg, series)
-    model = _model_config(cfg)
-    train = _train_config(cfg, n_windows)
     seed = args.seed if args.seed is not None else 0
-    fit = _trained_run(cfg, kind, series, split_args, n_basis, seed)
+    model, train, fit = _trained_run(cfg, kind, series, seed)
     if kind == "gradient":
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),

@@ -17,12 +17,10 @@ class ConfigError(ValueError):
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError("expected a boolean")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected a boolean") from None
 
 
 def finite_float(raw: str) -> float:

@@ -24,6 +24,7 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast.cli import main
+from dpforecast.config import parse_config
 
 from conftest import build_series, write_series_csv
 from test_forecast import PoisonableArray
@@ -226,6 +227,18 @@ class TestAccountant:
     def test_missing_rate_arguments_is_usage_error(self):
         assert main(["accountant", "--noise-multiplier", "35", "--delta", "1e-7"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--q", "0.01"],
+        ["--q", "0.01", "--epochs", "100"],
+        ["--n", "3120", "--batch", "5"],
+        ["--q", "0.01", "--epochs", "100", "--n", "3120"],
+    ], ids=["neither", "epochs-without-size", "size-without-epochs", "epochs-without-batch"])
+    def test_missing_step_arguments_is_usage_error(self, argv, capsys):
+        assert main(["accountant", "--noise-multiplier", "35", "--delta", "1e-7", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: provide --steps or --epochs with --n/--batch\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--n", "--batch"])
     def test_non_positive_size_is_usage_error(self, flag, capsys):
         sizes = {"--n": "3120", "--batch": "5", flag: "0"}
@@ -383,6 +396,20 @@ class TestConfigFile:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling, value", [
+        *((s, True) for s in ("true", "Yes", "1", "ON")),
+        *((s, False) for s in ("false", "No", "0", "OFF")),
+    ])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        cfg = write_config(tmp_path, f"[model]\nbidirectional = {spelling}\n")
+        assert parse_config(cfg).get("model", "bidirectional") is value
+
+    @pytest.mark.parametrize("command", ["stats", "clean", "sanitize", "train", "tune"])
+    def test_missing_config_flag_is_usage_error(self, tmp_path, capsys, command):
+        assert main(["--out", str(tmp_path / "o"), command]) == 2
+        assert capsys.readouterr().err == "error: this command requires --config <path>\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["stats", "clean", "sanitize", "train", "tune"])
     def test_dataset_path_naming_no_file_is_usage_error(self, tmp_path, capsys, command):
@@ -620,6 +647,17 @@ class TestEvaluateAndReport:
             assert f"error: {bad / 'summary.json'}: " in capsys.readouterr().err
         assert not (tmp_path / "rep").exists()
 
+    def test_report_without_a_summary_is_usage_error(self, tmp_path, capsys):
+        good, bare = tmp_path / "good", tmp_path / "bare"
+        good.mkdir()
+        bare.mkdir()
+        (good / "summary.json").write_text('{"mean_rmse": 2.0, "mean_mae": 1.0}')
+        for run, reference in [(bare, good), (good, bare)]:
+            assert main(["--out", str(tmp_path / "rep"), "report", "--run", str(run),
+                         "--reference", str(reference)]) == 2
+            assert capsys.readouterr().err == f"error: no summary.json under {bare}\n"
+        assert not (tmp_path / "rep").exists()
+
     def test_evaluate_writes_library_metrics_in_file_order(self, tmp_path, dataset):
         run_dir = self._run(tmp_path, dataset, "baseline", "base")
         rows = list(csv.DictReader(open(run_dir / "predictions.csv")))
@@ -695,6 +733,20 @@ class TestEvaluateAndReport:
             assert main(["--out", str(out), "evaluate", "--run", str(run_dir)]) == 0
             written[name] = (out / "metrics.csv").read_bytes()
         assert written["shuffled"] == written["canonical"]
+
+    def test_evaluate_skips_blank_records(self, tmp_path):
+        rows = ["datetime,region,y_true,y_pred", "2020-08-24 00:00:00,R1,1.0,2.5",
+                "2020-08-24 00:00:00,R2,4.0,3.0", "2020-08-24 00:30:00,R1,2.0,2.0",
+                "2020-08-24 00:30:00,R2,5.0,7.5"]
+        written = {}
+        for name, lines in (("plain", rows), ("blank", rows[:2] + [""] + rows[2:] + [""])):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "predictions.csv").write_text("\n".join(lines) + "\n")
+            out = tmp_path / f"{name}_eval"
+            assert main(["--out", str(out), "evaluate", "--run", str(run_dir)]) == 0
+            written[name] = (out / "metrics.csv").read_bytes()
+        assert written["blank"] == written["plain"]
 
     def test_evaluate_missing_run_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "evaluate",
@@ -794,6 +846,29 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
         err = capsys.readouterr().err
         assert section in err and "Traceback" not in err
+
+    def test_train_and_tune_refuse_a_campaign_in_one_order(self, tmp_path, dataset, capsys):
+        # Each fix uncovers the next section's error, for both commands alike.
+        fixes = [
+            ("test_days = 0", "test_days = 2", "error: [run]: "),
+            ("cell = rnn", "cell = gru", "error: [model]: "),
+            ("batch_size = 1000", "batch_size = 4",
+             "error: [train] batch_size exceeds the 618 training windows"),
+            ("noise_multiplier = 1e-170", "noise_multiplier = 2.0", "error: [dp]: "),
+            ("delta = 1.0", "delta = 1e-7", "error: [privacy]: "),
+        ]
+        body = gradient_config(dataset) + TUNE_ONE_TRIAL
+        for fixed, broken, _ in fixes:
+            body = body.replace(broken, fixed)
+        for broken, fixed, named in fixes:
+            cfg = write_config(tmp_path, body)
+            errors = []
+            for command in ("train", "tune"):
+                assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), command]) == 2
+                errors.append(capsys.readouterr().err)
+            assert errors[0] == errors[1] and errors[0].startswith(named), errors
+            body = body.replace(broken, fixed)
+        assert not (tmp_path / "o").exists()
 
     def test_baseline_has_nothing_to_tune(self, tmp_path, dataset, capsys):
         body = BASE_CONFIG.format(data=dataset, kind="baseline") + TUNE_ONE_TRIAL

@@ -132,6 +132,12 @@ class TestLogSumExp:
         with pytest.raises(ValueError):
             logsumexp([])
 
+    @pytest.mark.parametrize("xs", [[-math.inf], [-math.inf, -math.inf]])
+    def test_all_minus_infinity_is_minus_infinity(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert logsumexp(xs) == -math.inf
+
     @given(st.floats(-100, 100))
     def test_shift_invariance(self, c):
         xs = [0.3, -1.2, 4.0]

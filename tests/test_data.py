@@ -12,6 +12,7 @@ from dpforecast import (
     DataFormatError,
     MinMaxScaler,
     MobilitySeries,
+    WindowedDataset,
     descriptive_stats,
     feature_matrix,
     iqr_clean,
@@ -41,6 +42,21 @@ def constant_column_warnings(bounds):
         if constant:
             warnings.append(f"{name} columns {constant} are constant; scaling them to 0")
     return warnings
+
+
+class TestMobilitySeriesChecks:
+    @pytest.mark.parametrize("steps, shape, labels, message", [
+        ((0, 1, 2), (3,), ("R1",), "counts shape (3,) inconsistent with 3 timestamps"),
+        ((0, 1, 2), (2, 1), ("R1",), "counts shape (2, 1) inconsistent with 3 timestamps"),
+        ((0, 1, 2), (3, 2), ("R1",), "region label count does not match count columns"),
+        ((0, 2, 1), (3, 1), ("R1",), "timestamps must be strictly increasing"),
+        ((0, 1, 1), (3, 1), ("R1",), "timestamps must be strictly increasing"),
+        ((0, 1, 3), (3, 1), ("R1",), "timestamps must sit on a 30-minute grid"),
+    ], ids=["flat-counts", "short-counts", "labels", "order", "repeat", "grid"])
+    def test_refusal_names_what_is_wrong(self, steps, shape, labels, message):
+        with pytest.raises(DataFormatError) as err:
+            MobilitySeries(START + np.array(steps) * SLOT, np.zeros(shape), labels)
+        assert str(err.value) == message
 
 
 class TestLoadCsv:
@@ -268,6 +284,23 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError) as err:
             load_csv(path)
         assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("header", ["datetime", "time,R1", "", " ,R1"],
+                             ids=["no-region", "not-datetime", "blank", "blank-first"])
+    def test_bad_header_is_refused(self, tmp_path, header):
+        path = tmp_path / "header.csv"
+        path.write_text(f"{header}\n2020-08-24 00:00:00,1\n")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: header must be 'datetime' followed by region columns"
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "  \n"], ids=["none", "blank", "spaces"])
+    def test_header_without_data_rows_is_refused(self, tmp_path, body):
+        path = tmp_path / "header-only.csv"
+        path.write_text(f"datetime,R1\n{body}")
+        with pytest.raises(DataFormatError) as err:
+            load_csv(path)
+        assert str(err.value) == f"{path}: no data rows"
 
 
 def _canonical_rows(n):
@@ -572,6 +605,12 @@ class TestIqrClean:
         cleaned = iqr_clean(MobilitySeries(series.timestamps, counts, series.region_labels))
         assert not np.isnan(cleaned.counts).any()
 
+    def test_empty_series_comes_back_empty(self):
+        empty = MobilitySeries(START + np.arange(0) * SLOT, np.zeros((0, 2)), ("R1", "R2"))
+        cleaned = iqr_clean(empty)
+        assert cleaned.n_slots == 0 and cleaned.counts.shape == (0, 2)
+        assert cleaned.region_labels == ("R1", "R2") and cleaned.privacy is None
+
 
 class TestIqrCleanMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -715,6 +754,16 @@ class TestMakeWindows:
         w = make_windows(series, lag=6)
         assert w.n_samples == 3120 - 6
         assert w.inputs.shape == (3114, 6, 2 + 4)
+
+    @pytest.mark.parametrize("inputs, targets, message", [
+        ((2, 6), (2, 1), "inputs must be (n, lag, d) and targets (n, regions)"),
+        ((2, 6, 5), (2,), "inputs must be (n, lag, d) and targets (n, regions)"),
+        ((2, 6, 5), (3, 1), "inputs and targets disagree on sample count"),
+    ], ids=["flat-inputs", "flat-targets", "sample-count"])
+    def test_windowed_dataset_refuses_mismatched_arrays(self, inputs, targets, message):
+        with pytest.raises(ValueError) as err:
+            WindowedDataset(np.zeros(inputs), np.zeros(targets), START + np.arange(2) * SLOT)
+        assert str(err.value) == message
 
     def test_zero_lag_rejected(self):
         series = build_series(n_days=1)

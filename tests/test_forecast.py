@@ -107,6 +107,13 @@ class TestPersistence:
         preds = persistence_forecast(test_counts, np.array([9.0]))
         np.testing.assert_array_equal(preds, [[9.0], [1.0], [2.0]])
 
+    @pytest.mark.parametrize("test_counts", [np.zeros((0, 2)), np.zeros(3)],
+                             ids=["no-slots", "flat"])
+    def test_empty_or_flat_test_counts_are_refused(self, test_counts):
+        with pytest.raises(ValueError) as err:
+            persistence_forecast(test_counts, np.array([7.0, 7.0]))
+        assert str(err.value) == "test counts must be a nonempty (n, regions) matrix"
+
     def test_deterministic_run(self, sine_series):
         a = run_baseline(sine_series, train_days=13, test_days=2)
         b = run_baseline(sine_series, train_days=13, test_days=2)

@@ -613,6 +613,24 @@ class TestBackward:
         grads = backward_batch(spec, params, tape, target)
         np.testing.assert_allclose(grads["out_b"], np.sign(pred - target)[0] / 3.0, atol=0)
 
+    def test_unknown_reduction_is_refused(self):
+        spec = ModelSpec("gru", False, 2, 1, 1, "tanh")
+        params = init_params(spec, RngStream(0))
+        pred, tape = forward_batch(spec, params, np.zeros((2, 3, 1)))
+        with pytest.raises(ValueError) as err:
+            backward_batch(spec, params, tape, pred, reduce="sum")
+        assert str(err.value) == "reduce must be 'mean', 'stack' or 'clip', got 'sum'"
+
+    @pytest.mark.parametrize("reduce", ["mean", "stack", "clip"])
+    def test_target_shape_must_match_predictions(self, reduce):
+        spec = ModelSpec("gru", False, 2, 1, 1, "tanh")
+        params = init_params(spec, RngStream(0))
+        _, tape = forward_batch(spec, params, np.zeros((2, 3, 1)))
+        clip = {"clip": 1.0} if reduce == "clip" else {}
+        with pytest.raises(ValueError) as err:
+            backward_batch(spec, params, tape, np.zeros((3, 1)), reduce=reduce, **clip)
+        assert str(err.value) == "targets shape (3, 1) != predictions (2, 1)"
+
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_gradients_match_finite_differences(self, cell, bidirectional):

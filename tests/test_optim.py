@@ -374,6 +374,15 @@ class TestAdamStep:
         assert np.array_equal(new_params.vector, saved)
         assert new_state.step == 1
 
+    def test_state_of_another_size_is_refused(self):
+        params = tiny(1.0)
+        saved = params.vector.copy()
+        state = optim.AdamState(m=np.zeros(5), v=np.zeros(5))
+        with pytest.raises(ValueError) as err:
+            adam_step(params, tiny(), state, 0.1)
+        assert str(err.value) == "state holds 5 moments for 11 parameters"
+        assert np.array_equal(params.vector, saved)
+
     def test_single_step_hand_value(self):
         # Bias-corrected first step with g=1: update = -lr / (1 + eps_hat).
         params = tiny()
@@ -470,6 +479,15 @@ class TestTrain:
         for name in p0:
             assert np.array_equal(params[name], p0[name])
         assert log.step_count == 0
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_empty_dataset_is_refused(self, private):
+        spec = ModelSpec("gru", False, 2, 3, 2, "tanh")
+        cfg = (DpSgdConfig(1.0, 0.5, 1, 8, 2, 0.01) if private
+               else NonPrivateConfig(8, 2, 0.01))
+        with pytest.raises(ValueError) as err:
+            train(spec, init_params(spec, RngStream(0)), random_windows(n=0), cfg, RngStream(1))
+        assert str(err.value) == "dataset is empty"
 
     @pytest.mark.parametrize("private", [False, True])
     def test_params0_untouched_and_same_seed_same_bytes(self, private):

@@ -57,6 +57,12 @@ class TestGaussianSigma:
         with pytest.raises(MechanismValidityError):
             gaussian_sigma(1.0, eps, 1e-5)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -1e-7, 1.5])
+    def test_delta_outside_validity_rejected(self, delta):
+        with pytest.raises(MechanismValidityError) as err:
+            gaussian_sigma(1.0, 0.5, delta)
+        assert str(err.value) == f"delta must be in (0, 1), got {delta}"
+
     def test_boundary_epsilon_accepted(self):
         assert gaussian_sigma(1.0, 0.99, 1e-5) > 0
 
@@ -518,6 +524,17 @@ class TestDeltaBudgetCheck:
 
     def test_too_large_delta_fails(self):
         assert delta_budget_check(1e-6, 3120) is False
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_fewer_than_one_release_is_refused(self, n):
+        with pytest.raises(ValueError) as err:
+            delta_budget_check(1e-7, n)
+        assert str(err.value) == "n must be >= 1"
+
+    def test_negative_delta_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            delta_budget_check(-1e-9, 10)
+        assert str(err.value) == "delta must be nonnegative"
 
     def test_zero_delta_always_fits(self):
         for n in (1, 10, 10**6):

@@ -82,6 +82,23 @@ class TestRunSearch:
         assert len(result.trials) == 1
         assert result.best is result.trials[0]
 
+    @pytest.mark.parametrize("budget, strategy, message", [
+        (0, "random", "budget must be >= 1"),
+        (-2, "tpe-lite", "budget must be >= 1"),
+        (3, "grid", "unknown strategy 'grid'"),
+    ], ids=["zero-budget", "negative-budget", "strategy"])
+    def test_bad_budget_or_strategy_is_refused(self, budget, strategy, message):
+        calls = []
+
+        def pipeline(config, seed):
+            calls.append(seed)
+            return quadratic_pipeline(config, seed)
+
+        with pytest.raises(ValueError) as err:
+            run_search(SearchSpace(), pipeline, budget, strategy, RngStream(0))
+        assert str(err.value) == message
+        assert calls == []
+
     def test_random_search_finds_near_optimum(self):
         result = run_search(
             SearchSpace(), quadratic_pipeline, budget=100, rng=RngStream(1)
