@@ -49,32 +49,32 @@ residual defined as 0.
 
 The forward pass computes ``a`` for all T steps in one matmul and keeps a
 tape per direction: the input in time-major direction order (T, n, d), the
-hidden (and LSTM cell) states stacked as (T+1, n, h), the gate values
-stacked gate-major as (T, G, n, h), and the candidate's pre-activation as
-(T, n, h). The projection matmul writes its row-major (T*n, G*h) product
-over the gates' memory; before step t runs, its (n, G*h) slab is permuted
-in place to (G, n, h) through one step's scratch, so every gate's (n, h)
-block is contiguous and the step's elementwise work runs on whole blocks.
-The recurrent products keep their fused row-major shapes and are added
-through a gate-major view. A direction's states, gates and
-pre-activations are views of one fresh block per call, so no tape shares
-memory with another call's, and the steps of a call reuse one set of
-scratch arrays for the cell's temporaries (one set per direction when a
-large bidirectional pass runs its directions on two threads; see
-``forward_batch``). Step 0 has no recurrent term
-in either pass, since the initial state is zero: the forward skips
-``h U`` there (and the GRU's ``(r ⊗ h) U_c``), and the backward skips the
-t = 0 matmuls whose results would only feed the initial state, with the
-GRU's reset delta at t = 0 set to 0. The backward pass runs the
-recurrence over ``dh`` step by step, with the LSTM's gate deltas (the
-GRU's update and reset deltas) copied to one row-major (n, G*h) operand
-(n, 2h for the GRU) for one fused matmul per step, and collects the gate
-deltas gate-major in a (G, T, n, h) array, so each gate's deltas are one
-contiguous block. Every weight gradient is a sum over rows of
-``a.T @ delta``, with ``a`` the input of its tensor (``xs``, ``h_prev``
-or, for the GRU's candidate, ``r ⊗ h_prev``; a bias's input is a column
-of ones). Two reductions share the
-recurrence, each forming a gate tensor's gradient in one reduction:
+hidden (and LSTM cell) states stacked as (T+1, n, h), and the gate values
+stacked gate-major as (T, G, n, h). No pre-activation is kept, since each
+activation's derivative is read from its output: tanh' is 1 - out**2 and
+relu' is out > 0. The projection matmul writes its row-major (T*n, G*h)
+product over the gates' memory; before step t runs, its (n, G*h) slab is
+permuted in place to (G, n, h) through one step's scratch, so every gate's
+(n, h) block is contiguous and the step's elementwise work runs on whole
+blocks, overwriting each pre-activation with its gate value. The recurrent
+products keep their fused row-major shapes and are added through a
+gate-major view. A direction's states and gates are views of one fresh
+block per call, so no tape shares memory with another call's, and the
+steps of a call reuse one set of scratch arrays for the cell's temporaries
+(one set per direction when a large bidirectional pass runs its directions
+on two threads; see ``forward_batch``). Step 0 has no recurrent term in
+either pass, since the initial state is zero: the forward skips ``h U``
+there (and the GRU's ``(r ⊗ h) U_c``), and the backward skips the t = 0
+matmuls whose results would only feed the initial state, with the GRU's
+reset delta at t = 0 set to 0. The backward pass runs the recurrence over
+``dh`` step by step, with the LSTM's gate deltas (the GRU's update and
+reset deltas) copied to one row-major (n, G*h) operand (n, 2h for the GRU)
+for one fused matmul per step, and collects the gate deltas gate-major in
+a (G, T, n, h) array, so each gate's deltas are one contiguous block.
+Every weight gradient is a sum over rows of ``a.T @ delta``, with ``a``
+the input of its tensor (``xs``, ``h_prev`` or, for the GRU's candidate,
+``r ⊗ h_prev``; a bias's input is a column of ones). Two reductions share
+the recurrence, each forming a gate tensor's gradient in one reduction:
 
 - the batch mean, a (k, T*n) @ (T*n, h) matmul written straight into the
   packed gradient vector; per-example gradients (``reduce="stack"``) are
@@ -165,12 +165,13 @@ def _act(a: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(a, 0.0, out=out)
 
 
-def _act_grad(pre: np.ndarray, out: np.ndarray, kind: str) -> np.ndarray:
-    # tanh' from the activation output; relu' from the pre-activation,
-    # with the subgradient at exactly 0 taken as 0.
+def _act_grad(out: np.ndarray, kind: str) -> np.ndarray:
+    # Both from the activation's output. relu' is pre > 0, the subgradient
+    # at exactly 0 taken as 0, and relu(pre) > 0 is the same mask: relu
+    # keeps -0.0 and NaN, neither of them above 0.
     if kind == "tanh":
         return 1.0 - out * out
-    return (pre > 0).astype(np.float64)
+    return (out > 0).astype(np.float64)
 
 
 def _layout(shapes: Mapping[str, tuple[int, ...]]) -> tuple[tuple, ...]:
@@ -296,12 +297,12 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     return params
 
 
-def _gru_cell(a, h, U, act: str, a_c, out, rec, rec_gates, tmp, first: bool):
+def _gru_cell(a, h, U, act: str, out, rec, rec_gates, tmp, first: bool):
     """One GRU step, in place on the gate-major input projection ``a`` (3, n, h).
 
     Adds the recurrent terms and applies the gates, so that ``a`` ends as
-    [z, r, c]; writes the candidate's pre-activation into ``a_c`` and the
-    new hidden state into ``out``. ``rec`` (n, 3h) and ``tmp`` (n, h) are
+    [z, r, c], each pre-activation overwritten by its value; writes the new
+    hidden state into ``out``. ``rec`` (n, 3h) and ``tmp`` (n, h) are
     scratch: the recurrent products are written row-major into ``rec``'s
     column blocks and added through ``rec_gates``, its gate-major view.
     With ``first``, ``h`` is the zero initial state, whose recurrent
@@ -315,38 +316,36 @@ def _gru_cell(a, h, U, act: str, a_c, out, rec, rec_gates, tmp, first: bool):
     z, r = _sigmoid(zr, out=zr)
     if first:
         # Adding 0.0 where (r h) U would add +0.0: a -0.0 turns into +0.0 all the same.
-        np.add(a[2], 0.0, out=a_c)
+        a[2] += 0.0
     else:
         np.matmul(np.multiply(r, h, out=tmp), U[:, 2 * k:], out=rec[:, 2 * k:])
-        np.add(a[2], rec_gates[2], out=a_c)
-    c = _act(a_c, act, out=a[2])
+        a[2] += rec_gates[2]
+    c = _act(a[2], act, out=a[2])
     # h' = z c + (1 - z) h, the two terms summed in either order (IEEE addition commutes).
     np.multiply(z, c, out=out)
     out += np.multiply(np.subtract(1.0, z, out=tmp), h, out=tmp)
     return out
 
 
-def _lstm_cell(a, h, c, U, act: str, a_g, h_out, c_out, rec, rec_gates, tmp, first: bool):
+def _lstm_cell(a, h, c, U, act: str, h_out, c_out, rec, rec_gates, tmp, first: bool):
     """One LSTM step, in place on the gate-major input projection ``a`` (4, n, h).
 
     Adds ``h U`` and applies the gates, so that ``a`` ends as
-    [i, f, o, g]; writes g's pre-activation into ``a_g`` and the new
-    states into ``h_out`` and ``c_out``, and returns them. ``rec`` (n, 4h)
+    [i, f, o, g], each pre-activation overwritten by its value; writes the
+    new states into ``h_out`` and ``c_out``, and returns them. ``rec`` (n, 4h)
     and ``tmp`` (n, h) are scratch: ``h U`` is written row-major into
     ``rec`` and added through ``rec_gates``, its gate-major view. With
     ``first``, ``h`` is the zero initial state, whose product ``h U`` is
     +0.0 for finite ``U``, and it is skipped.
     """
-    if not first:
+    if first:
+        # Adding 0.0 to g where h U would add +0.0: a -0.0 turns into +0.0 all the same.
+        a[3] += 0.0
+    else:
         np.matmul(h, U, out=rec)
         a += rec_gates
     i, f, o = _sigmoid(a[:3], out=a[:3])
-    if first:
-        # Adding 0.0 where h U would add +0.0: a -0.0 turns into +0.0 all the same.
-        np.add(a[3], 0.0, out=a_g)
-    else:
-        np.copyto(a_g, a[3])
-    g = _act(a_g, act, out=a[3])
+    g = _act(a[3], act, out=a[3])
     np.multiply(f, c, out=c_out)
     c_out += np.multiply(i, g, out=tmp)
     np.multiply(o, _act(c_out, act, out=tmp), out=h_out)
@@ -363,24 +362,23 @@ class _DirectionCache:
     gate-major within each step, so every ``gates[t, j]`` is one contiguous
     (n, h) block: step t's input projection, which the step permutes from
     the projection matmul's row-major (n, G*h) into that layout in place
-    and turns into its gate values in gate order. ``cand`` (T, n, h) holds
-    the candidate's pre-activation (a_c, a_g). ``allocate`` takes
-    ``gates``, ``hs``, ``cand`` and ``cs`` as views of one fresh block,
-    uninitialised but for the two zero rows, so a tape shares no memory
+    and turns into its gate values in gate order. No pre-activation is
+    kept: the backward reads each activation's derivative from its output.
+    ``allocate`` takes ``gates``, ``hs`` and ``cs`` as views of one fresh
+    block, uninitialised but for the zero rows, so a tape shares no memory
     with any other call's.
     """
 
     xs: np.ndarray
     hs: np.ndarray
     gates: np.ndarray
-    cand: np.ndarray
     cs: np.ndarray | None = None
 
     @classmethod
     def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
         T, n, _ = xs.shape
         states = ("hs", "cs") if cell == "lstm" else ("hs",)
-        shapes = {"gates": (T, len(GATE_NAMES[cell][0]), n, hidden), "cand": (T, n, hidden)}
+        shapes = {"gates": (T, len(GATE_NAMES[cell][0]), n, hidden)}
         shapes.update((state, (T + 1, n, hidden)) for state in states)
         views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), _layout(shapes))
         for state in states:
@@ -393,7 +391,6 @@ class _DirectionCache:
     c_t = property(lambda self: self.cs[1:])
     # The GRU's gates are [z, r, c].
     r = property(lambda self: self.gates[:, 1])
-    a_c = a_g = property(lambda self: self.cand)
 
 
 @dataclass
@@ -475,8 +472,7 @@ def _run_direction(spec: ModelSpec, W, U, b, cache: _DirectionCache, rec, tmp) -
     Allocates nothing that outlives a step, so it may run on a worker thread
     over arrays the caller allocated.
     """
-    xs, gates, hs, cs, cand, act = (cache.xs, cache.gates, cache.hs, cache.cs, cache.cand,
-                                    spec.activation)
+    xs, gates, hs, cs, act = cache.xs, cache.gates, cache.hs, cache.cs, spec.activation
     T, n, d = xs.shape
     # The input projection of every step in one matmul, written row-major
     # over the gates' memory: step t's (n, G*h) rows fill the slab that
@@ -490,11 +486,10 @@ def _run_direction(spec: ModelSpec, W, U, b, cache: _DirectionCache, rec, tmp) -
         np.copyto(rec, rows[t])
         np.copyto(gates[t], rec_gates)
         if spec.cell == "gru":
-            _gru_cell(gates[t], hs[t], U, act, cand[t], hs[t + 1], rec, rec_gates, tmp,
-                      first=t == 0)
+            _gru_cell(gates[t], hs[t], U, act, hs[t + 1], rec, rec_gates, tmp, first=t == 0)
         else:
-            _lstm_cell(gates[t], hs[t], cs[t], U, act, cand[t], hs[t + 1], cs[t + 1],
-                       rec, rec_gates, tmp, first=t == 0)
+            _lstm_cell(gates[t], hs[t], cs[t], U, act, hs[t + 1], cs[t + 1], rec, rec_gates,
+                       tmp, first=t == 0)
 
 
 def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np.ndarray):
@@ -564,14 +559,14 @@ def _sum_outer(a: np.ndarray, da: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh: np.ndarray):
     """One direction's gate deltas, gate-major (G, T, n, h), and each gate's recurrent input."""
     act, k = spec.activation, spec.hidden_size
-    h_prev, cand, gates = cache.h_prev, cache.cand, cache.gates
+    h_prev, gates = cache.h_prev, cache.gates
     T, G, n, _ = gates.shape
     # Start each gate delta as its sigmoid's derivative, and take the other
     # factors that do not depend on dh, for all steps at once.
     da = np.empty((G, T, n, k))
     sig = gates[:, :G - 1]
     np.multiply(sig, 1.0 - sig, out=da[:G - 1].transpose(1, 0, 2, 3))
-    d_cand = _act_grad(cand, gates[:, G - 1], act)
+    d_cand = _act_grad(gates[:, G - 1], act)
     if spec.cell == "gru":
         U_zr, U_c = U[:, :2 * k], U[:, 2 * k:]
         c_minus_h = gates[:, 2] - h_prev
@@ -596,7 +591,7 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
     else:
         dc = np.zeros_like(dh)
         act_c = _act(cache.c_t, act)
-        d_act_c = _act_grad(cache.c_t, act_c, act)
+        d_act_c = _act_grad(act_c, act)
         # The recurrent product's operand da[:, t], row-major (n, 4h).
         da_rows = np.empty((n, G * k))
         da_gates = _gate_major(da_rows, k)

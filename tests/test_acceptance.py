@@ -182,8 +182,12 @@ def _kink_free(spec, params, X, y, margin=1e-3):
     if np.min(np.abs(pred - y)) <= margin:
         return False
     if spec.activation == "relu":
-        for cache in tape.caches.values():
-            preacts = cache.a_c if spec.cell == "gru" else cache.a_g
+        k = spec.hidden_size
+        for direction, cache in tape.caches.items():
+            # The candidate's pre-activation at every step, from the fused weights.
+            W, U, b = (tape.weights[f"{direction}_{name}"][..., -k:] for name in "WUb")
+            h_in = cache.r * cache.h_prev if spec.cell == "gru" else cache.h_prev
+            preacts = cache.xs @ W + b + h_in @ U
             if any(np.min(np.abs(a)) <= margin for a in preacts):
                 return False
             if spec.cell == "lstm":

@@ -83,7 +83,7 @@ def tape_arrays(tape) -> list[np.ndarray]:
     """Every array a forward tape holds."""
     arrays = [tape.prediction, tape.h_cat]
     for cache in tape.caches.values():
-        arrays += [cache.xs, cache.hs, cache.gates, cache.cand]
+        arrays += [cache.xs, cache.hs, cache.gates]
         arrays += [] if cache.cs is None else [cache.cs]
     return arrays
 
@@ -302,6 +302,21 @@ class TestGruStep:
         assert h[0] == pytest.approx(0.7, abs=1e-9)
 
 
+class TestActGrad:
+    def test_relu_derivative_from_the_output_is_the_pre_activation_mask(self):
+        # relu keeps -0.0 and NaN, neither above 0, so the output's mask is
+        # the pre-activation's, bit for bit.
+        tiny = np.nextafter(0.0, 1.0)
+        pre = np.concatenate([
+            [0.0, -0.0, tiny, -tiny, np.finfo(float).tiny / 2, -np.finfo(float).tiny / 2,
+             np.inf, -np.inf, np.nan, -np.nan, np.finfo(float).max, -np.finfo(float).max],
+            RngStream(60).generator().standard_normal(200) * 10.0 ** np.arange(-100, 100),
+        ])
+        got = nn._act_grad(np.maximum(pre, 0.0), "relu")
+        assert got.dtype == np.float64
+        assert got.tobytes() == (pre > 0).astype(float).tobytes()
+
+
 class TestForwardBatchInputChecks:
     @pytest.mark.parametrize("shape, message", [
         ((6, 3), "windows must be 3-d"),
@@ -416,6 +431,25 @@ class TestForward:
         finally:
             tracemalloc.stop()
         return peak, sum(a.nbytes for a in tape_arrays(tape))
+
+    @pytest.mark.parametrize("cell, units", [("gru", 25), ("lstm", 38)])
+    def test_paper_shape_tape_holds_no_pre_activation(self, cell, units):
+        # Per direction, the block behind the states and gates holds
+        # (G*T + states*(T+1)) * n*h floats: GRU 18 + 7, LSTM 24 + 14.
+        spec = ModelSpec(cell, True, 175, 10, 6, "relu")
+        params = init_params(spec, RngStream(44))
+        X = RngStream(45).generator().standard_normal((336, 6, 10))
+        _, tape = forward_batch(spec, params, X)
+        owners = {}
+        for a in [tape.prediction, tape.h_cat] + [
+                value for cache in tape.caches.values() for value in vars(cache).values()
+                if isinstance(value, np.ndarray)]:
+            while a.base is not None:
+                a = a.base
+            owners[id(a)] = a
+        n, h, T, d = 336, 175, 6, 10
+        expected = 8 * (n * 6 + n * 2 * h + 2 * (T * n * d + units * n * h))
+        assert sum(a.nbytes for a in owners.values()) == expected
 
     def test_paper_shape_forward_peak_is_the_tape_and_one_step_of_scratch(self, monkeypatch):
         # A 336-window BiLSTM: the projection is permuted step by step, so no
