@@ -49,20 +49,26 @@ residual defined as 0.
 
 The forward pass computes ``a`` for all T steps in one matmul and keeps a
 tape per direction: the input in time-major direction order (T, n, d), the
-hidden (and LSTM cell) states stacked as (T+1, n, h), and the gate values
-stacked gate-major as (T, G, n, h). No pre-activation is kept, since each
-activation's derivative is read from its output: tanh' is 1 - out**2 and
-relu' is out > 0. The projection matmul writes its row-major (T*n, G*h)
-product over the gates' memory; before step t runs, its (n, G*h) slab is
-permuted in place to (G, n, h) through one step's scratch, so every gate's
-(n, h) block is contiguous and the step's elementwise work runs on whole
-blocks, overwriting each pre-activation with its gate value. The recurrent
-products keep their fused row-major shapes and are added through a
-gate-major view. A direction's states and gates are views of one fresh
-block per call, so no tape shares memory with another call's, and the
-steps of a call reuse one set of scratch arrays for the cell's temporaries
-(one set per direction when a large bidirectional pass runs its directions
-on two threads; see ``forward_batch``). Step 0 has no recurrent term in
+GRU's hidden states and the LSTM's cell states stacked as (T+1, n, h), and
+the gate values stacked gate-major as (T, G, n, h). Of the LSTM's hidden
+states only the last is kept: its steps take turns in two slots, and the
+backward rebuilds h_t as o_t ⊗ act(c_t) from the gates and cell states,
+the forward's own product of the same values, so the same bits. No
+pre-activation is kept, since each activation's derivative is read from
+its output: tanh' is 1 - out**2 and relu' is out > 0. The projection
+matmul writes its row-major (T*n, G*h) product over the gates' memory, and
+step t turns its (n, G*h) slab into (G, n, h) gate values in place, so
+every gate's (n, h) block is contiguous. The GRU permutes the slab to
+gate-major through one step's scratch, then runs its elementwise work on
+whole blocks, its recurrent products added through a gate-major view of
+their fused row-major shapes. The LSTM sums the slab and its fused product
+``h U`` row-major in that scratch and reads the sums once, through a
+gate-major view, writing each gate block once. A direction's states and
+gates are views of one fresh block per call, so no tape shares memory with
+another call's, and the steps of a call reuse one set of scratch arrays
+for the cell's temporaries (one set per direction when a large
+bidirectional pass runs its directions on two threads; see
+``forward_batch``). Step 0 has no recurrent term in
 either pass, since the initial state is zero: the forward skips ``h U``
 there (and the GRU's ``(r ⊗ h) U_c``), and the backward skips the t = 0
 matmuls whose results would only feed the initial state, with the GRU's
@@ -297,18 +303,23 @@ def init_params(spec: ModelSpec, rng: RngStream) -> Packed:
     return params
 
 
-def _gru_cell(a, h, U, act: str, out, rec, rec_gates, tmp, first: bool):
-    """One GRU step, in place on the gate-major input projection ``a`` (3, n, h).
+def _gru_cell(slab, a, h, U, act: str, out, rec, rec_gates, tmp, first: bool):
+    """One GRU step, in place on its input projection.
 
-    Adds the recurrent terms and applies the gates, so that ``a`` ends as
-    [z, r, c], each pre-activation overwritten by its value; writes the new
-    hidden state into ``out``. ``rec`` (n, 3h) and ``tmp`` (n, h) are
-    scratch: the recurrent products are written row-major into ``rec``'s
-    column blocks and added through ``rec_gates``, its gate-major view.
-    With ``first``, ``h`` is the zero initial state, whose recurrent
-    products are +0.0 for finite ``U``, and they are skipped.
+    ``slab`` is the step's projection, row-major (n, 3h), and ``a`` its
+    gate-major view (3, n, h) over the same memory, to be filled: the slab
+    is first permuted to gate-major through ``rec``. Adds the recurrent
+    terms and applies the gates, so that ``a`` ends as [z, r, c], each
+    pre-activation overwritten by its value; writes the new hidden state
+    into ``out``. ``rec`` (n, 3h) and ``tmp`` (n, h) are scratch: the
+    recurrent products are written row-major into ``rec``'s column blocks
+    and added through ``rec_gates``, its gate-major view. With ``first``,
+    ``h`` is the zero initial state, whose recurrent products are +0.0 for
+    finite ``U``, and they are skipped.
     """
     k = h.shape[-1]
+    np.copyto(rec, slab)
+    np.copyto(a, rec_gates)
     zr = a[:2]
     if not first:
         np.matmul(h, U[:, :2 * k], out=rec[:, :2 * k])
@@ -327,25 +338,28 @@ def _gru_cell(a, h, U, act: str, out, rec, rec_gates, tmp, first: bool):
     return out
 
 
-def _lstm_cell(a, h, c, U, act: str, h_out, c_out, rec, rec_gates, tmp, first: bool):
-    """One LSTM step, in place on the gate-major input projection ``a`` (4, n, h).
+def _lstm_cell(slab, a, h, c, U, act: str, h_out, c_out, rec, rec_gates, tmp, first: bool):
+    """One LSTM step, in place on its input projection.
 
-    Adds ``h U`` and applies the gates, so that ``a`` ends as
-    [i, f, o, g], each pre-activation overwritten by its value; writes the
-    new states into ``h_out`` and ``c_out``, and returns them. ``rec`` (n, 4h)
-    and ``tmp`` (n, h) are scratch: ``h U`` is written row-major into
-    ``rec`` and added through ``rec_gates``, its gate-major view. With
-    ``first``, ``h`` is the zero initial state, whose product ``h U`` is
-    +0.0 for finite ``U``, and it is skipped.
+    ``slab`` is the step's projection, row-major (n, 4h), and ``a`` its
+    gate-major view (4, n, h) over the same memory. The pre-activations
+    ``slab + h U`` are summed row-major in ``rec`` (n, 4h) and read once,
+    through ``rec_gates``, its gate-major view: each gate block of ``a`` is
+    written once, as [i, f, o, g]. Writes the new states into ``h_out`` and
+    ``c_out``, and returns them; ``tmp`` (n, h) is scratch. With ``first``,
+    ``h`` is the zero initial state, whose product ``h U`` is +0.0 for
+    finite ``U``, and it is skipped.
     """
     if first:
+        # a aliases the slab, so the slab is read from a copy.
+        np.copyto(rec, slab)
         # Adding 0.0 to g where h U would add +0.0: a -0.0 turns into +0.0 all the same.
-        a[3] += 0.0
+        rec_gates[3] += 0.0
     else:
         np.matmul(h, U, out=rec)
-        a += rec_gates
-    i, f, o = _sigmoid(a[:3], out=a[:3])
-    g = _act(a[3], act, out=a[3])
+        rec += slab  # fl(h U + slab) is fl(slab + h U): IEEE addition commutes.
+    i, f, o = _sigmoid(rec_gates[:3], out=a[:3])
+    g = _act(rec_gates[3], act, out=a[3])
     np.multiply(f, c, out=c_out)
     c_out += np.multiply(i, g, out=tmp)
     np.multiply(o, _act(c_out, act, out=tmp), out=h_out)
@@ -356,17 +370,19 @@ def _lstm_cell(a, h, c, U, act: str, h_out, c_out, rec, rec_gates, tmp, first: b
 class _DirectionCache:
     """Forward intermediates of one direction, stacked over time.
 
-    ``xs`` is the time-major, direction-ordered input (T, n, d). ``hs``
-    (and, for the LSTM, ``cs``) is (T+1, n, h): row 0 is the zero initial
-    state and row t+1 the state after step t. ``gates`` is (T, G, n, h),
-    gate-major within each step, so every ``gates[t, j]`` is one contiguous
-    (n, h) block: step t's input projection, which the step permutes from
-    the projection matmul's row-major (n, G*h) into that layout in place
-    and turns into its gate values in gate order. No pre-activation is
-    kept: the backward reads each activation's derivative from its output.
-    ``allocate`` takes ``gates``, ``hs`` and ``cs`` as views of one fresh
-    block, uninitialised but for the zero rows, so a tape shares no memory
-    with any other call's.
+    ``xs`` is the time-major, direction-ordered input (T, n, d). ``gates``
+    is (T, G, n, h), gate-major within each step, so every ``gates[t, j]``
+    is one contiguous (n, h) block: step t's input projection, which the
+    projection matmul writes row-major as (n, G*h) and the step turns into
+    its gate values in gate order. No pre-activation is kept: the backward
+    reads each activation's derivative from its output. The GRU's ``hs``
+    is (T+1, n, h): row 0 is the zero initial state and row t+1 the state
+    after step t. The LSTM's ``cs`` is the same for the cell state, but
+    its ``hs`` is a ring of two slots, which the steps take in turn, so
+    only the last state, ``final``, is kept; the backward rebuilds the
+    others as ``o * act(c)``. ``allocate`` takes ``gates``, ``hs`` and
+    ``cs`` as views of one fresh block, uninitialised but for the zero
+    rows, so a tape shares no memory with any other call's.
     """
 
     xs: np.ndarray
@@ -377,16 +393,24 @@ class _DirectionCache:
     @classmethod
     def allocate(cls, cell: str, xs: np.ndarray, hidden: int) -> "_DirectionCache":
         T, n, _ = xs.shape
-        states = ("hs", "cs") if cell == "lstm" else ("hs",)
+        states = {"hs": 2, "cs": T + 1} if cell == "lstm" else {"hs": T + 1}
         shapes = {"gates": (T, len(GATE_NAMES[cell][0]), n, hidden)}
-        shapes.update((state, (T + 1, n, hidden)) for state in states)
+        shapes.update((state, (slots, n, hidden)) for state, slots in states.items())
         views = _views(np.empty(sum(math.prod(s) for s in shapes.values())), _layout(shapes))
         for state in states:
             views[state][0] = 0.0
         return cls(xs, **views)
 
-    h_prev = property(lambda self: self.hs[:-1])
-    final = property(lambda self: self.hs[-1])
+    @property
+    def h_prev(self) -> np.ndarray:
+        """The state before each step, (T, n, h), which only the GRU's tape holds."""
+        if self.cs is not None:
+            raise AttributeError("an LSTM tape keeps no hidden states but the last; "
+                                 "the backward rebuilds them as o * act(c)")
+        return self.hs[:-1]
+
+    # The state after the last step, slot T of the GRU's hs, T % 2 of the LSTM's ring.
+    final = property(lambda self: self.hs[len(self.xs) % len(self.hs)])
     c_prev = property(lambda self: self.cs[:-1])
     c_t = property(lambda self: self.cs[1:])
     # The GRU's gates are [z, r, c].
@@ -482,14 +506,13 @@ def _run_direction(spec: ModelSpec, W, U, b, cache: _DirectionCache, rec, tmp) -
     rows += b
     rec_gates = _gate_major(rec, spec.hidden_size)
     for t in range(T):
-        # Permute step t's slab to gate-major in place, through rec.
-        np.copyto(rec, rows[t])
-        np.copyto(gates[t], rec_gates)
         if spec.cell == "gru":
-            _gru_cell(gates[t], hs[t], U, act, hs[t + 1], rec, rec_gates, tmp, first=t == 0)
+            _gru_cell(rows[t], gates[t], hs[t], U, act, hs[t + 1], rec, rec_gates, tmp,
+                      first=t == 0)
         else:
-            _lstm_cell(gates[t], hs[t], cs[t], U, act, hs[t + 1], cs[t + 1], rec, rec_gates,
-                       tmp, first=t == 0)
+            # hs is a ring of two slots: step t reads h_t and writes h_{t+1}.
+            _lstm_cell(rows[t], gates[t], hs[t % 2], cs[t], U, act, hs[(t + 1) % 2], cs[t + 1],
+                       rec, rec_gates, tmp, first=t == 0)
 
 
 def forward_batch(spec: ModelSpec, params: Mapping[str, np.ndarray], windows: np.ndarray):
@@ -559,7 +582,7 @@ def _sum_outer(a: np.ndarray, da: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh: np.ndarray):
     """One direction's gate deltas, gate-major (G, T, n, h), and each gate's recurrent input."""
     act, k = spec.activation, spec.hidden_size
-    h_prev, gates = cache.h_prev, cache.gates
+    gates = cache.gates
     T, G, n, _ = gates.shape
     # Start each gate delta as its sigmoid's derivative, and take the other
     # factors that do not depend on dh, for all steps at once.
@@ -568,6 +591,7 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
     np.multiply(sig, 1.0 - sig, out=da[:G - 1].transpose(1, 0, 2, 3))
     d_cand = _act_grad(gates[:, G - 1], act)
     if spec.cell == "gru":
+        h_prev = cache.h_prev
         U_zr, U_c = U[:, :2 * k], U[:, 2 * k:]
         c_minus_h = gates[:, 2] - h_prev
         # The fused recurrent product's operand [da_z | da_r], row-major (n, 2h).
@@ -608,6 +632,11 @@ def _direction_deltas(spec: ModelSpec, U: np.ndarray, cache: _DirectionCache, dh
             dc = dc_t * f
             np.copyto(da_gates, da[:, t])
             dh = da_rows @ U.T
+        # The states before each step, from the tape: h_0 = 0 and h_t = o_t act(c_t),
+        # the forward's own product of the same values, so the same bits.
+        h_prev = np.empty_like(act_c)
+        h_prev[0] = 0.0
+        np.multiply(gates[:-1, 2], act_c[:-1], out=h_prev[1:])
         recurrent_inputs = (h_prev,) * 4
     return da, recurrent_inputs
 

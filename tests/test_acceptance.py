@@ -50,6 +50,7 @@ from dpforecast import (
 )
 
 from conftest import SLOT, START, require_dataset
+from reference import network_forward
 
 FULL = os.environ.get("DPFORECAST_FULL_ACCEPTANCE") == "1"
 
@@ -183,10 +184,15 @@ def _kink_free(spec, params, X, y, margin=1e-3):
         return False
     if spec.activation == "relu":
         k = spec.hidden_size
+        # The LSTM's tape keeps no states before its last: take them from the reference.
+        states = network_forward(spec, params, X)[1] if spec.cell == "lstm" else None
         for direction, cache in tape.caches.items():
             # The candidate's pre-activation at every step, from the fused weights.
             W, U, b = (tape.weights[f"{direction}_{name}"][..., -k:] for name in "WUb")
-            h_in = cache.r * cache.h_prev if spec.cell == "gru" else cache.h_prev
+            if spec.cell == "gru":
+                h_in = cache.r * cache.h_prev
+            else:
+                h_in = np.stack([np.zeros_like(states[direction][0]), *states[direction][:-1]])
             preacts = cache.xs @ W + b + h_in @ U
             if any(np.min(np.abs(a)) <= margin for a in preacts):
                 return False

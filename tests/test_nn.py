@@ -88,6 +88,13 @@ def tape_arrays(tape) -> list[np.ndarray]:
     return arrays
 
 
+def lstm_rebuilt_states(spec, tape) -> dict[str, np.ndarray]:
+    """Per direction, the states before each step (T, n, h) that the LSTM backward rebuilds."""
+    zero = np.zeros((tape.prediction.shape[0], spec.hidden_size))
+    return {direction: nn._direction_deltas(spec, tape.weights[f"{direction}_U"], cache, zero)[1][0]
+            for direction, cache in tape.caches.items()}
+
+
 def same_view(a, b):
     return a.__array_interface__ == b.__array_interface__
 
@@ -405,13 +412,16 @@ class TestForward:
         params = init_params(spec, RngStream(40))
         X = RngStream(41).generator().standard_normal((4, 3, 3))
         _, tape = forward_batch(spec, params, X)
+        _, states = network_forward(spec, params, X)
         for direction, cache in tape.caches.items():
             assert cache.gates.shape == (3, len(GATE_NAMES[cell][0]), 4, 5)
             prefix = f"{direction}_"
             p = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
             xs = X if direction == "fw" else X[:, ::-1]
+            # The LSTM's tape keeps no states before its last: take them from the reference.
+            h_prev = cache.hs if cell == "gru" else [np.zeros((4, 5))] + states[direction]
             for t, step in enumerate(cache.gates):
-                expected = cell_gates(cell, p, xs[:, t], cache.hs[t], activation)
+                expected = cell_gates(cell, p, xs[:, t], h_prev[t], activation)
                 for block, gate in zip(step, expected):
                     assert block.flags.c_contiguous
                     np.testing.assert_allclose(block, gate, rtol=1e-13, atol=0)
@@ -432,10 +442,11 @@ class TestForward:
             tracemalloc.stop()
         return peak, sum(a.nbytes for a in tape_arrays(tape))
 
-    @pytest.mark.parametrize("cell, units", [("gru", 25), ("lstm", 38)])
+    @pytest.mark.parametrize("cell, units", [("gru", 25), ("lstm", 33)])
     def test_paper_shape_tape_holds_no_pre_activation(self, cell, units):
-        # Per direction, the block behind the states and gates holds
-        # (G*T + states*(T+1)) * n*h floats: GRU 18 + 7, LSTM 24 + 14.
+        # Per direction, the block behind the states and gates holds G*T gate
+        # blocks of n*h floats, T+1 of each state's but 2 of the LSTM's
+        # hidden state: GRU 18 + 7, LSTM 24 + 7 + 2.
         spec = ModelSpec(cell, True, 175, 10, 6, "relu")
         params = init_params(spec, RngStream(44))
         X = RngStream(45).generator().standard_normal((336, 6, 10))
@@ -452,8 +463,8 @@ class TestForward:
         assert sum(a.nbytes for a in owners.values()) == expected
 
     def test_paper_shape_forward_peak_is_the_tape_and_one_step_of_scratch(self, monkeypatch):
-        # A 336-window BiLSTM: the projection is permuted step by step, so no
-        # full-size temporary ever lives beside the tape.
+        # A 336-window BiLSTM: each step reads its projection through one
+        # step's scratch, so no full-size temporary ever lives beside the tape.
         peak, tape_bytes = self.paper_shape_forward_peak(monkeypatch, threaded=False)
         step_scratch = 336 * 4 * 175 * 8
         assert peak <= tape_bytes + step_scratch + 2**20, (peak, tape_bytes)
@@ -767,6 +778,61 @@ class TestBackward:
         assert grad_bytes(tape_a) == grads_before
 
 
+class TestLstmTapeStates:
+    """An LSTM tape keeps its hidden states in a ring of two slots; the backward rebuilds them."""
+
+    @pytest.mark.parametrize("cell", ["gru", "lstm"])
+    def test_lstm_tape_holds_two_hidden_slots_and_gru_tape_every_state(self, cell):
+        spec = ModelSpec(cell, True, 5, 3, 2)
+        X = RngStream(63).generator().standard_normal((4, 6, 3))
+        _, tape = forward_batch(spec, init_params(spec, RngStream(62)), X)
+        for cache in tape.caches.values():
+            if cell == "gru":
+                assert cache.hs.shape == (7, 4, 5) and cache.cs is None
+            else:
+                assert cache.hs.shape == (2, 4, 5) and cache.cs.shape == (7, 4, 5)
+                with pytest.raises(AttributeError, match="rebuilds them"):
+                    cache.h_prev
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", [1, 5, 336])
+    @pytest.mark.parametrize("inputs", ["random", "zero bias, -0.0 window"])
+    def test_backward_rebuilds_the_states_the_steps_wrote(self, monkeypatch, activation, n,
+                                                          inputs):
+        spec, lag = ModelSpec("lstm", True, 16, 4, 2, activation), 5
+        params = init_params(spec, RngStream(60))
+        gen = RngStream(61).generator()
+        if inputs == "random":
+            for value in params.values():
+                value += 0.1 * gen.standard_normal(value.shape)  # nonzero biases too
+            X = gen.standard_normal((n, lag, 4))
+        else:
+            X = np.full((n, lag, 4), -0.0)
+        written, cell = [], nn._lstm_cell
+
+        def recording(*args, **kwargs):
+            h, c = cell(*args, **kwargs)
+            written.append(h.copy())
+            return h, c
+
+        monkeypatch.setattr(nn, "_lstm_cell", recording)
+        monkeypatch.setattr(nn, "_direction_thread_allowed", lambda: False)
+        _, tape = forward_batch(spec, params, X)
+        _, states = network_forward(spec, params, X)
+        zero = np.zeros((n, 16))
+        for j, (direction, rebuilt) in enumerate(lstm_rebuilt_states(spec, tape).items()):
+            steps = written[j * lag:(j + 1) * lag]  # fw's steps, then bw's
+            assert rebuilt.tobytes() == np.stack([zero] + steps[:-1]).tobytes()
+            expected = np.stack([zero] + states[direction][:-1])
+            if inputs == "random":
+                # The reference sums its gates unfused and its sigmoid is 1 / (1 + exp(-a)),
+                # so a state near 0 may differ from it by a few ulps of the terms it sums.
+                np.testing.assert_allclose(rebuilt, expected, rtol=1e-13, atol=1e-15)
+            else:
+                # Every value is exact, +0.0, in the library and the reference alike.
+                assert rebuilt.tobytes() == expected.tobytes()
+
+
 class TestZeroInitialState:
     """Step 0 skips the recurrent matmuls on the zero state; the reference still runs them."""
 
@@ -784,9 +850,12 @@ class TestZeroInitialState:
         pred, tape = forward_batch(spec, params, X)
         expected, states = network_forward(spec, params, X)
         for direction, hs in states.items():
+            cache = tape.caches[direction]
+            # The LSTM's tape keeps its last state; the backward rebuilds the others.
+            after = cache.hs[1:] if cell == "gru" else [
+                *lstm_rebuilt_states(spec, tape)[direction][1:], cache.final]
             for t, h in enumerate(hs):
-                np.testing.assert_allclose(tape.caches[direction].hs[t + 1], h,
-                                           rtol=1e-13, atol=0)
+                np.testing.assert_allclose(after[t], h, rtol=1e-13, atol=0)
         np.testing.assert_allclose(pred, expected, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("cell", ["gru", "lstm"])
