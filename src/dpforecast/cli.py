@@ -140,11 +140,16 @@ def _model_config(cfg: ExperimentConfig) -> ModelConfig:
         return ModelConfig(**cfg.section("model"))
 
 
-def _train_config(cfg: ExperimentConfig, n_windows: int) -> TrainConfig:
+def _train_config(cfg: ExperimentConfig, n_windows: int, searched=()) -> TrainConfig:
+    """``[train]``; its batch size, and every one a search tries, must fit the windows."""
     with _usage("[train]"):
         train = TrainConfig(**cfg.section("train"))
+    too_big = f"[train] batch_size exceeds the {n_windows} training windows"
     if train.batch_size > n_windows:
-        raise ConfigError(f"[train] batch_size exceeds the {n_windows} training windows")
+        raise ConfigError(too_big)
+    for batch in searched:
+        if batch > n_windows:
+            raise ConfigError(f"{too_big} (tune searches batch size {batch})")
     return train
 
 
@@ -264,21 +269,22 @@ def cmd_accountant(args) -> int:
     return 0
 
 
-def _trained_run(cfg: ExperimentConfig, kind: str, series, release_seed: int):
+def _trained_run(cfg: ExperimentConfig, kind: str, series, release_seed: int, searched=()):
     """``(model, train, fit)`` for the campaign ``train`` and ``tune`` make.
 
     Checks, in this order and before any model trains: ``[run]`` lag and
     days against ``series``, ``[model]``, ``[train]`` with its batch size
-    against the training windows, then the kind's privacy settings: the
-    ``[dp]`` noise multiplier for gradient, ``[privacy]`` for input, and
-    the delta budget over the training slots for both. An input campaign
-    makes its one release from ``release_seed``. ``fit(model, train,
-    seeds, jobs=1, **trial)`` trains; a gradient ``trial`` overrides the
-    ``[dp]`` values a search varies.
+    and each ``searched`` batch size against the training windows, then
+    the kind's privacy settings: the ``[dp]`` noise multiplier for
+    gradient, ``[privacy]`` for input, and the delta budget over the
+    training slots for both. An input campaign makes its one release from
+    ``release_seed``. ``fit(model, train, seeds, jobs=1, **trial)``
+    trains; a gradient ``trial`` overrides the ``[dp]`` values a search
+    varies.
     """
     split_args, n_windows, n_basis = _split_args(cfg, series)
     model = _model_config(cfg)
-    train = _train_config(cfg, n_windows)
+    train = _train_config(cfg, n_windows, searched)
     if kind == "nonprivate":
         def fit(model, train, seeds, jobs=1):
             return run_nonprivate(series, model, train, seeds, jobs=jobs, **split_args)
@@ -337,6 +343,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"no predictions.csv under {run_dir}")
     per_region: dict[str, list[tuple[float, float]]] = {}
     with open(pred_file, encoding="utf-8", newline="") as fh, _usage(str(pred_file)):
+        if fh.read(1) != "\ufeff":  # a leading byte order mark is dropped
+            fh.seek(0)
         rows = csv.reader(fh)
         header = next(rows, [])
         # The last column of a name wins, as in csv.DictReader.
@@ -422,7 +430,7 @@ def cmd_tune(args) -> int:
     if len(series.region_labels) < 2:
         raise ConfigError("tune needs two or more regions: its objective uses their RMSE spread")
     seed = args.seed if args.seed is not None else 0
-    model, train, fit = _trained_run(cfg, kind, series, seed)
+    model, train, fit = _trained_run(cfg, kind, series, seed, BATCH_CHOICES)
     if kind == "gradient":
         space = SearchSpace(
             clip_choices=(1.0, 1.5, 2.0, 2.5),

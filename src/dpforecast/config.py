@@ -87,7 +87,8 @@ def parse_config(path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        # Decoded before the byte order mark is dropped, so an error names its file offset.
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     parser = configparser.ConfigParser(interpolation=None)

@@ -98,13 +98,13 @@ class MobilitySeries:
 def load_csv(path) -> MobilitySeries:
     """Parse a mobility CSV; missing 30-minute rows stay as NaN gaps.
 
-    The file must be UTF-8 text, and its region labels nonblank and
-    distinct. Each row is checked (field count, timestamp, integer and
-    nonnegative counts that a float can hold), so a row-level error names
-    the first offending line. The timestamps are then checked as one
-    column, in this order: duplicates, order, the span's and then each
-    row's alignment to the 30-minute grid; each check names its first
-    offender.
+    The file must be UTF-8 text, less one leading byte order mark, and
+    its region labels nonblank and distinct. Each row is checked (field
+    count, timestamp, integer and nonnegative counts that a float can
+    hold), so a row-level error names the first offending line. The
+    timestamps are then checked as one column, in this order: duplicates,
+    order, the span's and then each row's alignment to the 30-minute grid;
+    each check names its first offender.
 
     The file is read once, ``_BLOCK_ROWS`` rows at a time. A block is read
     as columns when all its records pass in bulk (:func:`_parse_block`);
@@ -114,7 +114,7 @@ def load_csv(path) -> MobilitySeries:
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise DataFormatError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

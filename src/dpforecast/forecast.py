@@ -41,7 +41,6 @@ from .data import (
 from .nn import ModelSpec, forward_batch, init_params
 from .optim import DpSgdConfig, NonPrivateConfig, TrainLog, train
 from .privacy import (
-    MechanismValidityError,
     PrivacyParams,
     compute_epsilon,
     rdp_curve,
@@ -428,17 +427,15 @@ def run_gradient_perturbation(
     training log reports; the worst-case total assumes one user present in
     every training slot (sequential composition). Before any seed trains, the
     delta budget is checked and a noise multiplier that the accountant
-    refuses at ``q``, zero among them, raises ``MechanismValidityError``.
+    refuses at ``q``, zero among them, raises the accountant's
+    ``MechanismValidityError``.
     """
     split_args = _split_args(seeds, lag, train_days, test_days)
     prepared = prepare(series, **split_args)
     n_basis = prepared.n_train_slots
     require_delta_budget(delta, n_basis)
     q = dp_cfg.batch_size / n_basis
-    try:
-        rdp_curve(q, dp_cfg.noise_multiplier)
-    except ValueError as exc:
-        raise MechanismValidityError(str(exc)) from exc
+    rdp_curve(q, dp_cfg.noise_multiplier)
     artifact = _fit_best_seed(
         "gradient", prepared, model_cfg, dp_cfg, seeds, jobs,
         {"dp": asdict(dp_cfg), "delta": delta} | split_args,

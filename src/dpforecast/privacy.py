@@ -28,7 +28,8 @@ Two regimes are supported:
   through :func:`core.logsumexp`; so every value has the bits of a
   term-by-term loop. :func:`rdp_curve` is the one entry to these values
   (a single order is its one-order grid) and the one judge of a noise
-  multiplier, which a gradient run asks before any model trains.
+  multiplier and a rate, which a gradient run asks before any model
+  trains; it refuses them as :class:`MechanismValidityError`.
 
 Per-release guarantees compose sequentially: a ledger of k entries with
 budgets (eps_i, delta_i) totals (sum eps_i, sum delta_i).
@@ -186,25 +187,21 @@ def rdp_curve(
     ``noise_multiplier >= 1``; ``q == 0`` touches no data and costs 0,
     ``q == 1`` reduces to the plain Gaussian value ``order / (2 sigma^2)``.
 
-    Arguments are checked in the order a per-order loop would meet them:
-    the first order, then the noise multiplier and the rate, then the rest
-    of the orders. A noise multiplier must be finite, and so large that
-    2 sigma^2 does not underflow to 0 unless q is 0.
+    The noise multiplier and the rate are checked first, on any grid, and
+    refused as ``MechanismValidityError``; then each order. A noise
+    multiplier must be positive, finite, and so large that 2 sigma^2 does
+    not underflow to 0 unless q is 0.
     """
-    checked = []
-    for order in orders:
-        checked.append(_check_order(order))
-        if len(checked) == 1:
-            if noise_multiplier <= 0:
-                raise ValueError("noise_multiplier must be positive")
-            if not math.isfinite(noise_multiplier):
-                raise ValueError(f"noise_multiplier must be finite, got {noise_multiplier}")
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"sampling rate q must be in [0, 1], got {q}")
-            if q != 0.0 and 2.0 * (noise_multiplier * noise_multiplier) == 0.0:
-                raise ValueError(
-                    f"noise_multiplier {noise_multiplier!r} is too small: its square underflows")
-    orders = tuple(checked)
+    if noise_multiplier <= 0:
+        raise MechanismValidityError("noise_multiplier must be positive")
+    if not math.isfinite(noise_multiplier):
+        raise MechanismValidityError(f"noise_multiplier must be finite, got {noise_multiplier}")
+    if not 0.0 <= q <= 1.0:
+        raise MechanismValidityError(f"sampling rate q must be in [0, 1], got {q}")
+    if q != 0.0 and 2.0 * (noise_multiplier * noise_multiplier) == 0.0:
+        raise MechanismValidityError(
+            f"noise_multiplier {noise_multiplier!r} is too small: its square underflows")
+    orders = tuple(map(_check_order, orders))
     if not orders or q == 0.0:
         return RdpCurve(orders, (0.0,) * len(orders))
     sigma2 = noise_multiplier * noise_multiplier

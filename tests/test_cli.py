@@ -388,14 +388,23 @@ class TestConfigFile:
     @pytest.mark.parametrize("make, named", [
         (lambda cfg: cfg.write_bytes(b"[run]\nkind = baseline\xff\n"),
          ": not UTF-8 text (invalid start byte at byte 21)"),
+        (lambda cfg: cfg.write_bytes(b"\xef\xbb\xbf[run]\nkind = baseline\xff\n"),
+         ": not UTF-8 text (invalid start byte at byte 24)"),
         (lambda cfg: cfg.mkdir(), "config file not found: "),
-    ], ids=["non-utf8", "directory"])
+    ], ids=["non-utf8", "non-utf8-after-bom", "directory"])
     def test_config_not_a_utf8_file_is_usage_error(self, tmp_path, capsys, make, named):
         cfg = tmp_path / "exp.cfg"
         make(cfg)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "train"]) == 2
         err = capsys.readouterr().err
         assert str(cfg) in err and named in err and "Traceback" not in err
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, dataset):
+        body = BASE_CONFIG.format(data=dataset, kind="baseline")
+        plain = write_config(tmp_path, body)
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert parse_config(marked) == parse_config(plain)
 
     @pytest.mark.parametrize("spelling, value", [
         *((s, True) for s in ("true", "Yes", "1", "ON")),
@@ -734,6 +743,20 @@ class TestEvaluateAndReport:
             written[name] = (out / "metrics.csv").read_bytes()
         assert written["shuffled"] == written["canonical"]
 
+    def test_evaluate_drops_a_leading_byte_order_mark(self, tmp_path):
+        # The mark would otherwise cling to the first column's name, here region.
+        text = ("region,datetime,y_true,y_pred\nR1,2020-08-24 00:00:00,1.0,2.5\n"
+                "R2,2020-08-24 00:00:00,4.0,3.0\n")
+        written = {}
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "predictions.csv").write_bytes(mark + text.encode("utf-8"))
+            out = tmp_path / f"{name}_eval"
+            assert main(["--out", str(out), "evaluate", "--run", str(run_dir)]) == 0
+            written[name] = (out / "metrics.csv").read_bytes()
+        assert written["marked"] == written["plain"]
+
     def test_evaluate_skips_blank_records(self, tmp_path):
         rows = ["datetime,region,y_true,y_pred", "2020-08-24 00:00:00,R1,1.0,2.5",
                 "2020-08-24 00:00:00,R2,4.0,3.0", "2020-08-24 00:30:00,R1,2.0,2.0",
@@ -810,6 +833,29 @@ class TestTuneCommand:
         assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
         err = capsys.readouterr().err
         assert "[train]" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["nonprivate", "input"])
+    def test_batch_size_the_windows_cannot_hold_is_refused_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        # One 48-slot training day less a lag of 10 leaves 38 windows, fewer
+        # than the search's largest batch size, 40; [train]'s own 5 fits.
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a release was made or a trial ran")
+
+        for name in ("run_nonprivate", "input_release", "fit_release"):
+            monkeypatch.setattr(cli, name, no_trial)
+        data = write_series_csv(build_series(n_days=8, n_regions=2, seed=1),
+                                tmp_path / "eight.csv")
+        body = RUN_CONFIGS[kind](data) + TUNE_ONE_TRIAL
+        for old, new in (("lag = 6", "lag = 10"), ("train_days = 13", "train_days = 1"),
+                         ("test_days = 2", "test_days = 1"),
+                         ("batch_size = 32", "batch_size = 5")):
+            body = body.replace(old, new)
+        cfg = write_config(tmp_path, body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "tune"]) == 2
+        assert capsys.readouterr().err == ("error: [train] batch_size exceeds the 38 training "
+                                           "windows (tune searches batch size 40)\n")
 
     def test_gradient_search_reports_epsilon(self, tmp_path, dataset):
         body = gradient_config(dataset).replace(

@@ -139,6 +139,22 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="latin1.csv: not UTF-8"):
             load_csv(path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        plain = write_series_csv(build_series(n_days=2, n_regions=2), tmp_path / "plain.csv")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = load_csv(plain), load_csv(marked)
+        assert got.region_labels == want.region_labels
+        assert np.array_equal(got.timestamps, want.timestamps)
+        assert got.counts.tobytes() == want.counts.tobytes()
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_file_offset(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbfdatetime,R\xe9\n2020-08-24 00:00:00,7\n")
+        with pytest.raises(DataFormatError,
+                           match=r"not UTF-8 text \(invalid continuation byte at byte 13\)"):
+            load_csv(path)
+
     def test_first_row_error_wins(self, tmp_path):
         # line 3 has a negative count, line 5 a bad timestamp
         path = tmp_path / "two_errors.csv"

@@ -335,14 +335,21 @@ def raised(fn, *args):
 
 
 def raised_as_scalar(reference, q, sigma, *args):
-    """The scalar reference's error, except where it divides by a 2 sigma^2 that underflowed.
+    """The scalar reference's error, as the accountant raises it.
 
-    There the accountant refuses the noise multiplier by name instead.
+    The accountant judges sigma and q before any order, so their error is
+    the reference's at the valid order 2, raised as a
+    ``MechanismValidityError``; where the reference divides by a 2 sigma^2
+    that underflowed, the accountant refuses the noise multiplier by name.
+    Only then come the orders' errors.
     """
-    expected = raised(reference, q, sigma, *args)
-    if expected is not None and expected[0] is ZeroDivisionError:
-        return ValueError, f"noise_multiplier {sigma!r} is too small: its square underflows"
-    return expected
+    judged = raised(reference_rdp, q, sigma, 2)
+    if judged is None:
+        return raised(reference, q, sigma, *args)
+    if judged[0] is ZeroDivisionError:
+        return (MechanismValidityError,
+                f"noise_multiplier {sigma!r} is too small: its square underflows")
+    return MechanismValidityError, judged[1]
 
 
 class TestArrayKernelMatchesScalar:
@@ -428,8 +435,24 @@ class TestArrayKernelMatchesScalar:
         assert expected is not None
         assert raised(compute_epsilon, 0.01, 35.0, steps, delta, orders) == expected
 
+    @pytest.mark.parametrize(
+        "q,sigma,orders,message",
+        [(0.01, 0.0, (1,), "noise_multiplier must be positive"),
+         (0.01, 0.0, (1, 2), "noise_multiplier must be positive"),
+         (0.01, 0.0, (2, 1), "noise_multiplier must be positive"),
+         (1.5, 0.0, (2,), "noise_multiplier must be positive"),
+         (1.5, 2.0, (1, 2), "sampling rate q must be in [0, 1], got 1.5")],
+        ids=["sigma-order", "sigma-first-order", "sigma-second-order", "sigma-rate",
+             "rate-order"],
+    )
+    def test_noise_multiplier_then_rate_then_orders(self, q, sigma, orders, message):
+        assert raised(rdp_curve, q, sigma, orders) == (MechanismValidityError, message)
+
     def test_empty_grid_gives_empty_curve(self):
-        assert rdp_curve(0.01, -1.0, ()) == RdpCurve((), ())
+        assert rdp_curve(0.01, 2.0, ()) == RdpCurve((), ())
+        for q, sigma in ((0.01, -1.0), (1.5, 2.0)):
+            with pytest.raises(MechanismValidityError):
+                rdp_curve(q, sigma, ())
 
 
 class TestNumpyOrderGrids:
