@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, finite_float, parse_config
-from .core import RngStream, write_csv, write_json
+from .core import RngStream, read_text, write_csv, write_json
 from .data import (
     DataFormatError,
     descriptive_stats,
@@ -59,7 +60,7 @@ from .privacy import (
     require_delta_budget,
     sanitize_series,
 )
-from .tune import BATCH_CHOICES, SearchSpace, run_search, write_trials_csv
+from .tune import BATCH_CHOICES, CLIP_CHOICES, SearchSpace, run_search, write_trials_csv
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -339,13 +340,11 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     run_dir = Path(args.run)
     pred_file = run_dir / "predictions.csv"
-    if not pred_file.exists():
+    if not pred_file.is_file():
         raise ConfigError(f"no predictions.csv under {run_dir}")
     per_region: dict[str, list[tuple[float, float]]] = {}
-    with open(pred_file, encoding="utf-8", newline="") as fh, _usage(str(pred_file)):
-        if fh.read(1) != "\ufeff":  # a leading byte order mark is dropped
-            fh.seek(0)
-        rows = csv.reader(fh)
+    with _usage(str(pred_file)):
+        rows = csv.reader(io.StringIO(read_text(pred_file), newline=""))
         header = next(rows, [])
         # The last column of a name wins, as in csv.DictReader.
         column = {name: i for i, name in enumerate(header)}
@@ -389,11 +388,11 @@ def cmd_evaluate(args) -> int:
 def cmd_report(args) -> int:
     def _summary(path: Path) -> dict:
         summary_file = Path(path) / "summary.json"
-        if not summary_file.exists():
+        if not summary_file.is_file():
             raise ConfigError(f"no summary.json under {path}")
-        with open(summary_file, "rb") as fh, _usage(str(summary_file)):
+        with _usage(str(summary_file)):
             # An integer too large for a float reads as inf, and so is refused.
-            summary = json.load(fh, parse_int=float)
+            summary = json.loads(read_text(summary_file), parse_int=float)
             if not isinstance(summary, dict):
                 raise ValueError("expected a JSON object")
             for metric in ("mean_rmse", "mean_mae"):
@@ -433,7 +432,7 @@ def cmd_tune(args) -> int:
     model, train, fit = _trained_run(cfg, kind, series, seed, BATCH_CHOICES)
     if kind == "gradient":
         space = SearchSpace(
-            clip_choices=(1.0, 1.5, 2.0, 2.5),
+            clip_choices=CLIP_CHOICES,
             noise_multiplier=cfg.get("dp", "noise_multiplier", _DP_DEFAULTS["noise_multiplier"]),
         )
         for batch in BATCH_CHOICES:  # only a search varies the batch size

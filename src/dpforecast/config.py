@@ -7,9 +7,12 @@ experiment, and the parsed values are echoed into every run's manifest.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .core import read_text
 
 
 class ConfigError(ValueError):
@@ -87,13 +90,12 @@ def parse_config(path) -> ExperimentConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        # Decoded before the byte order mark is dropped, so an error names its file offset.
-        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        text = read_text(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        parser.read_string(text)
+        parser.read_file(io.StringIO(text, newline=None), "<string>")  # CR, CRLF read as LF
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     values: dict[str, dict] = {}

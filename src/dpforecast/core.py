@@ -4,8 +4,9 @@ All tensors in this package are plain ``numpy.ndarray`` objects with
 ``float64`` entries; counts, privacy budgets, and Renyi exponents span
 enough orders of magnitude that 32-bit floats would be unsafe.
 
-Every text artifact a run writes goes through :func:`write_csv` or
-:func:`write_json`, so the file formats are stated once.
+Every text file a command reads goes through :func:`read_text`, as every
+artifact it writes goes through :func:`write_csv` or :func:`write_json`,
+so the file formats are stated once.
 """
 
 from __future__ import annotations
@@ -95,6 +96,16 @@ def logsumexp(xs: Sequence[float]) -> float:
     if math.isinf(m) and m < 0:
         return float("-inf")
     return m + math.log(math.fsum(math.exp(x - m) for x in xs))
+
+
+def read_text(path) -> str:
+    """The file's UTF-8 text less one leading U+FEFF; a ValueError names a bad byte's offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:

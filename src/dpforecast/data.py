@@ -26,6 +26,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import read_text
+
 if TYPE_CHECKING:  # pragma: no cover
     from .privacy import PrivacyRecord
 
@@ -111,14 +113,10 @@ def load_csv(path) -> MobilitySeries:
     otherwise its records go through :func:`_parse_row`, which alone
     defines what a row may hold, so row errors still come in line order.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
     try:
-        text = raw.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-        ) from None
+        text = read_text(path)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)

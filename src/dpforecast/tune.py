@@ -2,11 +2,12 @@
 
 The search objective for non-private campaigns is mean RMSE plus the
 across-region RMSE spread; private campaigns multiply it by exp(epsilon)
-to penalize loose guarantees. The grid is fixed: hidden size 25-500 in
-steps of 25, batch size 5-40 in steps of 5, and a learning rate
-log-uniform in [1e-5, 3e-3]. Two strategies are provided behind one
-interface: plain random search and "tpe-lite", which spends the first 20
-trials at random and then samples near the best quartile.
+to penalize loose guarantees. The fixed grid is stated here alone:
+hidden size ``H1_CHOICES``, batch size ``BATCH_CHOICES``, a learning
+rate log-uniform in ``LR_RANGE`` and, for gradient campaigns, a clip norm
+from ``CLIP_CHOICES``. Two strategies are provided behind one interface:
+plain random search and "tpe-lite", which spends the first 20 trials at
+random and then samples near the best quartile.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class SearchFailed(RuntimeError):
 H1_CHOICES = tuple(range(25, 501, 25))
 BATCH_CHOICES = tuple(range(5, 41, 5))
 LR_RANGE = (1e-5, 3e-3)
+CLIP_CHOICES = (1.0, 1.5, 2.0, 2.5)
 # tpe-lite's trials drawn at random before it samples near the best quartile.
 _N_RANDOM = 20
 

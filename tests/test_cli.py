@@ -24,7 +24,7 @@ from dpforecast import (
     utility_loss,
 )
 from dpforecast.cli import main
-from dpforecast.config import parse_config
+from dpforecast.config import ConfigError, parse_config
 
 from conftest import build_series, write_series_csv
 from test_forecast import PoisonableArray
@@ -406,6 +406,26 @@ class TestConfigFile:
         marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
         assert parse_config(marked) == parse_config(plain)
 
+    def test_cr_and_crlf_line_endings_read_as_lf(self, tmp_path, dataset):
+        body = BASE_CONFIG.format(data=dataset, kind="baseline")
+        parsed = {}
+        for name, ending in (("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(body.replace("\n", ending).encode("utf-8"))
+            parsed[name] = parse_config(cfg).values
+        assert parsed["cr"] == parsed["crlf"] == parsed["lf"]
+        assert parsed["lf"]["run"] == {"kind": "baseline", "seeds": (0, 1), "lag": 6,
+                                       "train_days": 13, "test_days": 2}
+
+    @pytest.mark.parametrize("ending", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    def test_parse_errors_read_the_same_for_every_line_ending(self, tmp_path, ending):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(f"[run]{ending}kind baseline{ending}".encode("utf-8"))
+        with pytest.raises(ConfigError) as info:
+            parse_config(cfg)
+        assert str(info.value) == (f"{cfg}: Source contains parsing errors: '<string>'\n"
+                                   "\t[line  2]: 'kind baseline\\n'")
+
     @pytest.mark.parametrize("spelling, value", [
         *((s, True) for s in ("true", "Yes", "1", "ON")),
         *((s, False) for s in ("false", "No", "0", "OFF")),
@@ -774,6 +794,58 @@ class TestEvaluateAndReport:
     def test_evaluate_missing_run_is_usage_error(self, tmp_path):
         assert main(["--out", str(tmp_path / "o"), "evaluate",
                      "--run", str(tmp_path / "nope")]) == 2
+
+    def test_evaluate_names_a_bad_byte_by_its_file_offset(self, tmp_path, capsys):
+        # Past the first 8 KiB, where a streamed decode would name an offset in its chunk.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        data = bytearray(b"datetime,region,y_true,y_pred\n"
+                         + b"2020-08-24 00:00:00,R1,1.0,2.0\n" * 700)
+        data[10000] = 0xFF
+        pred_file = run_dir / "predictions.csv"
+        pred_file.write_bytes(data)
+        assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pred_file}: not UTF-8 text (invalid start byte at byte 10000)\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_report_refuses_a_utf16_summary(self, tmp_path, capsys):
+        good, wide = tmp_path / "good", tmp_path / "wide"
+        good.mkdir()
+        wide.mkdir()
+        text = '{"mean_rmse": 2.0, "mean_mae": 1.0}'
+        (good / "summary.json").write_text(text, encoding="utf-8")
+        (wide / "summary.json").write_bytes(text.encode("utf-16"))
+        for run, reference in [(wide, good), (good, wide)]:
+            assert main(["--out", str(tmp_path / "rep"), "report", "--run", str(run),
+                         "--reference", str(reference)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {wide / 'summary.json'}: not UTF-8 text (")
+            assert "Traceback" not in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_report_drops_a_leading_byte_order_mark(self, tmp_path):
+        written = {}
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            (run_dir / "summary.json").write_bytes(mark + b'{"mean_rmse": 3.0, "mean_mae": 2}')
+            out = tmp_path / f"{name}_rep"
+            assert main(["--out", str(out), "report", "--run", str(run_dir),
+                         "--reference", str(run_dir)]) == 0
+            written[name] = (out / "report.csv").read_bytes()
+        assert written["marked"] == written["plain"]
+
+    def test_evaluate_and_report_refuse_a_directory_as_usage_error(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        (run_dir / "predictions.csv").mkdir(parents=True)
+        (run_dir / "summary.json").mkdir()
+        assert main(["--out", str(tmp_path / "o"), "evaluate", "--run", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"error: no predictions.csv under {run_dir}\n"
+        assert main(["--out", str(tmp_path / "o"), "report", "--run", str(run_dir),
+                     "--reference", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"error: no summary.json under {run_dir}\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestTuneCommand:

@@ -223,3 +223,41 @@ class TestArtifactWriters:
             b'{\n  "a": {\n    "y": NaN,\n    "z": null\n  },\n'
             b'  "b": [\n    1,\n    0.1\n  ]\n}\n'
         )
+
+
+class TestReadText:
+    def test_drops_exactly_one_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfa,b\r\n")
+        assert core.read_text(path) == "\ufeffa,b\r\n"
+
+    def test_keeps_line_endings(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_bytes(b"a\r\nb\rc\n")
+        assert core.read_text(path) == "a\r\nb\rc\n"
+
+    @pytest.mark.parametrize("data, named", [
+        (b"ab\xff", "invalid start byte at byte 2"),
+        (b"\xef\xbb\xbfab\xff", "invalid start byte at byte 5"),
+        (b"\xef\xbb\xbf" + b"x" * 9000 + b"\xc3(", "invalid continuation byte at byte 9003"),
+    ], ids=["plain", "after-bom", "past-8-kib"])
+    def test_bad_byte_is_named_by_its_file_offset(self, tmp_path, data, named):
+        path = tmp_path / "t.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            core.read_text(path)
+        assert str(info.value) == f"not UTF-8 text ({named})"
+        assert type(info.value) is ValueError
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=40) | st.text(max_size=20).map(str.encode))
+    def test_reads_what_utf8_sig_decodes(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "read_text.txt"
+        path.write_bytes(data)
+        try:
+            expected = data.decode("utf-8-sig")
+        except UnicodeDecodeError:
+            with pytest.raises(ValueError, match="^not UTF-8 text "):
+                core.read_text(path)
+        else:
+            assert core.read_text(path) == expected
